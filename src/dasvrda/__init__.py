@@ -20,7 +20,6 @@ from .problem import (
     full_gradient,
     make_dataset,
     make_problem,
-    margins,
     objective,
     prox_elastic_net,
 )

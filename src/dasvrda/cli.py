@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import ConfigError, RunConfig, parse_loss, parse_synthetic, run_experiment
-from .problem import ElasticNet, make_problem
+from .harness import (ALGORITHMS, DEFAULT_ALGORITHM, SAMPLINGS, RunConfig,
+                      load_problem, parse_synthetic, run_experiment)
 from .reference import compute_reference, save_reference
 
 
@@ -49,38 +49,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one solver and write a trace")
     _add_data_arguments(run)
-    run.add_argument(
-        "--algo",
-        default="dasvrda-ns",
-        choices=[
-            "pg", "apg", "svrg", "dasvrda-ns", "dasvrda-sc",
-            "dasvrda-ar-f", "dasvrda-ar-g", "dasvrda-warm", "dasvrg",
-        ],
-    )
+    run.add_argument("--algo", default=DEFAULT_ALGORITHM, choices=list(ALGORITHMS))
     run.add_argument("--batch", type=int, default=1, help="minibatch size")
     run.add_argument("--epoch-len", type=int, default=None,
                      help="inner iterations per stage (default n/batch; "
-                     "2n/batch for svrg)")
+                     "twice that for the SVRG baseline)")
     run.add_argument("--gamma", type=float, default=None,
                      help="outer momentum parameter (default: tuned optimum)")
     run.add_argument("--eta", type=float, default=None,
                      help="step size (default: theory value)")
     run.add_argument("--stages", type=int, default=None,
-                     help="outer stages (per restart for dasvrda-sc)")
+                     help="outer stages (per restart with fixed restarts)")
     run.add_argument("--restarts", type=int, default=None,
-                     help="restart count for dasvrda-sc")
+                     help="restart count for the fixed-restart variant")
     run.add_argument("--warm-m0", type=int, default=None,
-                     help="initial warm-up loop length for dasvrda-warm")
+                     help="initial warm-up loop length for the warm-start variant")
     run.add_argument("--warm-stages", type=int, default=None,
-                     help="warm-up stage count for dasvrda-warm")
-    run.add_argument("--sampling", default="uniform",
-                     choices=["uniform", "weighted", "partition"])
+                     help="warm-up stage count for the warm-start variant")
+    run.add_argument("--sampling", default="uniform", choices=SAMPLINGS)
     run.add_argument("--lipschitz", default=None, choices=["mean", "max"],
                      help="smoothness constant for default step sizes "
                      "(default mean; max under partition sampling)")
     run.add_argument("--lazy", default="auto", choices=["auto", "on", "off"],
-                     help="sparse just-in-time updates (auto: density < 25%% "
-                     "with elastic net)")
+                     help="sparse just-in-time updates where the algorithm has "
+                     "a lazy stage (auto: density < 25%% with elastic net)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--budget", type=int, required=True,
                      help="component-gradient evaluation budget")
@@ -144,12 +136,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         # args.command == "ref"
-        from .harness import _load_dataset  # shared loading/validation
-
-        base = RunConfig(algo="pg", budget=1, **_dataset_config(args))
-        data = _load_dataset(base)
-        problem = make_problem(
-            data, parse_loss(args.loss), ElasticNet(args.l1, args.l2)
+        problem = load_problem(
+            RunConfig(algo=DEFAULT_ALGORITHM, **_dataset_config(args))
         )
         reference = compute_reference(
             problem, args.tol, max_stages=args.max_stages
@@ -161,10 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             f"-> {args.out}"
         )
         return 0 if reference.converged else 3
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

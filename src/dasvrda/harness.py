@@ -10,10 +10,9 @@ budget cannot cover.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -22,16 +21,9 @@ from .baselines import run_apg, run_pg, run_svrg
 from .data_io import SyntheticSpec, generate_synthetic, load_libsvm, normalize_rows
 from .lazy import lazy_one_stage_accsvrda
 from .losses import Logistic, SmoothedHinge, Squared
-from .problem import (
-    Dataset,
-    ElasticNet,
-    Problem,
-    dataset_summary,
-    make_problem,
-    objective,
-)
+from .problem import ElasticNet, Problem, dataset_summary, make_problem, objective
 from .reference import load_reference, problem_fingerprint
-from .sampling import IidUniform, IidWeighted, Partition, make_rng, smoothness_weighted
+from .sampling import IidUniform, Partition, make_rng, smoothness_weighted
 from .solvers import (
     choose_S_for_rho,
     default_warm_start,
@@ -42,20 +34,10 @@ from .solvers import (
     run_dasvrda_ns,
     run_dasvrda_sc,
     run_dasvrda_warm,
+    warm_momentum_loop_length,
+    warm_stage_count,
 )
 from .trace import TraceRecord, write_trace
-
-ALGORITHMS = (
-    "pg",
-    "apg",
-    "svrg",
-    "dasvrda-ns",
-    "dasvrda-sc",
-    "dasvrda-ar-f",
-    "dasvrda-ar-g",
-    "dasvrda-warm",
-    "dasvrg",
-)
 
 SAMPLINGS = ("uniform", "weighted", "partition")
 
@@ -125,6 +107,98 @@ class RunResult:
     diverged: bool
 
 
+# ---------------------------------------------------------------------------
+# Algorithm registry: everything the harness and the CLI know per algorithm.
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """How the harness runs one algorithm and fills in its defaults.
+
+    ``run(resolved, x0, rng, hooks)`` calls the runner; ``hooks`` holds the
+    ``on_stage``/``budget`` keywords of every runner, plus ``one_stage``
+    when the run uses the lazy stage.
+    """
+
+    run: Callable[..., np.ndarray]
+    #: Default inner loop length is ``epoch_passes * n // batch``.
+    epoch_passes: int = 1
+    #: None: tuned outer momentum ``gamma_star`` and the theory step
+    #: ``eta_default``.  A number ``c``: no outer momentum, step ``1/(c L)``.
+    step_divisor: Optional[float] = None
+    #: Takes a restart count; the stages per restart can come from ``l2``.
+    restarts: bool = False
+    #: Trace and result report the running average of the stage outputs.
+    averaged: bool = False
+    #: Can run its inner stages on the lazy sparse engine.
+    lazy: bool = False
+    #: Inner loop length the trace header reports; None without one.
+    loop_length: Callable[..., Optional[int]] = lambda r: r.m
+
+
+def _warm_start(r: "ResolvedRun") -> tuple[int, int]:
+    """``(m0, n_warm)`` from the config, defaulting what it leaves open."""
+    m0, n_warm = r.config.warm_m0, r.config.warm_stages
+    if m0 is None and n_warm is None:
+        return default_warm_start(r.problem, r.gamma, r.m, r.config.batch)
+    m0 = 1 if m0 is None else m0
+    if m0 < 1:
+        raise ConfigError(f"warm-up loop length must be positive, got {m0}")
+    return m0, warm_stage_count(r.gamma, m0, r.m) if n_warm is None else n_warm
+
+
+def _warm(r, x0, rng, hooks):
+    m0, n_warm = _warm_start(r)
+    return run_dasvrda_warm(r.problem, x0, r.gamma, m0, r.config.batch, n_warm,
+                            r.stages, r.scheme, rng, eta=r.eta, **hooks)
+
+
+def _ns(r, x0, rng, hooks):
+    return run_dasvrda_ns(r.problem, x0, x0, r.gamma, r.m, r.config.batch,
+                          r.stages, r.scheme, rng, eta=r.eta, **hooks)
+
+
+def _adaptive(kind: str):
+    return lambda r, x0, rng, hooks: run_dasvrda_adaptive(
+        r.problem, x0, r.gamma, r.m, r.config.batch, r.stages, r.scheme, rng,
+        kind=kind, eta=r.eta, **hooks)
+
+
+ALGORITHMS: dict[str, Algorithm] = {
+    "pg": Algorithm(
+        lambda r, x0, rng, hooks: run_pg(r.problem, x0, r.eta, r.stages, **hooks),
+        step_divisor=1.0, averaged=True, loop_length=lambda r: None),
+    "apg": Algorithm(
+        lambda r, x0, rng, hooks: run_apg(r.problem, x0, r.eta, r.stages, **hooks),
+        step_divisor=1.0, loop_length=lambda r: None),
+    "svrg": Algorithm(
+        lambda r, x0, rng, hooks: run_svrg(
+            r.problem, x0, r.eta, r.m, r.config.batch, r.scheme, rng, r.stages,
+            **hooks),
+        epoch_passes=2, step_divisor=10.0, averaged=True),
+    "dasvrda-ns": Algorithm(_ns, lazy=True),
+    "dasvrda-sc": Algorithm(
+        lambda r, x0, rng, hooks: run_dasvrda_sc(
+            r.problem, x0, r.gamma, r.m, r.config.batch, r.stages, r.restarts,
+            r.scheme, rng, eta=r.eta, **hooks),
+        restarts=True, lazy=True),
+    "dasvrda-ar-f": Algorithm(_adaptive("function"), lazy=True),
+    "dasvrda-ar-g": Algorithm(_adaptive("gradient"), lazy=True),
+    "dasvrda-warm": Algorithm(
+        _warm, lazy=True,
+        loop_length=lambda r: warm_momentum_loop_length(r.gamma, *_warm_start(r))),
+    "dasvrg": Algorithm(
+        lambda r, x0, rng, hooks: _ns(r, x0, rng,
+                                      dict(hooks, one_stage=one_stage_dasvrg))),
+}
+
+DEFAULT_ALGORITHM = "dasvrda-ns"
+
+
+def _names_with(flag: str) -> str:
+    return ", ".join(name for name, algo in ALGORITHMS.items() if getattr(algo, flag))
+
+
 def parse_loss(text: str):
     if text == "squared":
         return Squared()
@@ -176,15 +250,16 @@ def parse_synthetic(text: str) -> SyntheticSpec:
         raise ConfigError(str(exc)) from None
 
 
-def _load_dataset(config: RunConfig) -> Dataset:
+def load_problem(config: RunConfig) -> Problem:
+    """Load or generate the configured dataset and bind it to the loss and
+    the elastic net."""
     if (config.data_path is None) == (config.synthetic is None):
         raise ConfigError("exactly one of data_path/synthetic must be given")
     loss = parse_loss(config.loss)
-    classification = not isinstance(loss, Squared)
     if config.data_path is not None:
         try:
             data = load_libsvm(
-                config.data_path, dim=config.dim, binary_labels=classification
+                config.data_path, dim=config.dim, binary_labels=loss.classification
             )
         except (OSError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
@@ -192,17 +267,26 @@ def _load_dataset(config: RunConfig) -> Dataset:
         data, _ = generate_synthetic(config.synthetic)
     if config.normalize:
         data = normalize_rows(data)
-    return data
+    try:
+        return make_problem(data, loss, ElasticNet(config.l1, config.l2))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def resolve(config: RunConfig) -> ResolvedRun:
     """Fill in every defaulted parameter and validate the combination."""
-    if config.algo not in ALGORITHMS:
+    algo = ALGORITHMS.get(config.algo)
+    if algo is None:
         raise ConfigError(f"unknown algorithm {config.algo!r}")
     if config.sampling not in SAMPLINGS:
         raise ConfigError(f"unknown sampling {config.sampling!r}")
     if config.lazy not in ("auto", "on", "off"):
         raise ConfigError(f"lazy must be auto/on/off, got {config.lazy!r}")
+    if config.lazy == "on" and not algo.lazy:
+        raise ConfigError(
+            f"--lazy on: {config.algo} cannot use the lazy stage; only "
+            f"{_names_with('lazy')} can"
+        )
     if config.l1 < 0 or config.l2 < 0:
         raise ConfigError("regularization weights must be nonnegative")
     if config.budget is None and config.stages is None:
@@ -210,25 +294,17 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if config.budget is not None and config.budget < 1:
         raise ConfigError(f"budget must be positive, got {config.budget}")
 
-    data = _load_dataset(config)
-    loss = parse_loss(config.loss)
-    try:
-        problem = make_problem(data, loss, ElasticNet(config.l1, config.l2))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    problem = load_problem(config)
     n, b = problem.n, config.batch
     if not 1 <= b <= n:
         raise ConfigError(f"batch size {b} out of range for n={n}")
 
-    is_dasvrda = config.algo.startswith("dasvrda") or config.algo == "dasvrg"
     if config.epoch_len is not None:
         m = config.epoch_len
         if m < 1:
             raise ConfigError(f"epoch length must be positive, got {m}")
-    elif config.algo == "svrg":
-        m = max(1, (2 * n) // b)
     else:
-        m = max(1, n // b)
+        m = max(1, (algo.epoch_passes * n) // b)
 
     try:
         if config.sampling == "uniform":
@@ -250,26 +326,26 @@ def resolve(config: RunConfig) -> ResolvedRun:
     )
 
     gamma = config.gamma
-    if gamma is None and is_dasvrda:
-        gamma = gamma_star(m, b)
     eta = config.eta
-    if eta is None:
-        if is_dasvrda:
+    if algo.step_divisor is None:
+        if gamma is None:
+            gamma = gamma_star(m, b)
+        elif gamma <= 1:
+            raise ConfigError(f"momentum parameter must exceed 1, got {gamma}")
+        if eta is None:
             eta = eta_default(gamma, m, b, smooth)
-        elif config.algo == "svrg":
-            eta = 1.0 / (10.0 * smooth)
-        else:
-            eta = 1.0 / smooth
+    elif eta is None:
+        eta = 1.0 / (algo.step_divisor * smooth)
     if eta <= 0:
         raise ConfigError(f"step size must be positive, got {eta}")
 
     stages = config.stages
     restarts = config.restarts
-    if config.algo == "dasvrda-sc":
+    if algo.restarts:
         if stages is None:
             if config.l2 <= 0:
                 raise ConfigError(
-                    "dasvrda-sc needs --stages, or positive l2 so the stage "
+                    f"{config.algo} needs --stages, or positive l2 so the stage "
                     "count per restart can be derived from the target "
                     "contraction"
                 )
@@ -278,7 +354,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
             restarts = _UNBOUNDED if config.budget is not None else 1
     else:
         if restarts is not None:
-            raise ConfigError(f"--restarts only applies to dasvrda-sc")
+            raise ConfigError(f"--restarts only applies to {_names_with('restarts')}")
         restarts = 1
         if stages is None:
             stages = _UNBOUNDED
@@ -287,17 +363,12 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if restarts < 1:
         raise ConfigError(f"restart count must be positive, got {restarts}")
 
-    summary = dataset_summary(data)
-    sparse_enough = summary["density"] < 0.25
-    elastic = config.l1 > 0 or config.l2 > 0
-    if config.lazy == "on":
-        use_lazy = True
-    elif config.lazy == "off":
-        use_lazy = False
+    summary = dataset_summary(problem.data)
+    if config.lazy == "auto":
+        elastic = config.l1 > 0 or config.l2 > 0
+        use_lazy = algo.lazy and summary["density"] < 0.25 and elastic
     else:
-        use_lazy = sparse_enough and elastic
-    if use_lazy and not (config.algo.startswith("dasvrda")):
-        use_lazy = False  # lazy path only implements the dual-averaging stage
+        use_lazy = config.lazy == "on"
 
     ref_objective = None
     if config.ref_path is not None:
@@ -311,7 +382,19 @@ def resolve(config: RunConfig) -> ResolvedRun:
             )
         ref_objective = float(payload["objective"])
 
-    header = {
+    run = ResolvedRun(
+        problem=problem,
+        config=config,
+        m=m,
+        gamma=gamma,
+        eta=eta,
+        stages=stages,
+        restarts=restarts,
+        scheme=scheme,
+        use_lazy=use_lazy,
+        ref_objective=ref_objective,
+    )
+    run.header = {
         "version": __version__,
         "algo": config.algo,
         "loss": config.loss,
@@ -324,13 +407,11 @@ def resolve(config: RunConfig) -> ResolvedRun:
         "d": problem.d,
         "nnz": summary["nnz"],
         "batch": b,
-        "epoch_len": m if config.algo not in ("pg", "apg") else None,
+        "epoch_len": algo.loop_length(run),
         "gamma": gamma,
         "eta": eta,
         "stages": None if stages == _UNBOUNDED else stages,
-        "restarts": None
-        if restarts == _UNBOUNDED
-        else (restarts if config.algo == "dasvrda-sc" else None),
+        "restarts": restarts if algo.restarts and restarts != _UNBOUNDED else None,
         "warm_m0": config.warm_m0,
         "warm_stages": config.warm_stages,
         "sampling": config.sampling,
@@ -341,19 +422,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
         "budget": config.budget,
         "reference": config.ref_path,
     }
-    return ResolvedRun(
-        problem=problem,
-        config=config,
-        m=m,
-        gamma=gamma,
-        eta=eta,
-        stages=stages,
-        restarts=restarts,
-        scheme=scheme,
-        use_lazy=use_lazy,
-        ref_objective=ref_objective,
-        header=header,
-    )
+    return run
 
 
 class _Diverged(Exception):
@@ -365,6 +434,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     run = resolve(config)
     problem = run.problem
     cfg = run.config
+    algo = ALGORITHMS[cfg.algo]
     rng = make_rng(cfg.seed)
     x0 = np.zeros(problem.d)
     records: list[TraceRecord] = []
@@ -372,7 +442,6 @@ def run_experiment(config: RunConfig) -> RunResult:
     ref = run.ref_objective
     n = problem.n
 
-    averaged_output = cfg.algo in ("pg", "svrg")
     avg_sum = np.zeros(problem.d)
     avg_count = 0
     evals_total = 0
@@ -381,7 +450,7 @@ def run_experiment(config: RunConfig) -> RunResult:
     def record(stage: int, point: np.ndarray, evals: int, restarted: bool) -> None:
         nonlocal evals_total, avg_sum, avg_count, diverged
         evals_total += evals
-        if averaged_output and stage > 0:
+        if algo.averaged and stage > 0:
             avg_sum += point
             avg_count += 1
             measured = avg_sum / avg_count
@@ -404,68 +473,15 @@ def run_experiment(config: RunConfig) -> RunResult:
             raise _Diverged
 
     record(0, x0, 0, False)
-    one_stage = lazy_one_stage_accsvrda if run.use_lazy else None
-    common = dict(on_stage=record, budget=cfg.budget)
+    hooks = dict(on_stage=record, budget=cfg.budget)
+    if run.use_lazy:
+        hooks["one_stage"] = lazy_one_stage_accsvrda
     try:
-        if cfg.algo == "pg":
-            x = run_pg(problem, x0, run.eta, run.stages, **common)
-        elif cfg.algo == "apg":
-            x = run_apg(problem, x0, run.eta, run.stages, **common)
-        elif cfg.algo == "svrg":
-            x = run_svrg(
-                problem, x0, run.eta, run.m, cfg.batch, run.scheme, rng,
-                run.stages, **common,
-            )
-        elif cfg.algo == "dasvrda-ns":
-            x = run_dasvrda_ns(
-                problem, x0, x0, run.gamma, run.m, cfg.batch, run.stages,
-                run.scheme, rng, eta=run.eta, one_stage=one_stage, **common,
-            )
-        elif cfg.algo == "dasvrda-sc":
-            x = run_dasvrda_sc(
-                problem, x0, run.gamma, run.m, cfg.batch, run.stages,
-                run.restarts, run.scheme, rng, eta=run.eta,
-                one_stage=one_stage, **common,
-            )
-        elif cfg.algo in ("dasvrda-ar-f", "dasvrda-ar-g"):
-            kind = "function" if cfg.algo.endswith("f") else "gradient"
-            x = run_dasvrda_adaptive(
-                problem, x0, run.gamma, run.m, cfg.batch, run.stages,
-                run.scheme, rng, kind=kind, eta=run.eta,
-                one_stage=one_stage, **common,
-            )
-        elif cfg.algo == "dasvrda-warm":
-            m0 = cfg.warm_m0
-            n_warm = cfg.warm_stages
-            if m0 is None and n_warm is None:
-                m0, n_warm = default_warm_start(problem, run.gamma, run.m, cfg.batch)
-            elif m0 is None:
-                m0 = 1
-            elif n_warm is None:
-                n_warm = (
-                    0
-                    if m0 >= run.m
-                    else math.ceil(
-                        math.log(run.m / m0) / math.log(math.sqrt(run.gamma))
-                    )
-                )
-            x = run_dasvrda_warm(
-                problem, x0, run.gamma, m0, run.m, cfg.batch, n_warm,
-                run.stages, run.scheme, rng, eta=run.eta,
-                one_stage=one_stage, **common,
-            )
-        elif cfg.algo == "dasvrg":
-            x = run_dasvrda_ns(
-                problem, x0, x0, run.gamma, run.m, cfg.batch, run.stages,
-                run.scheme, rng, eta=run.eta, one_stage=one_stage_dasvrg,
-                **common,
-            )
-        else:  # pragma: no cover - guarded by resolve()
-            raise ConfigError(f"unknown algorithm {cfg.algo!r}")
+        x = algo.run(run, x0, rng, hooks)
     except _Diverged:
         x = x0
 
-    if averaged_output and avg_count and not diverged:
+    if algo.averaged and avg_count and not diverged:
         x = avg_sum / avg_count
     if cfg.trace_path is not None:
         write_trace(cfg.trace_path, run.header, records)

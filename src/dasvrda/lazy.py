@@ -31,12 +31,10 @@ final full-width sweep that materializes the stage output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from . import losses
-from .problem import Problem, ElasticNet
+from .problem import Problem
 from .sampling import RngStream, SamplingScheme, draw_batch, make_anchor, _weight_vector
 from .solvers import theta_pair
 
@@ -224,8 +222,6 @@ class LazyStage:
         scheme: SamplingScheme,
         rng: RngStream,
     ) -> None:
-        if not isinstance(problem.reg, ElasticNet):
-            raise ValueError("lazy path requires linear loss + elastic net")
         if m < 1:
             raise ValueError(f"need at least one inner iteration, got m={m}")
         if eta <= 0:
@@ -240,9 +236,8 @@ class LazyStage:
         self.l2 = float(problem.reg.l2)
         anchor = make_anchor(problem, x_anchor)  # one full pass
         self.tilde_grad = anchor.grad
-        self.anchor_derivs = losses._derivatives(
-            problem.loss, anchor.margins, problem.data.labels
-        )
+        self.anchor_derivs = problem.loss.derivatives(
+            anchor.margins, problem.data.labels)
         start = np.asarray(y_start, dtype=np.float64)
         d = problem.d
         if start.shape != (d,):
@@ -311,7 +306,7 @@ class LazyStage:
             for p in range(a, b):
                 acc += data[p] * y_val[int(indices[p])]
             t_y[pos] = acc
-        dy = losses._derivatives(self.problem.loss, t_y, self._labels[idx])
+        dy = self.problem.loss.derivatives(t_y, self._labels[idx])
         delta = dy - self.anchor_derivs[idx]
         if self.weights is not None:
             delta = self.weights[idx] * delta

@@ -5,6 +5,12 @@ prediction ``t = a_i @ x`` of example ``i``.  Gradients of the
 per-example objectives ``f_i(x) = psi(a_i @ x, label_i)`` follow from the
 chain rule, so the solvers only ever need ``psi`` and its derivative in
 ``t`` plus a per-example smoothness constant.
+
+Each loss object carries ``curvature`` (the Lipschitz constant ``c`` of
+``dpsi/dt``; the per-example smoothness constant is ``c * ||a_i||^2``), a
+``classification`` flag (labels in {-1, +1}), the vectorized ``values`` /
+``derivatives`` the solvers use, and the scalar ``value`` / ``derivative``,
+an independent oracle that :func:`loss_value` / :func:`loss_derivative` wrap.
 """
 
 from __future__ import annotations
@@ -22,10 +28,51 @@ from scipy.special import expit
 class Squared:
     """Residual loss ``0.5 * (t - label)**2`` for regression data."""
 
+    curvature = 1.0
+    classification = False
+
+    def value(self, t: float, label: float) -> float:
+        r = t - label
+        return 0.5 * r * r
+
+    def derivative(self, t: float, label: float) -> float:
+        return t - label
+
+    def values(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        r = t - labels
+        return 0.5 * r * r
+
+    def derivatives(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return t - labels
+
 
 @dataclass(frozen=True)
 class Logistic:
     """Logistic loss ``log(1 + exp(-label * t))`` with labels in {-1, +1}."""
+
+    curvature = 0.25
+    classification = True
+
+    def value(self, t: float, label: float) -> float:
+        # log(1 + exp(u)) with u = -label*t, computed without overflow.
+        u = -label * t
+        if u > 0:
+            return u + math.log1p(math.exp(-u))
+        return math.log1p(math.exp(u))
+
+    def derivative(self, t: float, label: float) -> float:
+        # -label * sigmoid(-label * t), kept stable for large |t|.
+        u = label * t
+        if u >= 0:
+            e = math.exp(-u)
+            return -label * e / (1.0 + e)
+        return -label / (1.0 + math.exp(u))
+
+    def values(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return np.logaddexp(0.0, -labels * t)
+
+    def derivatives(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        return -labels * expit(-labels * t)
 
 
 @dataclass(frozen=True)
@@ -43,23 +90,52 @@ class SmoothedHinge:
 
     nu: float
 
+    classification = True
+
     def __post_init__(self) -> None:
         if not self.nu > 0:
             raise ValueError(f"smoothing width must be positive, got {self.nu}")
 
+    @property
+    def curvature(self) -> float:
+        return 1.0 / self.nu
+
+    def value(self, t: float, label: float) -> float:
+        z = label * t
+        if z >= 1.0:
+            return 0.0
+        if z <= 1.0 - self.nu:
+            return 1.0 - z - 0.5 * self.nu
+        return (1.0 - z) ** 2 / (2.0 * self.nu)
+
+    def derivative(self, t: float, label: float) -> float:
+        z = label * t
+        if z >= 1.0:
+            return 0.0
+        if z <= 1.0 - self.nu:
+            return -label
+        return -label * (1.0 - z) / self.nu
+
+    def values(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        z = labels * t
+        nu = self.nu
+        return np.where(
+            z >= 1.0,
+            0.0,
+            np.where(z <= 1.0 - nu, 1.0 - z - 0.5 * nu, (1.0 - z) ** 2 / (2.0 * nu)),
+        )
+
+    def derivatives(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        z = labels * t
+        nu = self.nu
+        return np.where(
+            z >= 1.0,
+            0.0,
+            np.where(z <= 1.0 - nu, -labels, -labels * (1.0 - z) / nu),
+        )
+
 
 LossKind = Union[Squared, Logistic, SmoothedHinge]
-
-#: Multiplier c such that the derivative of psi(., label) in t is
-#: c-Lipschitz; the per-example smoothness constant is c * ||a_i||^2.
-def _curvature_bound(loss: LossKind) -> float:
-    if isinstance(loss, Squared):
-        return 1.0
-    if isinstance(loss, Logistic):
-        return 0.25
-    if isinstance(loss, SmoothedHinge):
-        return 1.0 / loss.nu
-    raise TypeError(f"unknown loss {loss!r}")
 
 
 def _check_margin(t: float) -> float:
@@ -71,46 +147,12 @@ def _check_margin(t: float) -> float:
 
 def loss_value(loss: LossKind, t: float, label: float) -> float:
     """Evaluate ``psi(t, label)`` for a single example."""
-    t = _check_margin(t)
-    if isinstance(loss, Squared):
-        r = t - label
-        return 0.5 * r * r
-    if isinstance(loss, Logistic):
-        # log(1 + exp(u)) with u = -label*t, computed without overflow.
-        u = -label * t
-        if u > 0:
-            return u + math.log1p(math.exp(-u))
-        return math.log1p(math.exp(u))
-    if isinstance(loss, SmoothedHinge):
-        z = label * t
-        if z >= 1.0:
-            return 0.0
-        if z <= 1.0 - loss.nu:
-            return 1.0 - z - 0.5 * loss.nu
-        return (1.0 - z) ** 2 / (2.0 * loss.nu)
-    raise TypeError(f"unknown loss {loss!r}")
+    return loss.value(_check_margin(t), label)
 
 
 def loss_derivative(loss: LossKind, t: float, label: float) -> float:
     """Derivative of ``psi`` with respect to the prediction ``t``."""
-    t = _check_margin(t)
-    if isinstance(loss, Squared):
-        return t - label
-    if isinstance(loss, Logistic):
-        # -label * sigmoid(-label * t), kept stable for large |t|.
-        u = label * t
-        if u >= 0:
-            e = math.exp(-u)
-            return -label * e / (1.0 + e)
-        return -label / (1.0 + math.exp(u))
-    if isinstance(loss, SmoothedHinge):
-        z = label * t
-        if z >= 1.0:
-            return 0.0
-        if z <= 1.0 - loss.nu:
-            return -label
-        return -label * (1.0 - z) / loss.nu
-    raise TypeError(f"unknown loss {loss!r}")
+    return loss.derivative(_check_margin(t), label)
 
 
 def smoothness_constant(loss: LossKind, feature_row) -> float:
@@ -126,40 +168,4 @@ def smoothness_constant(loss: LossKind, feature_row) -> float:
     else:
         row = np.asarray(feature_row, dtype=np.float64).ravel()
         sq = float(row @ row)
-    return _curvature_bound(loss) * sq
-
-
-def _values(loss: LossKind, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized psi over an array of predictions (no finiteness checks)."""
-    if isinstance(loss, Squared):
-        r = t - labels
-        return 0.5 * r * r
-    if isinstance(loss, Logistic):
-        return np.logaddexp(0.0, -labels * t)
-    if isinstance(loss, SmoothedHinge):
-        z = labels * t
-        nu = loss.nu
-        out = np.where(
-            z >= 1.0,
-            0.0,
-            np.where(z <= 1.0 - nu, 1.0 - z - 0.5 * nu, (1.0 - z) ** 2 / (2.0 * nu)),
-        )
-        return out
-    raise TypeError(f"unknown loss {loss!r}")
-
-
-def _derivatives(loss: LossKind, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Vectorized dpsi/dt over an array of predictions."""
-    if isinstance(loss, Squared):
-        return t - labels
-    if isinstance(loss, Logistic):
-        return -labels * expit(-labels * t)
-    if isinstance(loss, SmoothedHinge):
-        z = labels * t
-        nu = loss.nu
-        return np.where(
-            z >= 1.0,
-            0.0,
-            np.where(z <= 1.0 - nu, -labels, -labels * (1.0 - z) / nu),
-        )
-    raise TypeError(f"unknown loss {loss!r}")
+    return loss.curvature * sq

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from . import losses
 from .losses import LossKind
 
 # Zero feature rows would make a smoothness constant (and hence an
@@ -117,7 +116,7 @@ class Problem:
 def make_problem(data: Dataset, loss: LossKind, reg: ElasticNet) -> Problem:
     if data.n == 0:
         raise ValueError("empty dataset")
-    if isinstance(loss, (losses.Logistic, losses.SmoothedHinge)):
+    if loss.classification:
         bad = ~np.isin(data.labels, (-1.0, 1.0))
         if bad.any():
             raise ValueError(
@@ -126,7 +125,7 @@ def make_problem(data: Dataset, loss: LossKind, reg: ElasticNet) -> Problem:
             )
     mat = data.features
     row_sq = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
-    consts = np.maximum(losses._curvature_bound(loss) * row_sq, SMOOTHNESS_FLOOR)
+    consts = np.maximum(loss.curvature * row_sq, SMOOTHNESS_FLOOR)
     return Problem(
         data=data,
         loss=loss,
@@ -144,32 +143,25 @@ def _check_point(problem: Problem, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def margins(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """Vector of linear predictions ``A @ x``."""
-    return problem.data.features @ _check_point(problem, x)
-
-
 def objective(problem: Problem, x: np.ndarray) -> float:
     """Full composite objective ``P(x)``."""
     x = _check_point(problem, x)
     t = problem.data.features @ x
-    smooth = float(losses._values(problem.loss, t, problem.data.labels).mean())
+    smooth = float(problem.loss.values(t, problem.data.labels).mean())
     return smooth + problem.reg.value(x)
 
 
-def smooth_value(problem: Problem, x: np.ndarray) -> float:
-    """Averaged loss term of the objective, without the regularizer."""
+def full_pass(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the data: predictions ``A @ x`` and the loss gradient."""
     x = _check_point(problem, x)
     t = problem.data.features @ x
-    return float(losses._values(problem.loss, t, problem.data.labels).mean())
+    coef = problem.loss.derivatives(t, problem.data.labels) / problem.n
+    return t, problem.data.features.T @ coef
 
 
 def full_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:
     """Gradient of the averaged loss term (regularizer handled by prox)."""
-    x = _check_point(problem, x)
-    t = problem.data.features @ x
-    coef = losses._derivatives(problem.loss, t, problem.data.labels) / problem.n
-    return problem.data.features.T @ coef
+    return full_pass(problem, x)[1]
 
 
 def prox_elastic_net(z: np.ndarray, scale: float, reg: ElasticNet) -> np.ndarray:

@@ -12,6 +12,7 @@ and repeated runs do not recompute them.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
 from .baselines import one_stage_pg
 from .problem import Problem, default_prox, full_gradient, objective
 
@@ -43,8 +43,8 @@ def problem_fingerprint(problem: Problem) -> str:
     h.update(np.ascontiguousarray(problem.data.labels).tobytes())
     loss = problem.loss
     tag = type(loss).__name__
-    if isinstance(loss, losses.SmoothedHinge):
-        tag += f":{loss.nu!r}"
+    for param in dataclasses.fields(loss):
+        tag += f":{getattr(loss, param.name)!r}"
     h.update(tag.encode())
     h.update(f"l1={problem.reg.l1!r},l2={problem.reg.l2!r}".encode())
     return h.hexdigest()

@@ -24,8 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from . import losses
-from .problem import Problem, full_gradient
+from .problem import Problem, full_pass
 
 
 @dataclass
@@ -167,10 +166,8 @@ class StageAnchor:
 
 def make_anchor(problem: Problem, x: np.ndarray) -> StageAnchor:
     """One full pass over the data: predictions and gradient at ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    t = problem.data.features @ x
-    coef = losses._derivatives(problem.loss, t, problem.data.labels) / problem.n
-    return StageAnchor(x=x.copy(), margins=t, grad=problem.data.features.T @ coef)
+    t, grad = full_pass(problem, x)
+    return StageAnchor(x=np.array(x, dtype=np.float64), margins=t, grad=grad)
 
 
 def vr_gradient(
@@ -192,8 +189,8 @@ def vr_gradient(
     rows = problem.data.features[idx]
     labels = problem.data.labels[idx]
     b = idx.shape[0]
-    dy = losses._derivatives(problem.loss, rows @ y, labels)
-    dx = losses._derivatives(problem.loss, anchor.margins[idx], labels)
+    dy = problem.loss.derivatives(rows @ y, labels)
+    dx = problem.loss.derivatives(anchor.margins[idx], labels)
     w = _weight_vector(scheme)
     if w is not None:
         wi = w[idx]

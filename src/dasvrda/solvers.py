@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problem import Problem, default_prox, objective
+from .problem import Problem, objective
 from .baselines import ProxFn, StageHook, InnerHook, _resolve_prox
 from .sampling import RngStream, SamplingScheme, draw_batch, make_anchor, vr_gradient
 
@@ -556,11 +556,20 @@ def default_warm_start(
         m0 = min(max(1, raw), m)
     else:
         m0 = 1
+    return m0, warm_stage_count(gamma, m0, m)
+
+
+def warm_stage_count(gamma: float, m0: int, m: int) -> int:
+    """Warm-up stages that grow the loop length from ``m0`` back to ``m``."""
     if m0 >= m:
-        n_warm = 0
-    else:
-        n_warm = max(0, math.ceil(math.log(m / m0) / math.log(math.sqrt(gamma))))
-    return m0, n_warm
+        return 0
+    return max(0, math.ceil(math.log(m / m0) / math.log(math.sqrt(gamma))))
+
+
+def warm_momentum_loop_length(gamma: float, m0: int, n_warm: int) -> int:
+    """Inner loop length of the momentum phase of :func:`run_dasvrda_warm`."""
+    lengths = warm_start_schedule(gamma, m0, n_warm)
+    return warm_final_loop_length(gamma, lengths[-1] if lengths else m0)
 
 
 def run_dasvrda_warm(
@@ -568,7 +577,6 @@ def run_dasvrda_warm(
     x0: np.ndarray,
     gamma: float,
     m0: int,
-    m: int,
     b: int,
     n_warm: int,
     n_stages: int,
@@ -590,7 +598,7 @@ def run_dasvrda_warm(
     """
     _check_gamma(gamma)
     lengths = warm_start_schedule(gamma, m0, n_warm)
-    m_final = warm_final_loop_length(gamma, lengths[-1] if lengths else m0)
+    m_final = warm_momentum_loop_length(gamma, m0, n_warm)
     if eta is None:
         eta = eta_default(gamma, m_final, b, problem.mean_smoothness)
     if one_stage is None:

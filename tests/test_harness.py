@@ -11,8 +11,8 @@ from dasvrda import (
     restart_interval_grid,
     run_experiment,
 )
-from dasvrda.cli import main
-from dasvrda.harness import parse_loss, parse_synthetic, resolve
+from dasvrda.cli import _build_parser, main
+from dasvrda.harness import ALGORITHMS, parse_loss, parse_synthetic, resolve
 from dasvrda.losses import Logistic, SmoothedHinge, Squared
 from dasvrda.solvers import gamma_star
 from dasvrda.trace import TraceRecord
@@ -90,6 +90,10 @@ def test_resolve_epoch_and_batch_defaults():
     assert resolve(lasso_config(batch=7)).m == 60 // 7
     assert resolve(lasso_config(algo="svrg", batch=1)).m == 120
     assert resolve(lasso_config(epoch_len=13)).m == 13
+    # The warm-start header reports the loop length of its momentum phase,
+    # grown from m0 = 1 over the schedule [3, 7, 13, 24, 43, 76, 133, 232].
+    warm = resolve(lasso_config(algo="dasvrda-warm"))
+    assert warm.m == 60 and warm.header["epoch_len"] == 349
 
 
 def test_resolve_partition_switches_to_max_smoothness():
@@ -131,10 +135,11 @@ def test_resolve_lazy_rule():
         lazy="off",
     )).use_lazy
     assert resolve(lasso_config(lazy="on")).use_lazy
-    assert not resolve(lasso_config(
-        algo="svrg", lazy="on",
-        synthetic=SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0),
-    )).use_lazy                      # lazy stage only fits dasvrda-*
+    with pytest.raises(ConfigError, match="svrg cannot use the lazy stage"):
+        resolve(lasso_config(
+            algo="svrg", lazy="on",
+            synthetic=SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0),
+        ))                           # lazy stage only fits dasvrda-*
 
 
 @pytest.mark.parametrize(
@@ -271,18 +276,33 @@ def test_pg_and_svrg_traces_report_running_average(tmp_path):
     )
 
 
-def test_all_algorithms_run_and_improve(tmp_path):
-    spec = SyntheticSpec(kind="lasso", n=60, d=20, sparsity=5, seed=0)
-    for algo in ("pg", "apg", "svrg", "dasvrda-ns", "dasvrda-sc",
-                 "dasvrda-ar-f", "dasvrda-ar-g", "dasvrda-warm", "dasvrg"):
+#: Final objectives of the runs in the test below, recorded before the
+#: algorithm registry replaced the per-name dispatch; they pin every
+#: runner's trajectory.
+PINNED_FINAL_OBJECTIVE = {
+    "pg": 2.155010826586471,
+    "apg": 1.2317493463260243,
+    "svrg": 0.5766919901031701,
+    "dasvrda-ns": 0.14295820945630155,
+    "dasvrda-sc": 0.3093577281181003,
+    "dasvrda-ar-f": 0.14295820945630155,
+    "dasvrda-ar-g": 0.14295820945630155,
+    "dasvrda-warm": 0.013511878953817669,
+    "dasvrg": 0.14291856969685895,
+}
+
+
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_all_algorithms_run_and_improve(algo):
+    if ALGORITHMS[algo].restarts:
+        config = lasso_config(algo=algo, l2=1e-3, stages=3, seed=2, restarts=2)
+    else:
         config = lasso_config(algo=algo, l2=1e-3, stages=6, seed=2)
-        if algo == "dasvrda-sc":
-            config = lasso_config(algo=algo, l2=1e-3, stages=3, seed=2,
-                                  restarts=2)
-        result = run_experiment(config)
-        objs = [r.objective for r in result.records]
-        assert objs[-1] < objs[0], algo
-        assert not result.diverged
+    result = run_experiment(config)
+    objs = [r.objective for r in result.records]
+    assert objs[-1] < objs[0]
+    assert not result.diverged
+    assert objs[-1] == pytest.approx(PINNED_FINAL_OBJECTIVE[algo], rel=1e-9)
 
 
 def test_warm_explicit_parameters(tmp_path):
@@ -362,6 +382,18 @@ def test_cli_bad_batch_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "batch size" in capsys.readouterr().err
+    code = main([
+        "run", "--synthetic", "lasso:n=10,d=5,sparsity=3", "--algo", "apg",
+        "--lazy", "on", "--budget", "100", "--trace", str(tmp_path / "t.csv"),
+    ])
+    assert code == 2
+    assert "apg cannot use the lazy stage" in capsys.readouterr().err
+
+
+def test_cli_algo_choices_are_the_registry():
+    run = _build_parser()._subparsers._group_actions[0].choices["run"]
+    algo = next(action for action in run._actions if action.dest == "algo")
+    assert list(algo.choices) == list(ALGORITHMS)
 
 
 def test_cli_run_success(tmp_path, capsys):

@@ -477,9 +477,7 @@ def test_warm_runner_without_warm_stages_matches_plain_outer_loop():
     scheme = IidUniform(problem.n)
     x0 = np.random.default_rng(23).standard_normal(problem.d)
     m_final = warm_final_loop_length(4.0, 3)
-    a = run_dasvrda_warm(
-        problem, x0, 4.0, 3, m_final, 2, 0, 6, scheme, make_rng(31)
-    )
+    a = run_dasvrda_warm(problem, x0, 4.0, 3, 2, 0, 6, scheme, make_rng(31))
     b = run_dasvrda_ns(
         problem, x0, x0, 4.0, m_final, 2, 6, scheme, make_rng(31)
     )
@@ -491,7 +489,7 @@ def test_warm_runner_stage_costs_follow_schedule():
     scheme = IidUniform(problem.n)
     seen = []
     run_dasvrda_warm(
-        problem, np.zeros(problem.d), 4.0, 2, 23, 3, 3, 2, scheme, make_rng(33),
+        problem, np.zeros(problem.d), 4.0, 2, 3, 3, 2, scheme, make_rng(33),
         on_stage=lambda s, x, e, r: seen.append((s, e)),
     )
     lengths = warm_start_schedule(4.0, 2, 3)
@@ -506,7 +504,7 @@ def test_warm_runner_converges():
     problem = small_problem(22, n=100, d=25, l1=1e-3, l2=1e-3)
     scheme = IidUniform(problem.n)
     x = run_dasvrda_warm(
-        problem, np.zeros(problem.d), 4.0, 1, 20, 5, 4, 30, scheme, make_rng(35)
+        problem, np.zeros(problem.d), 4.0, 1, 5, 4, 30, scheme, make_rng(35)
     )
     p0 = objective(problem, np.zeros(problem.d))
     assert objective(problem, x) < 0.02 * p0
