@@ -27,7 +27,6 @@ from .sampling import (
     IidUniform,
     IidWeighted,
     Partition,
-    RngStream,
     StageAnchor,
     draw_batch,
     importance_weight,

@@ -13,8 +13,9 @@ Conventions shared by every runner in the package:
   costs ``b``).
 * ``budget`` is a cap on total evaluations; a runner stops before starting
   a stage it cannot afford, so it never overdraws.
-* ``prox`` optionally replaces the problem's elastic-net proximal map by a
-  user callback ``prox(z, scale)``.
+
+A runner keeps both in one :class:`Ledger`, which also numbers the stages
+across warm-up, restarts and momentum phases.
 """
 
 from __future__ import annotations
@@ -24,22 +25,35 @@ from typing import Callable, Optional
 import numpy as np
 
 from .problem import Problem, default_prox, full_gradient
-from .sampling import RngStream, SamplingScheme, draw_batch, make_anchor, vr_gradient
+from .sampling import SamplingScheme, draw_batch, make_anchor, vr_gradient
 
 StageHook = Callable[[int, np.ndarray, int, bool], None]
-ProxFn = Callable[[np.ndarray, float], np.ndarray]
 
 
-def _resolve_prox(problem: Problem, prox: Optional[ProxFn]) -> ProxFn:
-    return prox if prox is not None else default_prox(problem)
+class Ledger:
+    """Evaluation budget, evaluations spent and global stage number of one
+    run; every stage a runner completes is charged here."""
+
+    def __init__(self, budget: Optional[int], on_stage: Optional[StageHook]) -> None:
+        self.budget = budget
+        self.on_stage = on_stage
+        self.spent = 0
+        self.stage = 0
+
+    def affords(self, cost: int) -> bool:
+        return self.budget is None or self.spent + cost <= self.budget
+
+    def charge(self, x: np.ndarray, cost: int, restarted: bool = False) -> None:
+        """Book one completed stage and report it to ``on_stage``."""
+        self.spent += cost
+        self.stage += 1
+        if self.on_stage is not None:
+            self.on_stage(self.stage, x, cost, restarted)
 
 
-def one_stage_pg(
-    problem: Problem, x: np.ndarray, eta: float, *, prox: Optional[ProxFn] = None
-) -> np.ndarray:
+def one_stage_pg(problem: Problem, x: np.ndarray, eta: float) -> np.ndarray:
     """One proximal gradient step ``prox_{eta R}(x - eta * grad F(x))``."""
-    prox = _resolve_prox(problem, prox)
-    return prox(x - eta * full_gradient(problem, x), eta)
+    return default_prox(problem)(x - eta * full_gradient(problem, x), eta)
 
 
 def run_pg(
@@ -50,24 +64,18 @@ def run_pg(
     *,
     on_stage: Optional[StageHook] = None,
     budget: Optional[int] = None,
-    prox: Optional[ProxFn] = None,
 ) -> np.ndarray:
     """Proximal gradient descent; returns the average of the stage iterates."""
-    prox = _resolve_prox(problem, prox)
+    ledger = Ledger(budget, on_stage)
     x = np.asarray(x0, dtype=np.float64).copy()
     total = np.zeros_like(x)
-    done = 0
-    spent = 0
-    for s in range(1, n_stages + 1):
-        if budget is not None and spent + problem.n > budget:
+    for _ in range(n_stages):
+        if not ledger.affords(problem.n):
             break
-        x = one_stage_pg(problem, x, eta, prox=prox)
-        spent += problem.n
+        x = one_stage_pg(problem, x, eta)
         total += x
-        done += 1
-        if on_stage is not None:
-            on_stage(s, x, problem.n, False)
-    return total / done if done else x
+        ledger.charge(x, problem.n)
+    return total / ledger.stage if ledger.stage else x
 
 
 def run_apg(
@@ -78,29 +86,26 @@ def run_apg(
     *,
     on_stage: Optional[StageHook] = None,
     budget: Optional[int] = None,
-    prox: Optional[ProxFn] = None,
 ) -> np.ndarray:
     """Accelerated proximal gradient with momentum weights (s+1)/2.
 
     The lookahead point is ``x_s + ((theta_{s-1}-1)/theta_s) (x_s - x_{s-1})``
     with ``theta_0 = 0``; returns the last iterate.
     """
-    prox = _resolve_prox(problem, prox)
+    ledger = Ledger(budget, on_stage)
+    prox = default_prox(problem)
     x = np.asarray(x0, dtype=np.float64).copy()
     x_prev = x.copy()
     theta_prev = 0.0
-    spent = 0
     for s in range(1, n_stages + 1):
-        if budget is not None and spent + problem.n > budget:
+        if not ledger.affords(problem.n):
             break
         theta = (s + 1) / 2.0
         y = x + ((theta_prev - 1.0) / theta) * (x - x_prev)
         x_prev = x
         x = prox(y - eta * full_gradient(problem, y), eta)
         theta_prev = theta
-        spent += problem.n
-        if on_stage is not None:
-            on_stage(s, x, problem.n, False)
+        ledger.charge(x, problem.n)
     return x
 
 
@@ -114,9 +119,8 @@ def one_stage_svrg(
     m: int,
     b: int,
     scheme: SamplingScheme,
-    rng: RngStream,
+    rng: np.random.Generator,
     *,
-    prox: Optional[ProxFn] = None,
     on_iterate: Optional[InnerHook] = None,
 ) -> np.ndarray:
     """One SVRG stage: ``m`` prox steps with variance-reduced gradients.
@@ -125,7 +129,7 @@ def one_stage_svrg(
     """
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
-    prox = _resolve_prox(problem, prox)
+    prox = default_prox(problem)
     anchor = make_anchor(problem, x_anchor)
     x = anchor.x.copy()
     total = np.zeros_like(x)
@@ -146,27 +150,22 @@ def run_svrg(
     m: int,
     b: int,
     scheme: SamplingScheme,
-    rng: RngStream,
+    rng: np.random.Generator,
     n_stages: int,
     *,
     on_stage: Optional[StageHook] = None,
     budget: Optional[int] = None,
-    prox: Optional[ProxFn] = None,
 ) -> np.ndarray:
     """Multi-stage SVRG; each stage re-anchors at the previous stage's
     average, and the overall output averages the stage outputs."""
+    ledger = Ledger(budget, on_stage)
     x = np.asarray(x0, dtype=np.float64).copy()
     total = np.zeros_like(x)
-    done = 0
-    spent = 0
     cost = problem.n + m * b
-    for s in range(1, n_stages + 1):
-        if budget is not None and spent + cost > budget:
+    for _ in range(n_stages):
+        if not ledger.affords(cost):
             break
-        x = one_stage_svrg(problem, x, eta, m, b, scheme, rng, prox=prox)
-        spent += cost
+        x = one_stage_svrg(problem, x, eta, m, b, scheme, rng)
         total += x
-        done += 1
-        if on_stage is not None:
-            on_stage(s, x, cost, False)
-    return total / done if done else x
+        ledger.charge(x, cost)
+    return total / ledger.stage if ledger.stage else x

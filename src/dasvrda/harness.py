@@ -44,6 +44,10 @@ SAMPLINGS = ("uniform", "weighted", "partition")
 #: Many stages; practical runs are stopped by the evaluation budget.
 _UNBOUNDED = 10**9
 
+#: Per-restart contraction of the expected gap that the stage count of a
+#: restarted algorithm targets when it is derived from ``l2``.
+TARGET_RHO = 0.5
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
@@ -81,7 +85,6 @@ class RunConfig:
     budget: Optional[int] = None
     trace_path: Optional[str] = None
     ref_path: Optional[str] = None
-    target_rho: float = 0.5
 
 
 @dataclass
@@ -132,6 +135,8 @@ class Algorithm:
     averaged: bool = False
     #: Can run its inner stages on the lazy sparse engine.
     lazy: bool = False
+    #: Takes a warm-up loop length and warm-up stage count.
+    warm: bool = False
     #: Inner loop length the trace header reports; None without one.
     loop_length: Callable[..., Optional[int]] = lambda r: r.m
 
@@ -185,7 +190,7 @@ ALGORITHMS: dict[str, Algorithm] = {
     "dasvrda-ar-f": Algorithm(_adaptive("function"), lazy=True),
     "dasvrda-ar-g": Algorithm(_adaptive("gradient"), lazy=True),
     "dasvrda-warm": Algorithm(
-        _warm, lazy=True,
+        _warm, lazy=True, warm=True,
         loop_length=lambda r: warm_momentum_loop_length(r.gamma, *_warm_start(r))),
     "dasvrg": Algorithm(
         lambda r, x0, rng, hooks: _ns(r, x0, rng,
@@ -233,13 +238,10 @@ def parse_synthetic(text: str) -> SyntheticSpec:
     floats = {"density", "noise"}
     kwargs = {}
     for key, value in fields.items():
+        if key not in ints and key not in floats:
+            raise ConfigError(f"unknown synthetic parameter {key!r}")
         try:
-            if key in ints:
-                kwargs[key] = int(value)
-            elif key in floats:
-                kwargs[key] = float(value)
-            else:
-                raise ConfigError(f"unknown synthetic parameter {key!r}")
+            kwargs[key] = int(value) if key in ints else float(value)
         except ValueError:
             raise ConfigError(f"bad value for synthetic {key}: {value!r}") from None
     if "n" not in kwargs or "d" not in kwargs:
@@ -286,6 +288,11 @@ def resolve(config: RunConfig) -> ResolvedRun:
         raise ConfigError(
             f"--lazy on: {config.algo} cannot use the lazy stage; only "
             f"{_names_with('lazy')} can"
+        )
+    if not algo.warm and (config.warm_m0 is not None
+                          or config.warm_stages is not None):
+        raise ConfigError(
+            f"--warm-m0/--warm-stages only apply to {_names_with('warm')}"
         )
     if config.l1 < 0 or config.l2 < 0:
         raise ConfigError("regularization weights must be nonnegative")
@@ -349,7 +356,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
                     "count per restart can be derived from the target "
                     "contraction"
                 )
-            stages = choose_S_for_rho(gamma, eta, m, config.l2, config.target_rho)
+            stages = choose_S_for_rho(gamma, eta, m, config.l2, TARGET_RHO)
         if restarts is None:
             restarts = _UNBOUNDED if config.budget is not None else 1
     else:
@@ -481,8 +488,6 @@ def run_experiment(config: RunConfig) -> RunResult:
     except _Diverged:
         x = x0
 
-    if algo.averaged and avg_count and not diverged:
-        x = avg_sum / avg_count
     if cfg.trace_path is not None:
         write_trace(cfg.trace_path, run.header, records)
     return RunResult(x=x, records=records, header=run.header, diverged=diverged)

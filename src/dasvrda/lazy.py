@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import Problem
-from .sampling import RngStream, SamplingScheme, draw_batch, make_anchor, _weight_vector
+from .sampling import SamplingScheme, draw_batch, make_anchor
 from .solvers import theta_pair
 
 
@@ -220,7 +220,7 @@ class LazyStage:
         m: int,
         b: int,
         scheme: SamplingScheme,
-        rng: RngStream,
+        rng: np.random.Generator,
     ) -> None:
         if m < 1:
             raise ValueError(f"need at least one inner iteration, got m={m}")
@@ -236,8 +236,7 @@ class LazyStage:
         self.l2 = float(problem.reg.l2)
         anchor = make_anchor(problem, x_anchor)  # one full pass
         self.tilde_grad = anchor.grad
-        self.anchor_derivs = problem.loss.derivatives(
-            anchor.margins, problem.data.labels)
+        self.anchor_derivs = anchor.derivs
         start = np.asarray(y_start, dtype=np.float64)
         d = problem.d
         if start.shape != (d,):
@@ -249,7 +248,7 @@ class LazyStage:
         self.k_last = np.zeros(d, dtype=np.int64)
         self.k = 0
         self.tables = build_prefix_tables(m + 1, self.eta, self.l2)
-        self.weights = _weight_vector(scheme)
+        self.weights = scheme.weights
         feats = problem.data.features
         self._indptr = feats.indptr
         self._indices = feats.indices
@@ -370,15 +369,10 @@ def lazy_one_stage_accsvrda(
     m: int,
     b: int,
     scheme: SamplingScheme,
-    rng: RngStream,
-    *,
-    prox=None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop-in sparse replacement for
     :func:`~dasvrda.solvers.one_stage_accsvrda` (same batches, same seed,
-    same output up to rounding); only the problem's own elastic net is
-    supported, so a custom prox callback is rejected."""
-    if prox is not None:
-        raise ValueError("lazy path requires linear loss + elastic net")
+    same output up to rounding)."""
     stage = LazyStage(problem, y_start, x_anchor, eta, m, b, scheme, rng)
     return stage.finish()

@@ -152,11 +152,11 @@ def objective(problem: Problem, x: np.ndarray) -> float:
 
 
 def full_pass(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the data: predictions ``A @ x`` and the loss gradient."""
+    """One pass over the data: the per-example loss derivatives at the
+    predictions ``A @ x``, and the loss gradient."""
     x = _check_point(problem, x)
-    t = problem.data.features @ x
-    coef = problem.loss.derivatives(t, problem.data.labels) / problem.n
-    return t, problem.data.features.T @ coef
+    derivs = problem.loss.derivatives(problem.data.features @ x, problem.data.labels)
+    return derivs, problem.data.features.T @ (derivs / problem.n)
 
 
 def full_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:

@@ -12,14 +12,16 @@ Three i.i.d.-across-iterations schemes are provided:
   ``0..n-1`` in order, which makes the estimator collapse to the exact full
   gradient.
 
-All randomness flows through :class:`RngStream`, a thin wrapper over
-``numpy.random.Generator`` seeded via ``SeedSequence`` so that substreams
-(for parallel workers or sweep cells) are reproducible and independent.
+Each scheme object carries ``draw(generator, b)`` and ``weights``, the
+per-example importance weights ``1 / (n q_i)`` computed once (``None`` when
+every weight is one).  All randomness flows through a
+``numpy.random.Generator`` from :func:`make_rng`; its ``spawn`` gives
+reproducible, independent substreams (for parallel workers or sweep cells).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -27,36 +29,23 @@ import numpy as np
 from .problem import Problem, full_pass
 
 
-@dataclass
-class RngStream:
-    """Seeded random stream with reproducible substream spawning."""
-
-    seed_sequence: np.random.SeedSequence
-    generator: np.random.Generator = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.generator = np.random.Generator(np.random.PCG64(self.seed_sequence))
-
-    @property
-    def algorithm(self) -> str:
-        return type(self.generator.bit_generator).__name__.lower()
-
-    def spawn(self, count: int) -> list["RngStream"]:
-        """Independent child streams (one per worker/sweep cell)."""
-        return [RngStream(ss) for ss in self.seed_sequence.spawn(count)]
-
-
-def make_rng(seed: int) -> RngStream:
-    return RngStream(np.random.SeedSequence(seed))
+def make_rng(seed: int) -> np.random.Generator:
+    """PCG64 generator seeded through ``SeedSequence(seed)``."""
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
 class IidUniform:
     n: int
 
+    weights = None
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need at least one example, got n={self.n}")
+
+    def draw(self, gen: np.random.Generator, b: int) -> np.ndarray:
+        return gen.integers(0, self.n, size=b, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -73,10 +62,15 @@ class IidWeighted:
             raise ValueError(f"probabilities sum to {q.sum()}, expected 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_cdf", np.cumsum(q))
+        object.__setattr__(self, "weights", 1.0 / (q.size * q))
 
     @property
     def n(self) -> int:
         return self.q.size
+
+    def draw(self, gen: np.random.Generator, b: int) -> np.ndarray:
+        idx = np.searchsorted(self._cdf, gen.random(b), side="right")
+        return np.minimum(idx, self.n - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,8 @@ class Partition:
 
     n: int
     b: int
+
+    weights = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.b < 1:
@@ -95,9 +91,15 @@ class Partition:
                 f"(n={self.n}, b={self.b})"
             )
 
-    @property
-    def block_size(self) -> int:
-        return self.n // self.b
+    def draw(self, gen: np.random.Generator, b: int) -> np.ndarray:
+        if b != self.b:
+            raise ValueError(
+                f"b out of range: partition scheme draws exactly {self.b} "
+                f"indices, got b={b}"
+            )
+        size = self.n // b
+        offsets = np.arange(b, dtype=np.int64) * size
+        return offsets + gen.integers(0, size, size=b, dtype=np.int64)
 
 
 SamplingScheme = Union[IidUniform, IidWeighted, Partition]
@@ -109,65 +111,40 @@ def smoothness_weighted(problem: Problem) -> IidWeighted:
     return IidWeighted(li / li.sum())
 
 
-def draw_batch(scheme: SamplingScheme, rng: RngStream, b: int) -> np.ndarray:
+def draw_batch(scheme: SamplingScheme, rng: np.random.Generator, b: int) -> np.ndarray:
     """Indices of one minibatch of size ``b`` (int64, possibly repeated)."""
-    n = scheme.n
-    if not 1 <= b <= n:
-        raise ValueError(f"b out of range: b={b}, n={n}")
-    gen = rng.generator
-    if isinstance(scheme, IidUniform):
-        return gen.integers(0, n, size=b, dtype=np.int64)
-    if isinstance(scheme, IidWeighted):
-        u = gen.random(b)
-        idx = np.searchsorted(scheme._cdf, u, side="right")
-        return np.minimum(idx, n - 1).astype(np.int64)
-    if isinstance(scheme, Partition):
-        if b != scheme.b:
-            raise ValueError(
-                f"b out of range: partition scheme draws exactly {scheme.b} "
-                f"indices, got b={b}"
-            )
-        size = scheme.block_size
-        offsets = np.arange(b, dtype=np.int64) * size
-        return offsets + gen.integers(0, size, size=b, dtype=np.int64)
-    raise TypeError(f"unknown sampling scheme {scheme!r}")
+    if not 1 <= b <= scheme.n:
+        raise ValueError(f"b out of range: b={b}, n={scheme.n}")
+    return scheme.draw(rng, b)
 
 
 def importance_weight(scheme: SamplingScheme, i: int, n: int) -> float:
     """Unbiasedness correction ``1 / (n * P[slot == i])`` for example ``i``."""
     if not 0 <= i < n:
         raise ValueError(f"example index {i} out of range for n={n}")
-    if isinstance(scheme, IidWeighted):
-        return 1.0 / (n * float(scheme.q[i]))
-    if isinstance(scheme, (IidUniform, Partition)):
+    if scheme.weights is None:
         return 1.0
-    raise TypeError(f"unknown sampling scheme {scheme!r}")
-
-
-def _weight_vector(scheme: SamplingScheme) -> np.ndarray | None:
-    """Per-example weights as an array, or None when they are all one."""
-    if isinstance(scheme, IidWeighted):
-        return 1.0 / (scheme.n * scheme.q)
-    return None
+    return 1.0 / (n * float(scheme.q[i]))
 
 
 @dataclass
 class StageAnchor:
     """Snapshot point of one variance-reduction stage.
 
-    Carries everything the per-iteration estimator needs: the point, its
-    linear predictions, and the exact averaged-loss gradient there.
+    Carries everything the per-iteration estimator needs: the point, the
+    per-example loss derivatives at its predictions, and the exact
+    averaged-loss gradient there.
     """
 
     x: np.ndarray
-    margins: np.ndarray
+    derivs: np.ndarray
     grad: np.ndarray
 
 
 def make_anchor(problem: Problem, x: np.ndarray) -> StageAnchor:
-    """One full pass over the data: predictions and gradient at ``x``."""
-    t, grad = full_pass(problem, x)
-    return StageAnchor(x=np.array(x, dtype=np.float64), margins=t, grad=grad)
+    """One full pass over the data: loss derivatives and gradient at ``x``."""
+    derivs, grad = full_pass(problem, x)
+    return StageAnchor(x=np.array(x, dtype=np.float64), derivs=derivs, grad=grad)
 
 
 def vr_gradient(
@@ -187,13 +164,11 @@ def vr_gradient(
     with no rounding noise.
     """
     rows = problem.data.features[idx]
-    labels = problem.data.labels[idx]
     b = idx.shape[0]
-    dy = problem.loss.derivatives(rows @ y, labels)
-    dx = problem.loss.derivatives(anchor.margins[idx], labels)
-    w = _weight_vector(scheme)
-    if w is not None:
-        wi = w[idx]
+    dy = problem.loss.derivatives(rows @ y, problem.data.labels[idx])
+    dx = anchor.derivs[idx]
+    if scheme.weights is not None:
+        wi = scheme.weights[idx]
         dy = wi * dy
         dx = wi * dx
     batch_y = rows.T @ (dy / b)

@@ -30,9 +30,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problem import Problem, objective
-from .baselines import ProxFn, StageHook, InnerHook, _resolve_prox
-from .sampling import RngStream, SamplingScheme, draw_batch, make_anchor, vr_gradient
+from .problem import Problem, default_prox, objective
+from .baselines import InnerHook, Ledger, StageHook
+from .sampling import SamplingScheme, draw_batch, make_anchor, vr_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +115,8 @@ def one_stage_accsvrda(
     m: int,
     b: int,
     scheme: SamplingScheme,
-    rng: RngStream,
+    rng: np.random.Generator,
     *,
-    prox: Optional[ProxFn] = None,
     on_iterate: Optional[InnerHook] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One accelerated dual-averaging stage with variance reduction.
@@ -136,7 +135,7 @@ def one_stage_accsvrda(
     """
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
-    prox = _resolve_prox(problem, prox)
+    prox = default_prox(problem)
     anchor = make_anchor(problem, x_anchor)
     x = np.asarray(y_start, dtype=np.float64).copy()
     z = x.copy()
@@ -168,9 +167,8 @@ def one_stage_dasvrg(
     m: int,
     b: int,
     scheme: SamplingScheme,
-    rng: RngStream,
+    rng: np.random.Generator,
     *,
-    prox: Optional[ProxFn] = None,
     on_iterate: Optional[InnerHook] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Non-accelerated sibling of :func:`one_stage_accsvrda`.
@@ -185,7 +183,7 @@ def one_stage_dasvrg(
     """
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
-    prox = _resolve_prox(problem, prox)
+    prox = default_prox(problem)
     anchor = make_anchor(problem, x_anchor)
     x = np.asarray(y_start, dtype=np.float64).copy()
     z = x.copy()
@@ -235,6 +233,42 @@ def _stage_cost(problem: Problem, m: int, b: int) -> int:
     return problem.n + m * b
 
 
+def _momentum_loop(
+    problem: Problem,
+    x0: np.ndarray,
+    z0: np.ndarray,
+    gamma: float,
+    m: int,
+    b: int,
+    n_stages: int,
+    scheme: SamplingScheme,
+    rng: np.random.Generator,
+    eta: float,
+    one_stage: Optional[OneStageFn],
+    ledger: Ledger,
+    restarted: bool = False,
+) -> np.ndarray:
+    """Up to ``n_stages`` momentum stages charged to ``ledger``; returns the
+    last stage output.  ``restarted`` flags the first stage."""
+    if one_stage is None:
+        one_stage = one_stage_accsvrda
+    x0 = np.asarray(x0, dtype=np.float64).copy()
+    z0 = np.asarray(z0, dtype=np.float64).copy()
+    state = OuterState(x_prev=x0, x_prev2=z0.copy(), z_prev=z0, stage=1)
+    cost = _stage_cost(problem, m, b)
+    for s in range(1, n_stages + 1):
+        if not ledger.affords(cost):
+            break
+        y = outer_momentum(state, gamma, s)
+        x_new, z_new = one_stage(problem, y, state.x_prev, eta, m, b, scheme, rng)
+        state.x_prev2 = state.x_prev
+        state.x_prev = x_new
+        state.z_prev = z_new
+        state.stage = s + 1
+        ledger.charge(x_new, cost, restarted and s == 1)
+    return state.x_prev
+
+
 def run_dasvrda_ns(
     problem: Problem,
     x0: np.ndarray,
@@ -244,10 +278,9 @@ def run_dasvrda_ns(
     b: int,
     n_stages: int,
     scheme: SamplingScheme,
-    rng: RngStream,
+    rng: np.random.Generator,
     *,
     eta: Optional[float] = None,
-    prox: Optional[ProxFn] = None,
     one_stage: Optional[OneStageFn] = None,
     on_stage: Optional[StageHook] = None,
     budget: Optional[int] = None,
@@ -262,28 +295,8 @@ def run_dasvrda_ns(
     _check_gamma(gamma)
     if eta is None:
         eta = eta_default(gamma, m, b, problem.mean_smoothness)
-    if one_stage is None:
-        one_stage = one_stage_accsvrda
-    x0 = np.asarray(x0, dtype=np.float64).copy()
-    z0 = np.asarray(z0, dtype=np.float64).copy()
-    state = OuterState(x_prev=x0, x_prev2=z0.copy(), z_prev=z0, stage=1)
-    cost = _stage_cost(problem, m, b)
-    spent = 0
-    for s in range(1, n_stages + 1):
-        if budget is not None and spent + cost > budget:
-            break
-        y = outer_momentum(state, gamma, s)
-        x_new, z_new = one_stage(
-            problem, y, state.x_prev, eta, m, b, scheme, rng, prox=prox
-        )
-        state.x_prev2 = state.x_prev
-        state.x_prev = x_new
-        state.z_prev = z_new
-        state.stage = s + 1
-        spent += cost
-        if on_stage is not None:
-            on_stage(s, x_new, cost, False)
-    return state.x_prev
+    return _momentum_loop(problem, x0, z0, gamma, m, b, n_stages, scheme, rng,
+                          eta, one_stage, Ledger(budget, on_stage))
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +312,9 @@ def run_dasvrda_sc(
     n_stages: int,
     n_restarts: int,
     scheme: SamplingScheme,
-    rng: RngStream,
+    rng: np.random.Generator,
     *,
     eta: Optional[float] = None,
-    prox: Optional[ProxFn] = None,
     one_stage: Optional[OneStageFn] = None,
     on_stage: Optional[StageHook] = None,
     budget: Optional[int] = None,
@@ -321,26 +333,12 @@ def run_dasvrda_sc(
     if eta is None:
         eta = eta_default(gamma, m, b, problem.mean_smoothness)
     x = np.asarray(x0, dtype=np.float64).copy()
-    cost = _stage_cost(problem, m, b)
-    spent = 0
-    global_stage = 0
+    ledger = Ledger(budget, on_stage)
     for t in range(1, n_restarts + 1):
-        if budget is not None and spent + cost > budget:
+        if not ledger.affords(_stage_cost(problem, m, b)):
             break
-
-        def relay(s: int, xs: np.ndarray, evals: int, restarted: bool) -> None:
-            nonlocal global_stage
-            global_stage += 1
-            if on_stage is not None:
-                on_stage(global_stage, xs, evals, s == 1 and t > 1)
-
-        remaining = None if budget is None else budget - spent
-        x = run_dasvrda_ns(
-            problem, x, x, gamma, m, b, n_stages, scheme, rng,
-            eta=eta, prox=prox, one_stage=one_stage, on_stage=relay,
-            budget=remaining,
-        )
-        spent = cost * global_stage
+        x = _momentum_loop(problem, x, x, gamma, m, b, n_stages, scheme, rng,
+                           eta, one_stage, ledger, restarted=t > 1)
     return x
 
 
@@ -419,11 +417,10 @@ def run_dasvrda_adaptive(
     b: int,
     n_stages: int,
     scheme: SamplingScheme,
-    rng: RngStream,
+    rng: np.random.Generator,
     *,
     kind: str = "gradient",
     eta: Optional[float] = None,
-    prox: Optional[ProxFn] = None,
     one_stage: Optional[OneStageFn] = None,
     on_stage: Optional[StageHook] = None,
     budget: Optional[int] = None,
@@ -450,18 +447,16 @@ def run_dasvrda_adaptive(
     state = OuterState(x_prev=x0, x_prev2=x0.copy(), z_prev=x0.copy(), stage=1)
     p_prev = objective(problem, x0) if kind == "function" else None
     cost = _stage_cost(problem, m, b) + (problem.n if kind == "function" else 0)
-    spent = 0
+    ledger = Ledger(budget, on_stage)
     s_local = 0
     y = None
-    for s_global in range(1, n_stages + 1):
-        if budget is not None and spent + cost > budget:
+    for _ in range(n_stages):
+        if not ledger.affords(cost):
             break
         s_local += 1
         if y is None:
             y = outer_momentum(state, gamma, s_local)
-        x_new, z_new = one_stage(
-            problem, y, state.x_prev, eta, m, b, scheme, rng, prox=prox
-        )
+        x_new, z_new = one_stage(problem, y, state.x_prev, eta, m, b, scheme, rng)
         fired = False
         if kind == "function":
             p_new = objective(problem, x_new)
@@ -494,9 +489,7 @@ def run_dasvrda_adaptive(
             )
             s_local = 0
             y = None
-        spent += cost
-        if on_stage is not None:
-            on_stage(s_global, x_new, cost, fired)
+        ledger.charge(x_new, cost, fired)
     return state.x_prev
 
 
@@ -581,10 +574,9 @@ def run_dasvrda_warm(
     n_warm: int,
     n_stages: int,
     scheme: SamplingScheme,
-    rng: RngStream,
+    rng: np.random.Generator,
     *,
     eta: Optional[float] = None,
-    prox: Optional[ProxFn] = None,
     one_stage: Optional[OneStageFn] = None,
     on_stage: Optional[StageHook] = None,
     budget: Optional[int] = None,
@@ -605,25 +597,12 @@ def run_dasvrda_warm(
         one_stage = one_stage_accsvrda
     x = np.asarray(x0, dtype=np.float64).copy()
     z = x.copy()
-    spent = 0
-    stage = 0
+    ledger = Ledger(budget, on_stage)
     for m_u in lengths:
         cost = _stage_cost(problem, m_u, b)
-        if budget is not None and spent + cost > budget:
+        if not ledger.affords(cost):
             return x
-        x, z = one_stage(problem, z, x, eta, m_u, b, scheme, rng, prox=prox)
-        spent += cost
-        stage += 1
-        if on_stage is not None:
-            on_stage(stage, x, cost, False)
-    warm_stages = stage
-
-    def relay(s: int, xs: np.ndarray, evals: int, restarted: bool) -> None:
-        if on_stage is not None:
-            on_stage(warm_stages + s, xs, evals, restarted)
-
-    remaining = None if budget is None else budget - spent
-    return run_dasvrda_ns(
-        problem, x, z, gamma, m_final, b, n_stages, scheme, rng,
-        eta=eta, prox=prox, one_stage=one_stage, on_stage=relay, budget=remaining,
-    )
+        x, z = one_stage(problem, z, x, eta, m_u, b, scheme, rng)
+        ledger.charge(x, cost)
+    return _momentum_loop(problem, x, z, gamma, m_final, b, n_stages, scheme,
+                          rng, eta, one_stage, ledger)

@@ -58,8 +58,8 @@ def test_parse_synthetic():
         parse_synthetic("ridge-logistic:n=10,d=5")  # default sparsity 10 > d
     with pytest.raises(ConfigError):
         parse_synthetic("lasso:n=10")          # missing d
-    with pytest.raises(ConfigError):
-        parse_synthetic("lasso:n=10,d=5,rho=1")  # unknown key
+    with pytest.raises(ConfigError, match="unknown synthetic parameter 'rho'"):
+        parse_synthetic("lasso:n=10,d=5,rho=1")
     with pytest.raises(ConfigError):
         parse_synthetic("lasso:n=ten,d=5")
     with pytest.raises(ConfigError):
@@ -159,6 +159,9 @@ def test_resolve_lazy_rule():
         (dict(loss="logistic"), "labels in {-1,+1}"),
         (dict(data_path="x.txt"), "exactly one of"),
         (dict(synthetic=None), "exactly one of"),
+        (dict(warm_m0=3), "--warm-m0/--warm-stages only apply to dasvrda-warm"),
+        (dict(algo="pg", warm_stages=2),
+         "--warm-m0/--warm-stages only apply to dasvrda-warm"),
     ],
 )
 def test_resolve_rejects_bad_configs(overrides, fragment):
@@ -218,11 +221,23 @@ def test_runs_are_deterministic_up_to_seconds(tmp_path):
     assert rc.records[-1].objective != ra[-1].objective
 
 
-def test_budget_stops_runs(tmp_path):
-    config = lasso_config(stages=None, budget=5 * 120)  # 120 evals per stage
-    result = run_experiment(config)
-    assert result.records[-1].stage == 5
-    assert result.records[-1].evals <= 5 * 120
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_budget_stops_runs(algo):
+    budget = 5 * 120  # five dasvrda-ns stages of 60 + 60 * 1 evaluations
+    stages = 2 if algo == "dasvrda-sc" else None
+    result = run_experiment(lasso_config(algo=algo, stages=stages, budget=budget))
+    header, last = result.header, result.records[-1]
+    if header["epoch_len"] is None:
+        stage_cost = header["n"]
+    else:
+        stage_cost = header["n"] + header["epoch_len"] * header["batch"]
+    if algo == "dasvrda-ar-f":
+        stage_cost += header["n"]  # the monitored objective
+    assert last.evals <= budget
+    assert last.stage >= 2
+    assert budget - last.evals < stage_cost
+    if algo == "dasvrda-ns":
+        assert last.stage == 5
 
 
 def test_gap_column_uses_reference(tmp_path):

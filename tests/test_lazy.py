@@ -312,11 +312,6 @@ def test_lazy_work_counts_touched_coordinates_plus_final_sweep():
 def test_lazy_stage_guards():
     problem = sparse_problem(seed=10)
     scheme = IidUniform(problem.n)
-    with pytest.raises(ValueError, match="elastic net"):
-        lazy_one_stage_accsvrda(
-            problem, np.zeros(problem.d), np.zeros(problem.d),
-            0.1, 3, 2, scheme, make_rng(0), prox=lambda z, s: z,
-        )
     stage = LazyStage(problem, np.zeros(problem.d), np.zeros(problem.d),
                       0.1, 2, 2, scheme, make_rng(0))
     stage.step()
