@@ -72,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      "(default mean; max under partition sampling)")
     run.add_argument("--lazy", default="auto", choices=["auto", "on", "off"],
                      help="sparse just-in-time updates where the algorithm has "
-                     "a lazy stage (auto: density < 25%% with elastic net)")
+                     "a lazy stage (auto: with an elastic-net term, when a "
+                     "per-step cost model of d, batch size, mean row nonzeros "
+                     "and epoch length favours it; the trace header's "
+                     "lazy_reason says why)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--budget", type=int, required=True,
                      help="component-gradient evaluation budget")

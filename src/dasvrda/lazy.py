@@ -22,10 +22,22 @@ in the iteration index whose vertex lies left of every valid index, so
 each region is one contiguous run found from the quadratic's root and then
 nudged by direct evaluation to absorb rounding.
 
+:func:`catch_up` evaluates these closed forms for a whole array of
+coordinates at once (:func:`branch_runs` is the array form of the run
+search; its nudge is a loop over the coordinates still moving).  The
+scalar :func:`soft`, :func:`compute_K_sets` and :func:`lazy_x` are the
+per-coordinate statement of the same formulas and serve as test oracles;
+:func:`lazy_z` works on floats and arrays alike.
+
 The stage driver (:func:`lazy_one_stage_accsvrda`) reproduces the dense
-:func:`~dasvrda.solvers.one_stage_accsvrda` trajectory to rounding noise
-while doing work proportional to the nonzeros of the drawn rows, plus one
-final full-width sweep that materializes the stage output.
+:func:`~dasvrda.solvers.one_stage_accsvrda` trajectory to rounding noise.
+Each step is a fixed number of numpy operations over the batch rows'
+entries and the distinct columns they hit, with no Python loop over rows,
+entries or coordinates; the stage ends with one sweep that catches up
+every coordinate in chunks of :data:`SWEEP_CHUNK`.  A step therefore costs
+a fixed overhead of a few dozen array operations plus work proportional to
+the batch's nonzeros, against the dense stage's work proportional to
+``d``; :func:`~dasvrda.harness.resolve` weighs the two.
 """
 
 from __future__ import annotations
@@ -37,6 +49,11 @@ import numpy as np
 from .problem import Problem
 from .sampling import SamplingScheme, draw_batch, make_anchor
 from .solvers import theta_pair
+
+#: Coordinates per chunk of the final sweep: large enough to amortize the
+#: per-operation overhead, small enough that its temporaries stay at a few
+#: megabytes whatever ``d`` is.
+SWEEP_CHUNK = 4096
 
 
 def soft(z: float, lam: float) -> float:
@@ -64,9 +81,12 @@ def lazy_z(
     ``theta_pair_now`` is ``theta_k theta_{k-1}`` at the target iteration,
     ``theta_pair_at_kj`` the same product at the last touch; the gradient
     sum grows by the anchor gradient times the difference in between.
+    Elementwise: every argument may be a float or an array.
     """
     drift = g_sum_at_kj + (theta_pair_now - theta_pair_at_kj) * tilde_grad_j
-    value = soft(z0_j - eta * drift, eta * theta_pair_now * l1)
+    v = z0_j - eta * drift
+    lam = eta * theta_pair_now * l1
+    value = np.where(v > lam, v - lam, np.where(v < -lam, v + lam, 0.0))
     return value / (1.0 + eta * theta_pair_now * l2)
 
 
@@ -201,14 +221,121 @@ def lazy_x(
     return (theta_pair(k_j) * x_at_kj + total) / theta_pair(k - 1)
 
 
+def _theta_pairs(k: np.ndarray) -> np.ndarray:
+    """:func:`~dasvrda.solvers.theta_pair` of an array of iteration
+    indices ``k >= 0``, with the same rounding."""
+    return k * (k + 1) / 4.0
+
+
+def branch_runs(
+    a: np.ndarray, c3: np.ndarray, z0: np.ndarray, lo: np.ndarray, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of :func:`_threshold_run` with ``above=True``: one run
+    ``[start, stop)`` of ``z0 > M(x) = a (x^2 - x) + c3`` per entry, over
+    the window ``[lo, hi]`` (``lo >= 2``).
+
+    ``z0 < M(x)`` is ``-z0 > -M(x)`` with the same rounding, so negating
+    ``a``, ``c3`` and ``z0`` gives the ``above=False`` runs.  ``M`` is
+    monotone on the window, so each run is split from the rest of the
+    window at one index: the root of the quadratic gives it, and a nudge
+    loop over the entries still moving corrects it by direct comparison.
+    Entries with ``a == 0`` or no strict crossing take the whole window or
+    nothing, as ``z0`` compares at ``lo``.
+    """
+
+    def holds(x: np.ndarray, at) -> np.ndarray:
+        xf = x.astype(np.float64)
+        return z0[at] > a[at] * (xf * xf - xf) + c3[at]
+
+    start = lo.copy()
+    stop = np.where(holds(lo, slice(None)), hi + 1, lo)
+    disc = a * a + 4.0 * a * (z0 - c3)
+    cross = np.flatnonzero((a != 0.0) & (disc > 0.0))
+    if cross.size == 0:
+        return start, stop
+    ac, lo_c = a[cross], lo[cross]
+    root = 0.5 + np.sqrt(disc[cross]) / (2.0 * np.abs(ac))
+    # With M increasing the run is the low part [lo, split), else the high
+    # part [split, hi].  fmin/fmax keep a NaN root inside the window.
+    low = ac > 0.0
+    split = np.fmax(np.fmin(np.floor(root) + 1.0, hi + 1), lo_c).astype(np.int64)
+
+    def on_low_side(x, i):
+        return holds(x, cross[i]) == low[i]
+
+    i = np.flatnonzero(split > lo_c)
+    i = i[~on_low_side(split[i] - 1, i)]
+    while i.size:
+        split[i] -= 1
+        i = i[split[i] > lo_c[i]]
+        i = i[~on_low_side(split[i] - 1, i)]
+    i = np.flatnonzero(split <= hi)
+    i = i[on_low_side(split[i], i)]
+    while i.size:
+        split[i] += 1
+        i = i[split[i] <= hi]
+        i = i[on_low_side(split[i], i)]
+    start[cross] = np.where(low, lo_c, split)
+    stop[cross] = np.where(low, split, hi + 1)
+    return start, stop
+
+
+def catch_up(
+    x_last: np.ndarray,
+    z_last: np.ndarray,
+    z0: np.ndarray,
+    g_sum: np.ndarray,
+    tilde_grad: np.ndarray,
+    k_last: np.ndarray,
+    target: int,
+    tables: PrefixTables,
+    eta: float,
+    l1: float,
+    l2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, z)`` at iteration ``target`` of an array of coordinates, given
+    each one's state at its last touch ``k_last <= target``.
+
+    The array form of :func:`lazy_z`, :func:`compute_K_sets` and
+    :func:`lazy_x`, with the same arithmetic; returns new arrays.
+    """
+    x = np.array(x_last, dtype=np.float64)
+    z = np.array(z_last, dtype=np.float64)
+    gap = np.flatnonzero(k_last < target)
+    if gap.size == 0:
+        return x, z
+    kj = k_last[gap]
+    tg, gs, z0g = tilde_grad[gap], g_sum[gap], z0[gap]
+    tp_kj = _theta_pairs(kj)
+    tp_now = theta_pair(target)
+    z[gap] = lazy_z(z0g, gs, tg, eta, l1, l2, tp_now, tp_kj)
+    c1 = 0.25 * eta * tg
+    c2 = 0.25 * eta * l1
+    c3 = eta * (gs - tp_kj * tg)
+    # The positive branch's run, then the negative branch's, in one search.
+    start, stop = branch_runs(
+        np.concatenate((c1 + c2, -(c1 - c2))), np.concatenate((c3, -c3)),
+        np.concatenate((z0g, -z0g)), np.concatenate((kj, kj)) + 2, target + 1,
+    )
+    ds = tables.s[stop - 1] - tables.s[start - 1]
+    dq = tables.s_quad[stop - 1] - tables.s_quad[start - 1]
+    slope = np.concatenate((tg + l1, tg - l1))
+    base = z0g - c3
+    term = np.where(stop > start,
+                    np.concatenate((base, base)) * ds - eta * slope * dq, 0.0)
+    total = (0.0 + term[:gap.size]) + term[gap.size:]
+    x[gap] = (tp_kj * x[gap] + total) / tp_now
+    return x, z
+
+
 class LazyStage:
     """Stepwise driver holding the per-coordinate last-touch state.
 
-    Exposes :meth:`step` (one inner iteration, cost proportional to the
-    batch rows' nonzeros) and :meth:`snapshot` (non-destructive full
-    vectors at the current iteration, cost ``O(d)``), so tests can compare
-    against the dense stage mid-flight.  ``touched`` counts coordinate
-    updates for complexity accounting.
+    Exposes :meth:`step` (one inner iteration over the batch rows' entries
+    and the distinct columns they hit) and :meth:`snapshot` (non-destructive
+    full vectors at the current iteration, cost ``O(d)``), so tests can
+    compare against the dense stage mid-flight.  ``touched`` counts
+    coordinate updates for complexity accounting.
     """
 
     def __init__(
@@ -256,99 +383,71 @@ class LazyStage:
         self._labels = problem.data.labels
         self.touched = 0
 
-    def _catch_up(self, j: int, target: int) -> tuple[float, float]:
-        """(x, z) of coordinate ``j`` at iteration ``target`` (``>= k_j``)."""
-        kj = int(self.k_last[j])
-        if target == kj:
-            return float(self.x_last[j]), float(self.z_last[j])
-        eta = self.eta
-        tg = float(self.tilde_grad[j])
-        gs = float(self.g_sum[j])
-        z0 = float(self.z0[j])
-        z = lazy_z(z0, gs, tg, eta, self.l1, self.l2,
-                   theta_pair(target), theta_pair(kj))
-        c3 = eta * (gs - theta_pair(kj) * tg)
-        k_plus, k_minus = compute_K_sets(
-            0.25 * eta * tg, 0.25 * eta * self.l1, c3, z0, kj, target + 1
+    def _catch_up(self, cols, target: int) -> tuple[np.ndarray, np.ndarray]:
+        """(x, z) of coordinates ``cols`` (index array or slice) at
+        iteration ``target``."""
+        return catch_up(
+            self.x_last[cols], self.z_last[cols], self.z0[cols],
+            self.g_sum[cols], self.tilde_grad[cols], self.k_last[cols],
+            target, self.tables, self.eta, self.l1, self.l2,
         )
-        x = lazy_x(
-            float(self.x_last[j]), k_plus, k_minus, self.tables,
-            target + 1, kj, eta, self.l1, tg, gs, z0,
-        )
-        return x, z
 
     def step(self) -> None:
         if self.k >= self.m:
             raise RuntimeError(f"stage already ran its {self.m} iterations")
         k = self.k + 1
         idx = draw_batch(self.scheme, self.rng, self.b)
-        indptr, indices, data = self._indptr, self._indices, self._data
-        spans = [(int(indptr[i]), int(indptr[i + 1])) for i in idx]
-        parts = [indices[a:b] for a, b in spans if b > a]
-        cols = (
-            np.unique(np.concatenate(parts)).tolist() if parts else []
-        )
+        # The batch rows' entries, row by row: ``row`` is the position in
+        # the batch, ``col`` the index into the distinct columns ``cols``.
+        starts = self._indptr[idx]
+        lens = self._indptr[idx + 1] - starts
+        row = np.repeat(np.arange(idx.size), lens)
+        pos = np.arange(row.size) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        cols, col = np.unique(self._indices[pos], return_inverse=True)
+        vals = self._data[pos]
         inv = 2.0 / (k + 1)            # 1 / theta_k
         keep = 1.0 - inv
-        tp_k = theta_pair(k)
-        x_prev: dict[int, float] = {}
-        y_val: dict[int, float] = {}
-        for j in cols:
-            xj, zj = self._catch_up(j, k - 1)
-            x_prev[j] = xj
-            y_val[j] = keep * xj + inv * zj
+        x_prev, z_prev = self._catch_up(cols, k - 1)
+        y = keep * x_prev + inv * z_prev
         # Batch margins at the interpolated point, then the per-row
-        # derivative deltas against the anchor.
-        t_y = np.empty(len(idx))
-        for pos, (a, b) in enumerate(spans):
-            acc = 0.0
-            for p in range(a, b):
-                acc += data[p] * y_val[int(indices[p])]
-            t_y[pos] = acc
+        # derivative deltas against the anchor; bincount adds entry by
+        # entry in row order.
+        t_y = np.bincount(row, weights=vals * y[col], minlength=idx.size)
         dy = self.problem.loss.derivatives(t_y, self._labels[idx])
         delta = dy - self.anchor_derivs[idx]
         if self.weights is not None:
             delta = self.weights[idx] * delta
-        delta /= len(idx)
-        g_part: dict[int, float] = {}
-        for pos, (a, b) in enumerate(spans):
-            c = float(delta[pos])
-            if c == 0.0:
-                continue
-            for p in range(a, b):
-                j = int(indices[p])
-                g_part[j] = g_part.get(j, 0.0) + c * data[p]
-        eta = self.eta
-        half_k = 0.5 * k               # theta_{k-1}
-        tp_prev = theta_pair(k - 1)
-        for j in cols:
-            tg = float(self.tilde_grad[j])
-            g_k = g_part.get(j, 0.0) + tg
-            gs_new = (
-                float(self.g_sum[j])
-                + (tp_prev - theta_pair(int(self.k_last[j]))) * tg
-                + half_k * g_k
-            )
-            z_new = lazy_z(float(self.z0[j]), gs_new, tg, eta,
-                           self.l1, self.l2, tp_k, tp_k)
-            self.g_sum[j] = gs_new
-            self.z_last[j] = z_new
-            self.x_last[j] = keep * x_prev[j] + inv * z_new
-            self.k_last[j] = k
-        self.touched += len(cols)
+        delta /= idx.size
+        g_part = np.bincount(col, weights=delta[row] * vals, minlength=cols.size)
+        tg = self.tilde_grad[cols]
+        g_sum = (
+            self.g_sum[cols]
+            + (theta_pair(k - 1) - _theta_pairs(self.k_last[cols])) * tg
+            + (0.5 * k) * (g_part + tg)  # theta_{k-1} g_k
+        )
+        tp_k = theta_pair(k)
+        z_new = lazy_z(self.z0[cols], g_sum, tg, self.eta, self.l1, self.l2,
+                       tp_k, tp_k)
+        self.g_sum[cols] = g_sum
+        self.z_last[cols] = z_new
+        self.x_last[cols] = keep * x_prev + inv * z_new
+        self.k_last[cols] = k
+        self.touched += cols.size
         self.k = k
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """Full ``(x_k, z_k)`` at the current iteration, without touching
-        the lazy state (long skips stay long)."""
+        the lazy state (long skips stay long).  Runs in chunks of
+        :data:`SWEEP_CHUNK` coordinates, so its temporaries stay small."""
         k = self.k
         if k == 0:
             return self.z0.copy(), self.z0.copy()
         d = self.problem.d
         x = np.empty(d)
         z = np.empty(d)
-        for j in range(d):
-            x[j], z[j] = self._catch_up(j, k)
+        for lo in range(0, d, SWEEP_CHUNK):
+            part = slice(lo, lo + SWEEP_CHUNK)
+            x[part], z[part] = self._catch_up(part, k)
         return x, z
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:

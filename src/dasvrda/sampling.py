@@ -48,9 +48,12 @@ class IidUniform:
         return gen.integers(0, self.n, size=b, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IidWeighted:
-    """Sampling probabilities ``q`` (positive, summing to one)."""
+    """Sampling probabilities ``q`` (positive, summing to one).
+
+    Equal when the probabilities are; unhashable, like the array it holds.
+    """
 
     q: np.ndarray
 
@@ -63,6 +66,11 @@ class IidWeighted:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_cdf", np.cumsum(q))
         object.__setattr__(self, "weights", 1.0 / (q.size * q))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not IidWeighted:
+            return NotImplemented
+        return bool(np.array_equal(self.q, other.q))
 
     @property
     def n(self) -> int:

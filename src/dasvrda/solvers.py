@@ -214,7 +214,6 @@ class OuterState:
     x_prev: np.ndarray    # latest stage output
     x_prev2: np.ndarray   # the one before it
     z_prev: np.ndarray    # latest dual output
-    stage: int            # index of the stage about to run
 
 
 def outer_momentum(state: OuterState, gamma: float, s: int) -> np.ndarray:
@@ -254,7 +253,7 @@ def _momentum_loop(
         one_stage = one_stage_accsvrda
     x0 = np.asarray(x0, dtype=np.float64).copy()
     z0 = np.asarray(z0, dtype=np.float64).copy()
-    state = OuterState(x_prev=x0, x_prev2=z0.copy(), z_prev=z0, stage=1)
+    state = OuterState(x_prev=x0, x_prev2=z0.copy(), z_prev=z0)
     cost = _stage_cost(problem, m, b)
     for s in range(1, n_stages + 1):
         if not ledger.affords(cost):
@@ -264,7 +263,6 @@ def _momentum_loop(
         state.x_prev2 = state.x_prev
         state.x_prev = x_new
         state.z_prev = z_new
-        state.stage = s + 1
         ledger.charge(x_new, cost, restarted and s == 1)
     return state.x_prev
 
@@ -444,7 +442,7 @@ def run_dasvrda_adaptive(
     if one_stage is None:
         one_stage = one_stage_accsvrda
     x0 = np.asarray(x0, dtype=np.float64).copy()
-    state = OuterState(x_prev=x0, x_prev2=x0.copy(), z_prev=x0.copy(), stage=1)
+    state = OuterState(x_prev=x0, x_prev2=x0.copy(), z_prev=x0.copy())
     p_prev = objective(problem, x0) if kind == "function" else None
     cost = _stage_cost(problem, m, b) + (problem.n if kind == "function" else 0)
     ledger = Ledger(budget, on_stage)
@@ -471,10 +469,7 @@ def run_dasvrda_adaptive(
                 state.x_prev = x_new
                 state.z_prev = z_new
         else:
-            trial = OuterState(
-                x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new,
-                stage=s_local + 1,
-            )
+            trial = OuterState(x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new)
             y_next = outer_momentum(trial, gamma, s_local + 1)
             fired = adaptive_restart_check(
                 "gradient",
@@ -485,7 +480,7 @@ def run_dasvrda_adaptive(
                 y = y_next
         if fired:
             state = OuterState(
-                x_prev=x_new, x_prev2=x_new.copy(), z_prev=x_new.copy(), stage=1
+                x_prev=x_new, x_prev2=x_new.copy(), z_prev=x_new.copy()
             )
             s_local = 0
             y = None

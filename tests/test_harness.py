@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dasvrda import (
     ConfigError,
@@ -7,9 +8,11 @@ from dasvrda import (
     SyntheticSpec,
     evals_to_gap,
     learning_rate_grid,
+    make_dataset,
     read_trace,
     restart_interval_grid,
     run_experiment,
+    save_libsvm,
 )
 from dasvrda.cli import _build_parser, main
 from dasvrda.harness import ALGORITHMS, parse_loss, parse_synthetic, resolve
@@ -119,27 +122,58 @@ def test_resolve_sc_stage_count_from_l2():
         resolve(lasso_config(algo="dasvrda-sc", stages=None, budget=1000))
 
 
-def test_resolve_lazy_rule():
-    dense = lasso_config()
-    assert not resolve(dense).use_lazy  # density 1.0
-    sparse = lasso_config(
-        synthetic=SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0)
+def highd_config(tmp_path, **overrides):
+    """An svmlight problem with n=200, d=100000 and 5 nonzeros per row."""
+    rng = np.random.default_rng(0)
+    n, d, k = 200, 100_000, 5
+    cols = np.stack([np.sort(rng.choice(d, k, replace=False)) for _ in range(n)])
+    feats = sp.csr_matrix(
+        (rng.standard_normal(n * k), cols.ravel(), np.arange(0, n * k + 1, k)),
+        shape=(n, d),
     )
-    assert resolve(sparse).use_lazy
-    assert not resolve(lasso_config(
-        synthetic=SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0),
-        l1=0.0,
-    )).use_lazy                      # no regularization
-    assert not resolve(lasso_config(
-        synthetic=SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0),
-        lazy="off",
-    )).use_lazy
+    path = str(tmp_path / "highd.svm")
+    save_libsvm(make_dataset(feats, rng.standard_normal(n)), path)
+    base = dict(data_path=path, synthetic=None, dim=d, batch=4, stages=1)
+    base.update(overrides)
+    return lasso_config(**base)
+
+
+def test_resolve_lazy_rule(tmp_path):
+    # The cost model weighs a dense step (every coordinate) against a lazy
+    # step (a fixed overhead plus the coordinates a batch touches).
+    assert not resolve(lasso_config()).use_lazy            # d=20, dense data
+    small_sparse = SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0)
+    assert not resolve(lasso_config(synthetic=small_sparse)).use_lazy
+    assert resolve(highd_config(tmp_path)).use_lazy        # ~20 of 100000 per step
+    assert not resolve(highd_config(tmp_path, l1=0.0)).use_lazy  # no regularization
+    assert not resolve(highd_config(tmp_path, lazy="off")).use_lazy
+    assert not resolve(highd_config(tmp_path, algo="svrg")).use_lazy
     assert resolve(lasso_config(lazy="on")).use_lazy
     with pytest.raises(ConfigError, match="svrg cannot use the lazy stage"):
-        resolve(lasso_config(
-            algo="svrg", lazy="on",
-            synthetic=SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0),
-        ))                           # lazy stage only fits dasvrda-*
+        resolve(lasso_config(algo="svrg", lazy="on", synthetic=small_sparse))
+
+
+def test_header_records_engine_reason(tmp_path):
+    cases = [
+        (highd_config(tmp_path), "auto: ~20 of d=100000 coordinates per step -> lazy"),
+        (lasso_config(), "auto: ~13 of d=20 coordinates per step -> dense"),
+        (highd_config(tmp_path, l1=0.0), "auto: no elastic-net term -> dense"),
+        (highd_config(tmp_path, algo="apg"), "auto: apg has no lazy stage -> dense"),
+        (lasso_config(lazy="off"), "off"),
+        (lasso_config(lazy="on"), "on"),
+    ]
+    for config, reason in cases:
+        header = resolve(config).header
+        assert header["lazy_reason"] == reason
+        assert header["lazy"] == reason.endswith(("lazy", "on"))
+    # The reason is part of the trace header and repeats exactly.
+    headers = []
+    for name in ("a.csv", "b.csv"):
+        path = str(tmp_path / name)
+        run_experiment(highd_config(tmp_path, trace_path=path))
+        headers.append(read_trace(path)[0])
+    assert headers[0] == headers[1]
+    assert headers[0]["lazy_reason"] == cases[0][1]
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from dasvrda import (
     soft,
     smoothness_weighted,
 )
+from dasvrda.lazy import _threshold_run, branch_runs, catch_up
 from dasvrda.solvers import theta_pair
 
 
@@ -133,16 +134,23 @@ def test_branch_runs_match_brute_force():
     assert checked == 400
 
 
+# Values engineered so the quadratic root lands on/near integers, where
+# naive rounding of the root would misclassify an index.
+BOUNDARY_CASES = [
+    (0.25, 0.0, 0.0, 0.25 * (12 * 12 - 12)),          # z0 == M(12)
+    (0.25, 0.25, 0.0, 0.5 * (7 * 7 - 7) + 1e-12),
+    (0.25, 0.25, 0.0, 0.5 * (7 * 7 - 7) - 1e-12),
+    (-0.125, 0.125, 1.0, 1.0),                        # constant M_plus
+    (1e-18, 0.0, 0.0, 5e-17),                         # tiny curvature
+    # z0 just above M(4) and M(12): the computed root falls just short of
+    # the integer, so the run boundary must be nudged upward.
+    (0.08670297101361264, 0.0, -0.35891330853862047, 0.6815223436247314),
+    (0.3564856702234921, 0.0, -0.8022875453678814, 46.25382092413308),
+]
+
+
 def test_branch_runs_near_threshold_boundaries():
-    # Values engineered so the quadratic root lands on/near integers, where
-    # naive rounding of the root would misclassify an index.
-    for c1, c2, c3, z0 in [
-        (0.25, 0.0, 0.0, 0.25 * (12 * 12 - 12)),          # z0 == M(12)
-        (0.25, 0.25, 0.0, 0.5 * (7 * 7 - 7) + 1e-12),
-        (0.25, 0.25, 0.0, 0.5 * (7 * 7 - 7) - 1e-12),
-        (-0.125, 0.125, 1.0, 1.0),                        # constant M_plus
-        (1e-18, 0.0, 0.0, 5e-17),                         # tiny curvature
-    ]:
+    for c1, c2, c3, z0 in BOUNDARY_CASES:
         for k_j in (0, 3):
             for k in (k_j + 1, k_j + 2, 25):
                 k_plus, k_minus = compute_K_sets(c1, c2, c3, z0, k_j, k)
@@ -166,6 +174,73 @@ def test_branch_runs_are_disjoint():
         z0 = float(rng.normal())
         k_plus, k_minus = compute_K_sets(c1, c2, float(rng.normal()), z0, 0, 40)
         assert not (set(k_plus) & set(k_minus))
+
+
+def random_run_inputs(rng, size):
+    """Quadratic coefficients covering a == 0, no crossing, crossings
+    inside the window and the boundary cases above."""
+    a = rng.normal(scale=0.1, size=size)
+    a[::7] = 0.0
+    c3 = rng.normal(size=size)
+    z0 = rng.normal(scale=2.0, size=size)
+    for i, (c1, c2, c3_i, z0_i) in enumerate(BOUNDARY_CASES):
+        a[i], c3[i], z0[i] = c1 + c2, c3_i, z0_i
+    return a, c3, z0
+
+
+def test_array_branch_runs_match_scalar_runs():
+    rng = np.random.default_rng(4)
+    a, c3, z0 = random_run_inputs(rng, 600)
+    lo = rng.integers(2, 30, size=600)
+    lo[:len(BOUNDARY_CASES)] = 2
+    no_crossing = 0
+    for hi in (2, 17, 45):
+        for above in (True, False):
+            sign = 1.0 if above else -1.0
+            start, stop = branch_runs(sign * a, sign * c3, sign * z0, lo, hi)
+            for i in range(a.size):
+                run = _threshold_run(a[i], c3[i], z0[i], int(lo[i]), hi, above)
+                got = range(start[i], stop[i]) if stop[i] > start[i] else range(0)
+                assert list(got) == list(run)
+                no_crossing += a[i] * a[i] + 4.0 * a[i] * (z0[i] - c3[i]) <= 0.0
+    assert no_crossing > 0
+
+
+def scalar_catch_up(x_last, z_last, z0, gs, tg, kj, target, tables, eta, l1, l2):
+    """One coordinate through the scalar oracles."""
+    if target == kj:
+        return x_last, z_last
+    z = lazy_z(z0, gs, tg, eta, l1, l2, theta_pair(target), theta_pair(kj))
+    c3 = eta * (gs - theta_pair(kj) * tg)
+    k_plus, k_minus = compute_K_sets(0.25 * eta * tg, 0.25 * eta * l1, c3, z0,
+                                     kj, target + 1)
+    x = lazy_x(x_last, k_plus, k_minus, tables, target + 1, kj, eta, l1, tg, gs, z0)
+    return x, z
+
+
+@pytest.mark.parametrize("l1,l2", [(0.2, 0.3), (0.0, 0.1), (0.05, 0.0)])
+def test_array_catch_up_matches_scalar_oracles(l1, l2):
+    rng = np.random.default_rng(5)
+    size, m = 400, 60
+    eta = 4.0                      # so c1 = tg and c2 = l1 exactly
+    tables = build_prefix_tables(m + 1, eta, l2)
+    a, c3, z0 = random_run_inputs(rng, size)
+    tg = a - l1                    # the positive branch's a is c1 + c2
+    tg[1::11] = -l1                # ... and the negative branch's a = 0
+    k_last = rng.integers(0, m, size=size)
+    g_sum = c3 / eta + (k_last * (k_last + 1) / 4.0) * tg
+    x_last = rng.normal(size=size)
+    z_last = rng.normal(size=size)
+    for target in (1, 7, m):
+        kj = np.minimum(k_last, target)
+        kj[::5] = target           # caught up already
+        x, z = catch_up(x_last, z_last, z0, g_sum, tg, kj, target,
+                        tables, eta, l1, l2)
+        for i in range(size):
+            ex, ez = scalar_catch_up(x_last[i], z_last[i], z0[i], g_sum[i],
+                                     tg[i], int(kj[i]), target, tables, eta, l1, l2)
+            assert abs(x[i] - ex) <= 1e-12 * max(1.0, abs(ex))
+            assert abs(z[i] - ez) <= 1e-12 * max(1.0, abs(ez))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +333,31 @@ def test_lazy_stage_matches_dense_stage(loss, l1, l2, scheme_kind):
     scale = max(1.0, float(np.max(np.abs(dense_x))))
     assert np.max(np.abs(lazy_xv - dense_x)) <= 1e-9 * scale
     assert np.max(np.abs(lazy_zv - dense_z)) <= 1e-9 * scale
+
+
+def test_lazy_stage_matches_dense_stage_at_high_d():
+    # d = 100000 with 20 nonzeros per row: the sweep runs over many chunks
+    # and most coordinates skip most iterations.
+    rng = np.random.default_rng(21)
+    n, d, k = 200, 100_000, 20
+    cols = np.stack([np.sort(rng.choice(d, k, replace=False)) for _ in range(n)])
+    feats = sp.csr_matrix(
+        (rng.standard_normal(n * k) / np.sqrt(k), cols.ravel(),
+         np.arange(0, n * k + 1, k)),
+        shape=(n, d),
+    )
+    labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    problem = make_problem(make_dataset(feats, labels), Logistic(),
+                           ElasticNet(1e-3, 1e-4))
+    scheme = IidUniform(n)
+    eta = 0.5 / problem.max_smoothness
+    y0 = 0.1 * rng.standard_normal(d)
+    anchor = 0.1 * rng.standard_normal(d)
+    m, b = 20, 10
+    dense = one_stage_accsvrda(problem, y0, anchor, eta, m, b, scheme, make_rng(3))
+    lazy = lazy_one_stage_accsvrda(problem, y0, anchor, eta, m, b, scheme, make_rng(3))
+    for got, expect in zip(lazy, dense):
+        assert np.max(np.abs(got - expect)) <= 1e-9
 
 
 def test_lazy_snapshots_match_dense_midflight():

@@ -75,6 +75,16 @@ def test_weighted_scheme_validation():
         IidWeighted(np.array([0.5, 0.4]))
 
 
+def test_weighted_scheme_equality():
+    q = np.full(4, 0.25)
+    assert IidWeighted(q) == IidWeighted(q.copy())
+    assert IidWeighted(q) != IidWeighted(np.array([0.1, 0.2, 0.3, 0.4]))
+    assert IidWeighted(q) != IidWeighted(np.full(5, 0.2))
+    assert IidWeighted(q) != IidUniform(4)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(IidWeighted(q))
+
+
 def test_importance_weights():
     scheme = IidWeighted(np.array([0.25, 0.75]))  # smoothness pair (1, 3)
     assert importance_weight(scheme, 0, 2) == 2.0

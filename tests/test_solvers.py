@@ -243,7 +243,7 @@ def test_first_lookahead_collapses_for_gamma_three():
     rng = np.random.default_rng(8)
     x_prev = rng.standard_normal(5)
     z0 = rng.standard_normal(5)
-    state = OuterState(x_prev=x_prev, x_prev2=z0.copy(), z_prev=z0, stage=1)
+    state = OuterState(x_prev=x_prev, x_prev2=z0.copy(), z_prev=z0)
     y = outer_momentum(state, 3.0, 1)
     # At gamma = 3 the coefficient on the latest output vanishes, so the
     # first lookahead sits exactly on the starting dual point.
@@ -256,7 +256,6 @@ def test_outer_momentum_matches_direct_formula():
         x_prev=rng.standard_normal(4),
         x_prev2=rng.standard_normal(4),
         z_prev=rng.standard_normal(4),
-        stage=5,
     )
     gamma, s = 4.0, 5
     th_prev = (1 - 1 / gamma) * (s + 1) / 2
