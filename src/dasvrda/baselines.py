@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .problem import Problem, default_prox, full_gradient
-from .sampling import SamplingScheme, draw_batch, make_anchor, vr_gradient
+from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor, vr_gradient
 
 StageHook = Callable[[int, np.ndarray, int, bool], None]
 
@@ -133,9 +133,9 @@ def one_stage_svrg(
     anchor = make_anchor(problem, x_anchor)
     x = anchor.x.copy()
     total = np.zeros_like(x)
+    plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
     for k in range(1, m + 1):
-        idx = draw_batch(scheme, rng, b)
-        g = vr_gradient(problem, anchor, scheme, x, idx)
+        g = vr_gradient(problem, anchor, scheme, x, plan.rows(k - 1))
         x = prox(x - eta * g, eta)
         total += x
         if on_iterate is not None:

@@ -32,9 +32,10 @@ per-coordinate statement of the same formulas and serve as test oracles;
 The stage driver (:func:`lazy_one_stage_accsvrda`) reproduces the dense
 :func:`~dasvrda.solvers.one_stage_accsvrda` trajectory to rounding noise.
 Each step is a fixed number of numpy operations over the batch rows'
-entries and the distinct columns they hit, with no Python loop over rows,
-entries or coordinates; the stage ends with one sweep that catches up
-every coordinate in chunks of :data:`SWEEP_CHUNK`.  A step therefore costs
+entries, which the stage's :class:`~dasvrda.sampling.BatchPlan` gathers,
+and the distinct columns they hit, with no Python loop over rows, entries
+or coordinates; the stage ends with one sweep that catches up every
+coordinate in chunks of :data:`SWEEP_CHUNK`.  A step therefore costs
 a fixed overhead of a few dozen array operations plus work proportional to
 the batch's nonzeros, against the dense stage's work proportional to
 ``d``; :func:`~dasvrda.harness.resolve` weighs the two.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import Problem
-from .sampling import SamplingScheme, draw_batch, make_anchor
+from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor
 from .solvers import theta_pair
 
 #: Coordinates per chunk of the final sweep: large enough to amortize the
@@ -335,7 +336,9 @@ class LazyStage:
     and the distinct columns they hit) and :meth:`snapshot` (non-destructive
     full vectors at the current iteration, cost ``O(d)``), so tests can
     compare against the dense stage mid-flight.  ``touched`` counts
-    coordinate updates for complexity accounting.
+    coordinate updates for complexity accounting.  The constructor makes
+    the anchor's full pass and draws all ``m`` batches, so ``rng`` advances
+    then, by as much as the dense stage advances it.
     """
 
     def __init__(
@@ -356,9 +359,6 @@ class LazyStage:
         self.problem = problem
         self.eta = float(eta)
         self.m = m
-        self.b = b
-        self.scheme = scheme
-        self.rng = rng
         self.l1 = float(problem.reg.l1)
         self.l2 = float(problem.reg.l2)
         anchor = make_anchor(problem, x_anchor)  # one full pass
@@ -376,10 +376,8 @@ class LazyStage:
         self.k = 0
         self.tables = build_prefix_tables(m + 1, self.eta, self.l2)
         self.weights = scheme.weights
-        feats = problem.data.features
-        self._indptr = feats.indptr
-        self._indices = feats.indices
-        self._data = feats.data
+        self.plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m),
+                              gather_all=True)
         self._labels = problem.data.labels
         self.touched = 0
 
@@ -396,15 +394,11 @@ class LazyStage:
         if self.k >= self.m:
             raise RuntimeError(f"stage already ran its {self.m} iterations")
         k = self.k + 1
-        idx = draw_batch(self.scheme, self.rng, self.b)
         # The batch rows' entries, row by row: ``row`` is the position in
         # the batch, ``col`` the index into the distinct columns ``cols``.
-        starts = self._indptr[idx]
-        lens = self._indptr[idx + 1] - starts
-        row = np.repeat(np.arange(idx.size), lens)
-        pos = np.arange(row.size) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-        cols, col = np.unique(self._indices[pos], return_inverse=True)
-        vals = self._data[pos]
+        rows = self.plan.rows(self.k)
+        idx, row, vals = rows.idx, rows.row, rows.val
+        cols, col = np.unique(rows.col, return_inverse=True)
         inv = 2.0 / (k + 1)            # 1 / theta_k
         keep = 1.0 - inv
         x_prev, z_prev = self._catch_up(cols, k - 1)

@@ -13,6 +13,7 @@ importance sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +23,17 @@ from .losses import LossKind
 # Zero feature rows would make a smoothness constant (and hence an
 # importance weight) degenerate, so stored constants are floored here.
 SMOOTHNESS_FLOOR = 1e-12
+
+#: Most stored entries one :class:`Rows` holds as flat arrays.  Above it,
+#: the products go through scipy's compiled CSR loops, whose fixed cost of
+#: about 150 us per minibatch no longer dominates.  On one thread of a
+#: 2-vCPU x86-64 VM (``python tools/fit_engine.py kernel``), a planned
+#: minibatch gradient is faster on the kernel up to 6000 entries (7x at
+#: 250) and slower from 8000 on (5x at 10^6).  A full pass, which needs no
+#: row slice, crosses over near 3000, but a stage makes one against ``m``
+#: minibatch steps.  Both forms add the same products in the same order, so
+#: the choice never changes a bit of a result.
+KERNEL_MAX_ENTRIES = 6000
 
 
 @dataclass(frozen=True)
@@ -123,8 +135,7 @@ def make_problem(data: Dataset, loss: LossKind, reg: ElasticNet) -> Problem:
                 f"classification losses need labels in {{-1,+1}}; "
                 f"got {data.labels[bad][:5]}"
             )
-    mat = data.features
-    row_sq = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
+    row_sq = row_norms_sq(data.features)
     consts = np.maximum(loss.curvature * row_sq, SMOOTHNESS_FLOOR)
     return Problem(
         data=data,
@@ -134,6 +145,96 @@ def make_problem(data: Dataset, loss: LossKind, reg: ElasticNet) -> Problem:
         mean_smoothness=float(consts.mean()),
         max_smoothness=float(consts.max()),
     )
+
+
+def row_norms_sq(mat: sp.csr_matrix) -> np.ndarray:
+    """Squared Euclidean norm of every row of a canonical CSR matrix.
+
+    The same sums as ``mat.multiply(mat).sum(axis=1)``, which reduces the
+    nonempty rows with ``np.add.reduceat`` too, without its CSR
+    temporaries.  (Where a square underflows to zero, that product drops
+    the entry, which can move the last bit of its row's sum.)  Empty rows,
+    trailing ones included (their start equals ``nnz``, which ``reduceat``
+    would reject), are skipped and stay zero.
+    """
+    out = np.zeros(mat.shape[0])
+    nonempty = np.flatnonzero(np.diff(mat.indptr))
+    if nonempty.size:
+        out[nonempty] = np.add.reduceat(mat.data * mat.data, mat.indptr[nonempty])
+    return out
+
+
+def row_entries(
+    mat: sp.csr_matrix, idx: np.ndarray, lens: np.ndarray,
+    labels: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stored entries of rows ``idx`` of ``mat`` (``lens`` their lengths),
+    row by row: each entry's row label (``labels``, by default the row's
+    position in ``idx``), column and value."""
+    starts = mat.indptr[idx]
+    ends = np.cumsum(lens)
+    pos = np.arange(ends[-1] if ends.size else 0)
+    pos += np.repeat(starts - (ends - lens), lens)
+    if labels is None:
+        labels = np.arange(idx.size)
+    return np.repeat(labels, lens), mat.indices[pos].astype(np.intp), mat.data[pos]
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Rows ``idx`` of a CSR design matrix (in order, possibly repeated),
+    ready for the two products of a gradient: :meth:`dot` is
+    ``A[idx] @ x`` and :meth:`tdot` is ``A[idx].T @ v``.
+
+    Up to :data:`KERNEL_MAX_ENTRIES` stored entries, the rows are flat
+    arrays in row order -- ``row`` (each entry's position in ``idx``),
+    ``col`` and ``val`` -- and both products are one ``np.bincount`` each.
+    Above it, ``mat`` holds them as a CSR matrix for scipy's products.
+    Either way every output adds its products one at a time, rows in order
+    and entries in stored order, so the two forms agree bit for bit.
+    ``idx`` is None for all rows in order.
+    """
+
+    idx: Optional[np.ndarray]
+    count: int
+    d: int
+    row: Optional[np.ndarray] = None
+    col: Optional[np.ndarray] = None
+    val: Optional[np.ndarray] = None
+    mat: Optional[sp.csr_matrix] = None
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        if self.mat is not None:
+            return self.mat @ x
+        return np.bincount(self.row, weights=self.val * x[self.col],
+                           minlength=self.count)
+
+    def tdot(self, v: np.ndarray) -> np.ndarray:
+        if self.mat is not None:
+            return self.mat.T @ v
+        return np.bincount(self.col, weights=self.val * v[self.row],
+                           minlength=self.d)
+
+
+def kernel_sized(entries):
+    """Whether rows holding ``entries`` stored entries (a count, or an
+    array of counts) take the flat-array form of :class:`Rows`."""
+    return entries <= KERNEL_MAX_ENTRIES
+
+
+def take_rows(mat: sp.csr_matrix, idx: Optional[np.ndarray] = None) -> Rows:
+    """Rows ``idx`` of ``mat`` (all rows when None) as :class:`Rows`, in
+    the form the entry count picks."""
+    n, d = mat.shape
+    if idx is None:
+        if not kernel_sized(mat.nnz):
+            return Rows(None, n, d, mat=mat)
+        row = np.repeat(np.arange(n), np.diff(mat.indptr))
+        return Rows(None, n, d, row, mat.indices.astype(np.intp), mat.data)
+    lens = mat.indptr[idx + 1] - mat.indptr[idx]
+    if not kernel_sized(lens.sum()):
+        return Rows(idx, idx.size, d, mat=mat[idx])
+    return Rows(idx, idx.size, d, *row_entries(mat, idx, lens))
 
 
 def _check_point(problem: Problem, x: np.ndarray) -> np.ndarray:
@@ -153,10 +254,16 @@ def objective(problem: Problem, x: np.ndarray) -> float:
 
 def full_pass(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One pass over the data: the per-example loss derivatives at the
-    predictions ``A @ x``, and the loss gradient."""
+    predictions ``A @ x``, and the loss gradient ``A.T @ (derivs / n)``.
+
+    Both products are those of :class:`Rows`, the kernel of the minibatch
+    estimator :func:`~dasvrda.sampling.vr_gradient`, so a batch of all
+    ``n`` rows in order gives this gradient bit for bit.
+    """
     x = _check_point(problem, x)
-    derivs = problem.loss.derivatives(problem.data.features @ x, problem.data.labels)
-    return derivs, problem.data.features.T @ (derivs / problem.n)
+    rows = take_rows(problem.data.features)
+    derivs = problem.loss.derivatives(rows.dot(x), problem.data.labels)
+    return derivs, rows.tdot(derivs / problem.n)
 
 
 def full_gradient(problem: Problem, x: np.ndarray) -> np.ndarray:

@@ -12,26 +12,46 @@ Three i.i.d.-across-iterations schemes are provided:
   ``0..n-1`` in order, which makes the estimator collapse to the exact full
   gradient.
 
-Each scheme object carries ``draw(generator, b)`` and ``weights``, the
-per-example importance weights ``1 / (n q_i)`` computed once (``None`` when
-every weight is one).  All randomness flows through a
+Each scheme object carries ``draw(generator, b, m=None)`` and ``weights``,
+the per-example importance weights ``1 / (n q_i)`` computed once (``None``
+when every weight is one).  ``draw`` with ``m`` returns the ``m`` batches of
+a stage from one generator call, with the same indices and the same final
+generator state as ``m`` calls without it.  All randomness flows through a
 ``numpy.random.Generator`` from :func:`make_rng`; its ``spawn`` gives
 reproducible, independent substreams (for parallel workers or sweep cells).
+
+:class:`BatchPlan` holds a stage's batches and gathers their rows' stored
+entries a block of steps at a time; :func:`vr_gradient` is the
+variance-reduced estimator over one batch, computed by the
+:class:`~dasvrda.problem.Rows` kernel that :func:`~dasvrda.problem.full_pass`
+also uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .problem import Problem, full_pass
+from .problem import Problem, Rows, full_pass, kernel_sized, row_entries, take_rows
+
+#: Most stored entries a :class:`BatchPlan` gathers at once (a block of
+#: consecutive steps, or one larger step): a few megabytes of temporaries
+#: whatever the stage length, as :data:`~dasvrda.lazy.SWEEP_CHUNK` bounds
+#: the lazy sweep.
+PLAN_BLOCK_ENTRIES = 1 << 16
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator seeded through ``SeedSequence(seed)``."""
     return np.random.default_rng(seed)
+
+
+def _shape(b: int, m: Optional[int]) -> Union[int, tuple[int, int]]:
+    """Shape of one batch, or of ``m`` batches one per row.  The generator
+    fills it in C order, which is the order of ``m`` successive calls."""
+    return b if m is None else (m, b)
 
 
 @dataclass(frozen=True)
@@ -44,8 +64,10 @@ class IidUniform:
         if self.n < 1:
             raise ValueError(f"need at least one example, got n={self.n}")
 
-    def draw(self, gen: np.random.Generator, b: int) -> np.ndarray:
-        return gen.integers(0, self.n, size=b, dtype=np.int64)
+    def draw(
+        self, gen: np.random.Generator, b: int, m: Optional[int] = None
+    ) -> np.ndarray:
+        return gen.integers(0, self.n, size=_shape(b, m), dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +98,10 @@ class IidWeighted:
     def n(self) -> int:
         return self.q.size
 
-    def draw(self, gen: np.random.Generator, b: int) -> np.ndarray:
-        idx = np.searchsorted(self._cdf, gen.random(b), side="right")
+    def draw(
+        self, gen: np.random.Generator, b: int, m: Optional[int] = None
+    ) -> np.ndarray:
+        idx = np.searchsorted(self._cdf, gen.random(_shape(b, m)), side="right")
         return np.minimum(idx, self.n - 1).astype(np.int64)
 
 
@@ -99,7 +123,9 @@ class Partition:
                 f"(n={self.n}, b={self.b})"
             )
 
-    def draw(self, gen: np.random.Generator, b: int) -> np.ndarray:
+    def draw(
+        self, gen: np.random.Generator, b: int, m: Optional[int] = None
+    ) -> np.ndarray:
         if b != self.b:
             raise ValueError(
                 f"b out of range: partition scheme draws exactly {self.b} "
@@ -107,7 +133,7 @@ class Partition:
             )
         size = self.n // b
         offsets = np.arange(b, dtype=np.int64) * size
-        return offsets + gen.integers(0, size, size=b, dtype=np.int64)
+        return offsets + gen.integers(0, size, size=_shape(b, m), dtype=np.int64)
 
 
 SamplingScheme = Union[IidUniform, IidWeighted, Partition]
@@ -119,11 +145,70 @@ def smoothness_weighted(problem: Problem) -> IidWeighted:
     return IidWeighted(li / li.sum())
 
 
-def draw_batch(scheme: SamplingScheme, rng: np.random.Generator, b: int) -> np.ndarray:
-    """Indices of one minibatch of size ``b`` (int64, possibly repeated)."""
+def draw_batch(
+    scheme: SamplingScheme, rng: np.random.Generator, b: int, m: Optional[int] = None
+) -> np.ndarray:
+    """Indices of one minibatch of size ``b`` (int64, possibly repeated).
+
+    With ``m``, the ``m`` minibatches of a stage as an ``(m, b)`` array,
+    row ``k`` equal to the ``k``-th of ``m`` calls without ``m``, and
+    ``rng`` left where those calls would leave it.
+    """
     if not 1 <= b <= scheme.n:
         raise ValueError(f"b out of range: b={b}, n={scheme.n}")
-    return scheme.draw(rng, b)
+    if m is not None and m < 1:
+        raise ValueError(f"need at least one batch, got m={m}")
+    return scheme.draw(rng, b, m)
+
+
+class BatchPlan:
+    """The minibatches of one stage and their rows, step by step.
+
+    ``idx`` is the ``(m, b)`` array of a stage's draws (see
+    :func:`draw_batch`).  :meth:`rows` gives step ``k``'s rows as
+    :class:`~dasvrda.problem.Rows`.  Their stored entries are gathered for
+    a block of consecutive steps at once, at most
+    :data:`PLAN_BLOCK_ENTRIES` of them (or one step that has more).  A step
+    above :data:`~dasvrda.problem.KERNEL_MAX_ENTRIES` entries gets scipy's
+    form instead, unless ``gather_all`` (the lazy engine needs the flat
+    entries at every size).
+    """
+
+    def __init__(self, features, idx: np.ndarray, gather_all: bool = False) -> None:
+        self.features = features
+        self.idx = idx
+        self.d = features.shape[1]
+        self.lens = features.indptr[idx + 1] - features.indptr[idx]
+        steps = self.lens.sum(axis=1)
+        self.ends = np.cumsum(steps)
+        self.kernel = gather_all | kernel_sized(steps)
+        self.lo = self.hi = 0
+
+    def _gather(self, k: int) -> None:
+        """Gather the entries of the block of steps starting at ``k``."""
+        base = self.ends[k - 1] if k else 0
+        hi = int(np.searchsorted(self.ends, base + PLAN_BLOCK_ENTRIES, side="right"))
+        hi = max(hi, k + 1)
+        scipy_steps = np.flatnonzero(~self.kernel[k:hi])
+        if scipy_steps.size:
+            hi = k + int(scipy_steps[0])
+        steps, b = self.idx[k:hi].shape
+        self.row, self.col, self.val = row_entries(
+            self.features, self.idx[k:hi].ravel(), self.lens[k:hi].ravel(),
+            np.tile(np.arange(b), steps))
+        self.offsets = np.concatenate(([0], self.ends[k:hi] - base))
+        self.lo, self.hi = k, hi
+
+    def rows(self, k: int) -> Rows:
+        """Rows of step ``k`` (from 0)."""
+        idx = self.idx[k]
+        if not self.kernel[k]:
+            return take_rows(self.features, idx)
+        if not self.lo <= k < self.hi:
+            self._gather(k)
+        part = slice(self.offsets[k - self.lo], self.offsets[k - self.lo + 1])
+        return Rows(idx, idx.size, self.d,
+                    self.row[part], self.col[part], self.val[part])
 
 
 def importance_weight(scheme: SamplingScheme, i: int, n: int) -> float:
@@ -160,25 +245,33 @@ def vr_gradient(
     anchor: StageAnchor,
     scheme: SamplingScheme,
     y: np.ndarray,
-    idx: np.ndarray,
+    idx: Union[np.ndarray, Rows],
 ) -> np.ndarray:
     """Unbiased estimate of the averaged-loss gradient at ``y``.
 
-    Computed as ``B(y) + (anchor.grad - B(anchor.x))`` where ``B`` is the
-    weighted minibatch gradient on ``idx``; keeping that association means
-    the two anchor terms cancel exactly whenever the minibatch gradient
+    ``idx`` holds the batch's example indices, or its rows as
+    :meth:`BatchPlan.rows` gives them.  Computed as
+    ``B(y) + (anchor.grad - B(anchor.x))`` where ``B`` is the weighted
+    minibatch gradient on the batch; keeping that association means the
+    two anchor terms cancel exactly whenever the minibatch gradient
     coincides with the full gradient (e.g. partition sampling with
     ``b == n``), so the estimate degrades into the deterministic gradient
-    with no rounding noise.
+    with no rounding noise.  ``B`` takes the products of
+    :class:`~dasvrda.problem.Rows`, as :func:`~dasvrda.problem.full_pass`
+    does, so that coincidence is bitwise: up to
+    :data:`~dasvrda.problem.KERNEL_MAX_ENTRIES` entries a gather from the
+    CSR arrays and three ``np.bincount`` calls, above it scipy's products,
+    with the same bits either way.
     """
-    rows = problem.data.features[idx]
-    b = idx.shape[0]
-    dy = problem.loss.derivatives(rows @ y, problem.data.labels[idx])
+    rows = idx if isinstance(idx, Rows) else take_rows(problem.data.features, idx)
+    idx = rows.idx
+    b = rows.count
+    dy = problem.loss.derivatives(rows.dot(y), problem.data.labels[idx])
     dx = anchor.derivs[idx]
     if scheme.weights is not None:
         wi = scheme.weights[idx]
         dy = wi * dy
         dx = wi * dx
-    batch_y = rows.T @ (dy / b)
-    batch_x = rows.T @ (dx / b)
+    batch_y = rows.tdot(dy / b)
+    batch_x = rows.tdot(dx / b)
     return batch_y + (anchor.grad - batch_x)

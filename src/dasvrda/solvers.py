@@ -32,7 +32,7 @@ import numpy as np
 
 from .problem import Problem, default_prox, objective
 from .baselines import InnerHook, Ledger, StageHook
-from .sampling import SamplingScheme, draw_batch, make_anchor, vr_gradient
+from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor, vr_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +141,11 @@ def one_stage_accsvrda(
     z = x.copy()
     z0 = x.copy()
     g_bar = np.zeros_like(x)
+    plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
     for k in range(1, m + 1):
-        idx = draw_batch(scheme, rng, b)
         inv = 1.0 / theta_inner(k)
         y = (1.0 - inv) * x + inv * z
-        g = vr_gradient(problem, anchor, scheme, y, idx)
+        g = vr_gradient(problem, anchor, scheme, y, plan.rows(k - 1))
         g_bar = (1.0 - inv) * g_bar + inv * g
         step = eta * theta_pair(k)
         z = prox(z0 - step * g_bar, step)
@@ -187,11 +187,11 @@ def one_stage_dasvrg(
     anchor = make_anchor(problem, x_anchor)
     x = np.asarray(y_start, dtype=np.float64).copy()
     z = x.copy()
+    plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
     for k in range(1, m + 1):
-        idx = draw_batch(scheme, rng, b)
         inv = 1.0 / theta_inner(k)
         y = (1.0 - inv) * x + inv * z
-        g = vr_gradient(problem, anchor, scheme, y, idx)
+        g = vr_gradient(problem, anchor, scheme, y, plan.rows(k - 1))
         step = eta * theta_inner(k - 1)
         z = prox(z - step * g, step)
         x = (1.0 - inv) * x + inv * z

@@ -17,7 +17,7 @@ from dasvrda import (
     objective,
     prox_elastic_net,
 )
-from dasvrda.problem import SMOOTHNESS_FLOOR, dataset_summary
+from dasvrda.problem import SMOOTHNESS_FLOOR, dataset_summary, row_norms_sq
 
 
 def random_problem(rng, loss, n=40, d=9, l1=1e-3, l2=1e-4, density=0.6):
@@ -184,3 +184,15 @@ def test_dataset_summary():
         "density": pytest.approx(2 / 6),
         "max_row_nnz": 2,
     }
+
+
+def test_row_norms_match_scipy_row_sums_bitwise():
+    rng = np.random.default_rng(12)
+    n, d = 30, 200
+    dense = np.where(rng.random((n, d)) < 0.3, rng.standard_normal((n, d)), 0.0)
+    dense[[0, 7, 8, n - 2, n - 1]] = 0.0   # leading, inner and trailing empty rows
+    for mat in (sp.csr_matrix(dense), sp.csr_matrix((n, d)),
+                sp.csr_matrix(rng.standard_normal((n, d)))):
+        expect = np.asarray(mat.multiply(mat).sum(axis=1)).ravel()
+        got = row_norms_sq(mat)
+        assert got.tobytes() == expect.tobytes()

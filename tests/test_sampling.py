@@ -18,6 +18,11 @@ from dasvrda import (
     smoothness_weighted,
     vr_gradient,
 )
+from dasvrda import problem as problem_module
+from dasvrda import sampling as sampling_module
+from dasvrda.losses import Logistic
+from dasvrda.problem import Rows, row_entries, take_rows
+from dasvrda.sampling import BatchPlan
 
 
 def small_problem(rng, n=12, d=5):
@@ -183,3 +188,125 @@ def test_partition_full_batch_estimator_is_exact():
         idx = draw_batch(scheme, stream, problem.n)
         est = vr_gradient(problem, anchor, scheme, y, idx)
         assert np.array_equal(est, full_gradient(problem, y))
+
+
+# ---------------------------------------------------------------------------
+# Stage plans and the minibatch kernel.
+
+
+def plan_scheme(kind, n, b):
+    if kind == "uniform":
+        return IidUniform(n)
+    if kind == "uniform-2**40":
+        return IidUniform(2**40)
+    if kind == "weighted":
+        q = np.random.default_rng(3).random(n) + 0.05
+        return IidWeighted(q / q.sum())
+    return Partition(n, b)
+
+
+@pytest.mark.parametrize("b", [1, 7, 71])
+@pytest.mark.parametrize("kind", ["uniform", "uniform-2**40", "weighted", "partition"])
+def test_stage_plan_equals_successive_draws(kind, b):
+    scheme = plan_scheme(kind, 497, b)   # 497 = 7 * 71
+    m = 13
+    one_call, successive = make_rng(8), make_rng(8)
+    plan = draw_batch(scheme, one_call, b, m)
+    assert plan.shape == (m, b) and plan.dtype == np.int64
+    for k in range(m):
+        assert plan[k].tobytes() == draw_batch(scheme, successive, b).tobytes()
+    assert one_call.bit_generator.state == successive.bit_generator.state
+    assert draw_batch(scheme, one_call, b).tobytes() == \
+        draw_batch(scheme, successive, b).tobytes()
+    with pytest.raises(ValueError, match="at least one batch"):
+        draw_batch(scheme, one_call, b, 0)
+
+
+def kernel_problem(loss=Squared(), n=40, d=30, seed=0):
+    """Sparse rows with empty rows (one of them trailing) and empty columns."""
+    rng = np.random.default_rng(seed)
+    mat = np.where(rng.random((n, d)) < 0.15, rng.standard_normal((n, d)), 0.0)
+    mat[[3, 17, n - 1]] = 0.0
+    mat[:, [0, 5, d - 1]] = 0.0
+    labels = (np.where(rng.random(n) < 0.5, -1.0, 1.0)
+              if loss.classification else rng.standard_normal(n))
+    return make_problem(make_dataset(sp.csr_matrix(mat), labels), loss,
+                        ElasticNet(1e-3, 1e-3))
+
+
+def both_forms(mat, idx):
+    """The kernel and the scipy form of the same rows, built directly."""
+    lens = mat.indptr[idx + 1] - mat.indptr[idx]
+    return (Rows(idx, idx.size, mat.shape[1], *row_entries(mat, idx, lens)),
+            Rows(idx, idx.size, mat.shape[1], mat=mat[idx]))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("loss", [Squared(), Logistic()], ids=["squared", "logistic"])
+def test_kernel_matches_scipy_products_bitwise(loss, weighted):
+    problem = kernel_problem(loss)
+    mat = problem.data.features
+    scheme = smoothness_weighted(problem) if weighted else IidUniform(problem.n)
+    rng = np.random.default_rng(1)
+    anchor = make_anchor(problem, rng.standard_normal(problem.d))
+    batches = [np.array([3, 3, 17, 39, 5, 5, 5]), np.array([17]),
+               np.array([39, 3]), rng.integers(0, problem.n, size=25),
+               np.arange(problem.n)]
+    for idx in batches:
+        kernel, scipy_form = both_forms(mat, idx)
+        y = rng.standard_normal(problem.d)
+        v = rng.standard_normal(idx.size)
+        assert kernel.dot(y).tobytes() == scipy_form.dot(y).tobytes()
+        assert kernel.tdot(v).tobytes() == scipy_form.tdot(v).tobytes()
+        assert kernel.tdot(v).tobytes() == (mat[idx].T @ v).tobytes()
+        got = vr_gradient(problem, anchor, scheme, y, kernel)
+        assert got.tobytes() == vr_gradient(problem, anchor, scheme, y,
+                                            scipy_form).tobytes()
+        assert got.tobytes() == vr_gradient(problem, anchor, scheme, y, idx).tobytes()
+    # All rows in order: the full pass's two forms.
+    n, d = mat.shape
+    all_kernel = Rows(None, n, d, np.repeat(np.arange(n), np.diff(mat.indptr)),
+                      mat.indices.astype(np.intp), mat.data)
+    all_scipy = Rows(None, n, d, mat=mat)
+    x = rng.standard_normal(d)
+    assert all_kernel.dot(x).tobytes() == all_scipy.dot(x).tobytes()
+    v = rng.standard_normal(n)
+    assert all_kernel.tdot(v).tobytes() == all_scipy.tdot(v).tobytes()
+
+
+def test_take_rows_switches_form_at_the_entry_limit(monkeypatch):
+    problem = kernel_problem()
+    mat = problem.data.features
+    idx = np.array([0, 1, 2, 4])
+    entries = int((mat.indptr[idx + 1] - mat.indptr[idx]).sum())
+    monkeypatch.setattr(problem_module, "KERNEL_MAX_ENTRIES", entries)
+    assert take_rows(mat, idx).mat is None
+    assert take_rows(mat).mat is mat
+    monkeypatch.setattr(problem_module, "KERNEL_MAX_ENTRIES", entries - 1)
+    assert take_rows(mat, idx).mat is not None
+    monkeypatch.setattr(problem_module, "KERNEL_MAX_ENTRIES", mat.nnz)
+    assert take_rows(mat).mat is None
+
+
+@pytest.mark.parametrize("limits", [(10**9, 1 << 16), (10**9, 25), (20, 60), (0, 1)])
+def test_batch_plan_rows_match_take_rows(monkeypatch, limits):
+    # Large and small blocks, and steps on either side of the kernel limit.
+    kernel_max, block = limits
+    monkeypatch.setattr(problem_module, "KERNEL_MAX_ENTRIES", kernel_max)
+    monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", block)
+    problem = kernel_problem()
+    mat = problem.data.features
+    m, b = 23, 5
+    idx = draw_batch(IidUniform(problem.n), make_rng(2), b, m)
+    for gather_all in (False, True):
+        plan = BatchPlan(mat, idx, gather_all=gather_all)
+        for k in range(m):
+            got = plan.rows(k)
+            assert got.idx.tobytes() == idx[k].tobytes()
+            kernel, _ = both_forms(mat, idx[k])
+            scipy_step = not gather_all and kernel.val.size > kernel_max
+            assert (got.mat is not None) == scipy_step
+            if not scipy_step:
+                for name in ("row", "col", "val"):
+                    assert getattr(got, name).tobytes() == \
+                        getattr(kernel, name).tobytes()

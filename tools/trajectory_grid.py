@@ -1,0 +1,150 @@
+"""Trajectory grid: run 216 small configurations and compare two runs bitwise.
+
+Usage, from the root of a checkout::
+
+    python tools/trajectory_grid.py run grid-new.json
+    python tools/trajectory_grid.py run --src /path/to/other/checkout/src grid-old.json
+    python tools/trajectory_grid.py diff grid-old.json grid-new.json
+
+``run`` imports ``dasvrda`` from ``--src`` (default: this checkout's
+``src/``) and runs every configuration of the grid through
+``run_experiment``:
+
+* the 9 algorithms of ``harness.ALGORITHMS``;
+* uniform, weighted and partition sampling;
+* two engines: ``--lazy off``, and ``--lazy on`` for an algorithm with a
+  lazy stage (``auto`` for the others);
+* two problems: a dense lasso (n=60, d=20) and a density-0.1
+  ridge-logistic problem (n=80, d=40, l1 = l2 = 1e-3);
+* two stopping rules: 3 stages, or a budget of ``7 n`` evaluations with the
+  stage count left open (2 stages per restart for ``dasvrda-sc``).
+
+Batch size 4, seed 0.  For each configuration it writes the trace
+objectives (as exact hex floats), every trace header key, the returned
+``x`` and a SHA-256 digest of the three.  ``diff`` reports each
+configuration whose digest differs, with the header keys that differ and
+the largest objective and ``x`` differences, and exits 1 if any does.
+The trace's ``seconds`` column is not recorded, since it is a timing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ALGOS = ("pg", "apg", "svrg", "dasvrda-ns", "dasvrda-sc", "dasvrda-ar-f",
+         "dasvrda-ar-g", "dasvrda-warm", "dasvrg")
+SAMPLINGS = ("uniform", "weighted", "partition")
+BATCH = 4
+
+
+def problems(SyntheticSpec):
+    return {
+        "lasso": dict(loss="squared", l1=1e-3, l2=0.0,
+                      synthetic=SyntheticSpec(kind="lasso", n=60, d=20,
+                                              sparsity=5, seed=0)),
+        "logistic": dict(loss="logistic", l1=1e-3, l2=1e-3,
+                         synthetic=SyntheticSpec(kind="ridge-logistic", n=80,
+                                                 d=40, density=0.1, seed=1)),
+    }
+
+
+def configs():
+    """(key, RunConfig keyword arguments) of every grid point."""
+    from dasvrda import SyntheticSpec
+    from dasvrda.harness import ALGORITHMS
+
+    for pname, pkw in problems(SyntheticSpec).items():
+        n = pkw["synthetic"].n
+        for algo in ALGOS:
+            engines = ("off", "on" if ALGORITHMS[algo].lazy else "auto")
+            for sampling in SAMPLINGS:
+                for lazy in engines:
+                    for stop in ("stages", "budget"):
+                        kw = dict(pkw, algo=algo, sampling=sampling, lazy=lazy,
+                                  batch=BATCH, seed=0)
+                        if stop == "stages":
+                            kw["stages"] = 3
+                        else:
+                            kw["budget"] = 7 * n
+                            if algo == "dasvrda-sc":
+                                kw["stages"] = 2
+                        yield f"{pname}/{algo}/{sampling}/lazy={lazy}/{stop}", kw
+
+
+def run(src: str, out: str) -> int:
+    sys.path.insert(0, os.path.abspath(src))
+    import numpy as np
+    import dasvrda
+    from dasvrda import RunConfig, run_experiment
+
+    results = {}
+    for key, kw in configs():
+        result = run_experiment(RunConfig(**kw))
+        objectives = [float(r.objective).hex() for r in result.records]
+        header = json.loads(json.dumps(result.header, sort_keys=True, default=str))
+        x = [float(v).hex() for v in np.asarray(result.x, dtype=np.float64)]
+        blob = json.dumps([objectives, header, x], sort_keys=True).encode()
+        results[key] = {"digest": hashlib.sha256(blob).hexdigest(),
+                        "objectives": objectives, "header": header, "x": x}
+    with open(out, "w") as handle:
+        json.dump(results, handle, indent=0, sort_keys=True)
+    print(f"{len(results)} configurations of {dasvrda.__file__} written to {out}")
+    return 0
+
+
+def max_diff(a: list[str], b: list[str]) -> float:
+    if len(a) != len(b):
+        return float("inf")
+    return max((abs(float.fromhex(u) - float.fromhex(v)) for u, v in zip(a, b)),
+               default=0.0)
+
+
+def diff(old_path: str, new_path: str) -> int:
+    with open(old_path) as handle:
+        old = json.load(handle)
+    with open(new_path) as handle:
+        new = json.load(handle)
+    changed = 0
+    for key in sorted(set(old) | set(new)):
+        if key not in old or key not in new:
+            print(f"{key}: only in {'new' if key in new else 'old'}")
+            changed += 1
+            continue
+        a, b = old[key], new[key]
+        if a["digest"] == b["digest"]:
+            continue
+        changed += 1
+        keys = sorted(k for k in set(a["header"]) | set(b["header"])
+                      if a["header"].get(k) != b["header"].get(k))
+        print(f"{key}: header keys {keys or 'equal'}, max |objective diff| "
+              f"{max_diff(a['objectives'], b['objectives']):.3g}, max |x diff| "
+              f"{max_diff(a['x'], b['x']):.3g}")
+    lazy = sum(1 for key in new if "lazy=on" in key)
+    print(f"{changed} of {len(new)} configurations differ "
+          f"({lazy} run on the lazy engine)")
+    return 1 if changed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="run the grid and write its results")
+    p_run.add_argument("out")
+    p_run.add_argument("--src", default=os.path.join(os.path.dirname(HERE), "src"),
+                       help="directory holding the dasvrda package to run")
+    p_diff = sub.add_parser("diff", help="compare two result files")
+    p_diff.add_argument("old")
+    p_diff.add_argument("new")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        return run(args.src, args.out)
+    return diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
