@@ -128,7 +128,8 @@ class Algorithm:
     #: Default inner loop length is ``epoch_passes * n // batch``.
     epoch_passes: int = 1
     #: None: tuned outer momentum ``gamma_star`` and the theory step
-    #: ``eta_default``.  A number ``c``: no outer momentum, step ``1/(c L)``.
+    #: ``eta_default`` for the loop length the momentum stages run.  A
+    #: number ``c``: no outer momentum, step ``1/(c L)``.
     step_divisor: Optional[float] = None
     #: Takes a restart count; the stages per restart can come from ``l2``.
     restarts: bool = False
@@ -138,23 +139,26 @@ class Algorithm:
     lazy: bool = False
     #: Takes a warm-up loop length and warm-up stage count.
     warm: bool = False
-    #: Inner loop length the trace header reports; None without one.
-    loop_length: Callable[..., Optional[int]] = lambda r: r.m
+    #: ``loop_length(config, problem, gamma, m)``: the inner loop length of
+    #: the momentum stages, which the default step and the trace header's
+    #: ``epoch_len`` use; None without one.
+    loop_length: Callable[..., Optional[int]] = lambda config, problem, gamma, m: m
 
 
-def _warm_start(r: "ResolvedRun") -> tuple[int, int]:
+def _warm_start(config: RunConfig, problem: Problem, gamma: float,
+                m: int) -> tuple[int, int]:
     """``(m0, n_warm)`` from the config, defaulting what it leaves open."""
-    m0, n_warm = r.config.warm_m0, r.config.warm_stages
+    m0, n_warm = config.warm_m0, config.warm_stages
     if m0 is None and n_warm is None:
-        return default_warm_start(r.problem, r.gamma, r.m, r.config.batch)
+        return default_warm_start(problem, gamma, m, config.batch)
     m0 = 1 if m0 is None else m0
     if m0 < 1:
         raise ConfigError(f"warm-up loop length must be positive, got {m0}")
-    return m0, warm_stage_count(r.gamma, m0, r.m) if n_warm is None else n_warm
+    return m0, warm_stage_count(gamma, m0, m) if n_warm is None else n_warm
 
 
 def _warm(r, x0, rng, hooks):
-    m0, n_warm = _warm_start(r)
+    m0, n_warm = _warm_start(r.config, r.problem, r.gamma, r.m)
     return run_dasvrda_warm(r.problem, x0, r.gamma, m0, r.config.batch, n_warm,
                             r.stages, r.scheme, rng, eta=r.eta, **hooks)
 
@@ -173,10 +177,10 @@ def _adaptive(kind: str):
 ALGORITHMS: dict[str, Algorithm] = {
     "pg": Algorithm(
         lambda r, x0, rng, hooks: run_pg(r.problem, x0, r.eta, r.stages, **hooks),
-        step_divisor=1.0, averaged=True, loop_length=lambda r: None),
+        step_divisor=1.0, averaged=True, loop_length=lambda *args: None),
     "apg": Algorithm(
         lambda r, x0, rng, hooks: run_apg(r.problem, x0, r.eta, r.stages, **hooks),
-        step_divisor=1.0, loop_length=lambda r: None),
+        step_divisor=1.0, loop_length=lambda *args: None),
     "svrg": Algorithm(
         lambda r, x0, rng, hooks: run_svrg(
             r.problem, x0, r.eta, r.m, r.config.batch, r.scheme, rng, r.stages,
@@ -192,7 +196,8 @@ ALGORITHMS: dict[str, Algorithm] = {
     "dasvrda-ar-g": Algorithm(_adaptive("gradient"), lazy=True),
     "dasvrda-warm": Algorithm(
         _warm, lazy=True, warm=True,
-        loop_length=lambda r: warm_momentum_loop_length(r.gamma, *_warm_start(r))),
+        loop_length=lambda config, problem, gamma, m: warm_momentum_loop_length(
+            gamma, *_warm_start(config, problem, gamma, m))),
     "dasvrg": Algorithm(
         lambda r, x0, rng, hooks: _ns(r, x0, rng,
                                       dict(hooks, one_stage=one_stage_dasvrg))),
@@ -390,10 +395,12 @@ def resolve(config: RunConfig) -> ResolvedRun:
             gamma = gamma_star(m, b)
         elif gamma <= 1:
             raise ConfigError(f"momentum parameter must exceed 1, got {gamma}")
-        if eta is None:
-            eta = eta_default(gamma, m, b, smooth)
-    elif eta is None:
-        eta = 1.0 / (algo.step_divisor * smooth)
+    loop = algo.loop_length(config, problem, gamma, m)
+    if eta is None:
+        if algo.step_divisor is None:
+            eta = eta_default(gamma, loop, b, smooth)
+        else:
+            eta = 1.0 / (algo.step_divisor * smooth)
     if eta <= 0:
         raise ConfigError(f"step size must be positive, got {eta}")
 
@@ -461,7 +468,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
         "d": problem.d,
         "nnz": summary["nnz"],
         "batch": b,
-        "epoch_len": algo.loop_length(run),
+        "epoch_len": loop,
         "gamma": gamma,
         "eta": eta,
         "stages": None if stages == _UNBOUNDED else stages,

@@ -8,6 +8,14 @@ with a smooth convex ``psi`` from :mod:`dasvrda.losses`.  ``Problem``
 bundles the data, the loss and the regularizer together with cached
 per-example smoothness constants, since those drive both step sizes and
 importance sampling.
+
+Each ``Problem`` also remembers the margins ``A @ x`` of the last point it
+swept (see :func:`margins`).  :func:`objective` and :func:`full_pass` read
+them through that memo, so a solver that evaluates the objective at a
+stage output and then anchors the next stage there sweeps the design
+matrix once.  The memo is keyed on the point's exact contents, holds one
+entry and never changes a result: a hit returns the very bits a sweep
+would.  :func:`~dasvrda.sampling.make_anchor` takes the entry over.
 """
 
 from __future__ import annotations
@@ -115,6 +123,10 @@ class Problem:
     smoothness: np.ndarray = field(repr=False)   # per-example, floored
     mean_smoothness: float = 0.0
     max_smoothness: float = 0.0
+    #: ``(point, margins)`` of the last point :func:`margins` swept, both
+    #: read-only arrays: a copy of the point and ``A @ point``.
+    swept: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
 
     @property
     def n(self) -> int:
@@ -244,10 +256,34 @@ def _check_point(problem: Problem, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def margins(
+    problem: Problem, x: np.ndarray, rows: Optional[Rows] = None
+) -> np.ndarray:
+    """Margins ``A @ x`` at a checked point, as :meth:`Rows.dot` of all rows
+    (``rows``, when the caller has taken them already).
+
+    The problem keeps the last point and its margins in ``problem.swept``.
+    A point whose contents equal that point bit for bit, compared with the
+    stored copy (so a caller that mutated its array in place misses), gets
+    the stored margins back.
+    """
+    key, t = problem.swept
+    if key is not None and np.array_equal(key.view(np.int64), x.view(np.int64)):
+        return t
+    problem.swept = (None, None)   # free the old entry before the new one
+    if rows is None:
+        rows = take_rows(problem.data.features)
+    t = rows.dot(x)
+    key = x.copy()
+    key.flags.writeable = t.flags.writeable = False
+    problem.swept = (key, t)
+    return t
+
+
 def objective(problem: Problem, x: np.ndarray) -> float:
     """Full composite objective ``P(x)``."""
     x = _check_point(problem, x)
-    t = problem.data.features @ x
+    t = margins(problem, x)
     smooth = float(problem.loss.values(t, problem.data.labels).mean())
     return smooth + problem.reg.value(x)
 
@@ -258,11 +294,14 @@ def full_pass(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Both products are those of :class:`Rows`, the kernel of the minibatch
     estimator :func:`~dasvrda.sampling.vr_gradient`, so a batch of all
-    ``n`` rows in order gives this gradient bit for bit.
+    ``n`` rows in order gives this gradient bit for bit.  The predictions
+    come through :func:`margins`, so they cost nothing when the objective
+    was just evaluated at the same point.
     """
     x = _check_point(problem, x)
     rows = take_rows(problem.data.features)
-    derivs = problem.loss.derivatives(rows.dot(x), problem.data.labels)
+    t = margins(problem, x, rows)
+    derivs = problem.loss.derivatives(t, problem.data.labels)
     return derivs, rows.tdot(derivs / problem.n)
 
 

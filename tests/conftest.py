@@ -1,4 +1,6 @@
-"""Shared pytest hooks: print one summary line per acceptance criterion.
+"""Shared pytest hooks and fixtures.
+
+The hooks print one summary line per acceptance criterion.
 
 The acceptance tests live in ``test_acceptance.py`` and are named
 ``test_criterion_NN_<slug>``.  After the run, one line per criterion is
@@ -9,6 +11,9 @@ digging through the verbose listing:
 """
 
 import re
+
+import pytest
+import scipy.sparse as sp
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -41,3 +46,23 @@ def pytest_terminal_summary(terminalreporter):
         if entry["detail"]:
             line += f" ({entry['detail']})"
         terminalreporter.write_line(line)
+
+
+class CountingCSR(sp.csr_matrix):
+    """CSR matrix that counts its matrix-vector products ``mat @ x``
+    (products with its transpose, a separate matrix, are not counted)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.products = 0
+
+    def _matmul_vector(self, other):
+        self.products += 1
+        return super()._matmul_vector(other)
+
+
+@pytest.fixture
+def counting_csr():
+    """The :class:`CountingCSR` class.  Build a ``Dataset`` on it directly:
+    ``make_dataset`` copies into a plain CSR matrix."""
+    return CountingCSR

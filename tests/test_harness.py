@@ -14,10 +14,19 @@ from dasvrda import (
     run_experiment,
     save_libsvm,
 )
+from dasvrda import harness
 from dasvrda.cli import _build_parser, main
-from dasvrda.harness import ALGORITHMS, parse_loss, parse_synthetic, resolve
+from dasvrda.harness import (
+    ALGORITHMS,
+    _warm_start,
+    parse_loss,
+    parse_synthetic,
+    resolve,
+)
 from dasvrda.losses import Logistic, SmoothedHinge, Squared
-from dasvrda.solvers import gamma_star
+from dasvrda.problem import Dataset, ElasticNet, make_problem
+from dasvrda.sampling import make_rng
+from dasvrda.solvers import eta_default, gamma_star, run_dasvrda_warm
 from dasvrda.trace import TraceRecord
 
 
@@ -327,7 +336,9 @@ def test_pg_and_svrg_traces_report_running_average(tmp_path):
 
 #: Final objectives of the runs in the test below, recorded before the
 #: algorithm registry replaced the per-name dispatch; they pin every
-#: runner's trajectory.
+#: runner's trajectory.  ``dasvrda-warm`` was re-recorded when its default
+#: step moved from the nominal loop length ``n // batch`` to the loop
+#: length its momentum phase runs (the step ``run_dasvrda_warm`` picks).
 PINNED_FINAL_OBJECTIVE = {
     "pg": 2.155010826586471,
     "apg": 1.2317493463260243,
@@ -336,7 +347,7 @@ PINNED_FINAL_OBJECTIVE = {
     "dasvrda-sc": 0.3093577281181003,
     "dasvrda-ar-f": 0.14295820945630155,
     "dasvrda-ar-g": 0.14295820945630155,
-    "dasvrda-warm": 0.013511878953817669,
+    "dasvrda-warm": 0.015028973736926767,
     "dasvrg": 0.14291856969685895,
 }
 
@@ -362,6 +373,37 @@ def test_warm_explicit_parameters(tmp_path):
     config = lasso_config(algo="dasvrda-warm", stages=4, warm_m0=2)
     result = run_experiment(config)  # warm_stages derived from m and m0
     assert result.records[-1].stage >= 4
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(warm_m0=2, batch=3)])
+def test_warm_default_step_is_the_runners(overrides):
+    """Without ``eta``, the harness and ``run_dasvrda_warm`` take the same
+    step: the theory step for the loop length of the momentum phase."""
+    config = lasso_config(algo="dasvrda-warm", stages=3, **overrides)
+    run = resolve(config)
+    prob = run.problem
+    m0, n_warm = _warm_start(config, prob, run.gamma, run.m)
+    assert run.eta == eta_default(run.gamma, run.header["epoch_len"],
+                                  config.batch, prob.mean_smoothness)
+    x = run_dasvrda_warm(prob, np.zeros(prob.d), run.gamma, m0, config.batch,
+                         n_warm, run.stages, run.scheme, make_rng(config.seed))
+    np.testing.assert_array_equal(run_experiment(config).x, x)
+
+
+def test_function_restart_sweeps_the_data_once_per_stage(monkeypatch, counting_csr):
+    """dasvrda-ar-f evaluates ``A @ x`` at each stage output for the
+    restart test, the trace and the next anchor; the three share one
+    product, as do the three uses of ``x0``."""
+    rng = np.random.default_rng(5)
+    n, d = 200, 50   # 10000 entries: full products go through ``mat @ x``
+    data = Dataset(counting_csr(rng.standard_normal((n, d))), rng.standard_normal(n))
+    problem = make_problem(data, Squared(), ElasticNet(1e-3, 0.0))
+    monkeypatch.setattr(harness, "load_problem", lambda config: problem)
+    stages = 4
+    result = run_experiment(lasso_config(algo="dasvrda-ar-f", batch=4,
+                                         stages=stages, lazy="off"))
+    assert len(result.records) == 1 + stages
+    assert data.features.products == 1 + stages
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

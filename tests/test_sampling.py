@@ -90,6 +90,32 @@ def test_weighted_scheme_equality():
         hash(IidWeighted(q))
 
 
+@pytest.mark.parametrize("seed,b,m", [(0, 1, None), (1, 7, None), (2, 7, 13),
+                                       (3, 71, 70), (4, 16, 1)])
+def test_weighted_draw_matches_plain_search(seed, b, m):
+    """The draw searches its keys in sorted order; each index must be the
+    one a plain ``searchsorted`` in draw order gives, keys that equal a CDF
+    entry included."""
+    shape = b if m is None else (m, b)
+    keys = np.random.default_rng(seed).random(shape)
+    # Every key is a multiple of 2**-53 in [0, 1), so differences and
+    # partial sums of such breakpoints are exact: the scheme's CDF is the
+    # breakpoints themselves, and half the keys sit exactly on an entry.
+    others = np.random.default_rng(seed + 100).random(40)
+    cdf = np.unique(np.concatenate((keys.ravel()[::2], others, [1.0])))
+    scheme = IidWeighted(np.diff(cdf, prepend=0.0))
+    np.testing.assert_array_equal(scheme._cdf, cdf)
+    assert np.isin(keys, cdf).any()
+    expect = np.minimum(np.searchsorted(cdf, keys, side="right"), cdf.size - 1)
+    gen = np.random.default_rng(seed)
+    got = scheme.draw(gen, b, m)
+    assert got.dtype == np.int64 and got.shape == keys.shape
+    np.testing.assert_array_equal(got, expect)
+    after = np.random.default_rng(seed)
+    after.random(shape)
+    assert gen.random() == after.random()
+
+
 def test_importance_weights():
     scheme = IidWeighted(np.array([0.25, 0.75]))  # smoothness pair (1, 3)
     assert importance_weight(scheme, 0, 2) == 2.0
@@ -188,6 +214,24 @@ def test_partition_full_batch_estimator_is_exact():
         idx = draw_batch(scheme, stream, problem.n)
         est = vr_gradient(problem, anchor, scheme, y, idx)
         assert np.array_equal(est, full_gradient(problem, y))
+
+
+def test_anchor_takes_over_the_swept_copy_of_its_point():
+    rng = np.random.default_rng(7)
+    problem = small_problem(rng)
+    x = rng.standard_normal(problem.d)
+    p = problem_module.objective(problem, x)
+    anchor = make_anchor(problem, x)
+    assert anchor.x is not x and anchor.x.tobytes() == x.tobytes()
+    assert not anchor.x.flags.writeable
+    assert problem.swept == (None, None)
+    assert problem_module.objective(problem, anchor.x) == p
+    x += 1.0   # the caller's array stays its own
+    assert not np.any(anchor.x == x)
+    fresh = small_problem(np.random.default_rng(7))
+    derivs, grad = problem_module.full_pass(fresh, anchor.x)
+    assert anchor.derivs.tobytes() == derivs.tobytes()
+    assert anchor.grad.tobytes() == grad.tobytes()
 
 
 # ---------------------------------------------------------------------------
