@@ -24,7 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problem import Problem, default_prox, full_gradient
+# ``prox_elastic_net`` is looked up on its module at each call, so that a
+# wrapper installed there (the per-layer tracer, ``perfbench/tracer.py``)
+# sees every prox.
+from . import problem as problem_module
+from .problem import Problem, full_gradient
 from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor, vr_gradient
 
 StageHook = Callable[[int, np.ndarray, int, bool], None]
@@ -53,7 +57,8 @@ class Ledger:
 
 def one_stage_pg(problem: Problem, x: np.ndarray, eta: float) -> np.ndarray:
     """One proximal gradient step ``prox_{eta R}(x - eta * grad F(x))``."""
-    return default_prox(problem)(x - eta * full_gradient(problem, x), eta)
+    return problem_module.prox_elastic_net(
+        x - eta * full_gradient(problem, x), eta, problem.reg)
 
 
 def run_pg(
@@ -93,7 +98,6 @@ def run_apg(
     with ``theta_0 = 0``; returns the last iterate.
     """
     ledger = Ledger(budget, on_stage)
-    prox = default_prox(problem)
     x = np.asarray(x0, dtype=np.float64).copy()
     x_prev = x.copy()
     theta_prev = 0.0
@@ -103,7 +107,8 @@ def run_apg(
         theta = (s + 1) / 2.0
         y = x + ((theta_prev - 1.0) / theta) * (x - x_prev)
         x_prev = x
-        x = prox(y - eta * full_gradient(problem, y), eta)
+        x = problem_module.prox_elastic_net(
+            y - eta * full_gradient(problem, y), eta, problem.reg)
         theta_prev = theta
         ledger.charge(x, problem.n)
     return x
@@ -129,14 +134,13 @@ def one_stage_svrg(
     """
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
-    prox = default_prox(problem)
     anchor = make_anchor(problem, x_anchor)
     x = anchor.x.copy()
     total = np.zeros_like(x)
     plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
     for k in range(1, m + 1):
         g = vr_gradient(problem, anchor, scheme, x, plan.rows(k - 1))
-        x = prox(x - eta * g, eta)
+        x = problem_module.prox_elastic_net(x - eta * g, eta, problem.reg)
         total += x
         if on_iterate is not None:
             on_iterate(k, {"x": x.copy(), "g": g.copy()})

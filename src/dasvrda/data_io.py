@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -144,7 +145,9 @@ class SyntheticSpec:
     label noise) or ``"ridge-logistic"`` (same design, labels flipped by
     logistic noise around the ground-truth margin).  ``density`` is the
     per-entry Bernoulli probability of a nonzero feature and ``sparsity``
-    the number of nonzero ground-truth coefficients.
+    the number of nonzero ground-truth coefficients.  Either kind draws an
+    ``n x d`` float64 array, so a size whose draw exceeds the machine's
+    physical memory is rejected here, before anything is allocated.
     """
 
     kind: str
@@ -168,6 +171,21 @@ class SyntheticSpec:
             raise ValueError(
                 f"sparsity must be in [0, d], got {self.sparsity} with d={self.d}"
             )
+        need, have = 8 * self.n * self.d, physical_memory()
+        if have is not None and need > have:
+            raise ValueError(
+                f"synthetic n={self.n}, d={self.d} draws an n x d float64 "
+                f"array of {need} bytes, more than the {have} bytes of "
+                f"physical memory"
+            )
+
+
+def physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

@@ -22,7 +22,8 @@ from .baselines import run_apg, run_pg, run_svrg
 from .data_io import SyntheticSpec, generate_synthetic, load_libsvm, normalize_rows
 from .lazy import lazy_one_stage_accsvrda
 from .losses import Logistic, SmoothedHinge, Squared
-from .problem import ElasticNet, Problem, dataset_summary, make_problem, objective
+from .problem import (ElasticNet, Problem, dataset_summary, make_problem, objective,
+                      products_form)
 from .reference import load_reference, problem_fingerprint
 from .sampling import IidUniform, Partition, make_rng, smoothness_weighted
 from .solvers import (
@@ -479,6 +480,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
         "lipschitz": lipschitz,
         "lazy": use_lazy,
         "lazy_reason": lazy_reason,
+        "products": products_form(problem.data.features),
         "seed": config.seed,
         "generator": "pcg64",
         "budget": config.budget,

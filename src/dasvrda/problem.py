@@ -33,14 +33,14 @@ from .losses import LossKind
 SMOOTHNESS_FLOOR = 1e-12
 
 #: Most stored entries one :class:`Rows` holds as flat arrays.  Above it,
-#: the products go through scipy's compiled CSR loops, whose fixed cost of
-#: about 150 us per minibatch no longer dominates.  On one thread of a
+#: the products go through compiled loops, whose fixed cost of about 150 us
+#: per minibatch no longer dominates: BLAS on a dense view when the matrix
+#: stores every entry, scipy's CSR products otherwise.  On one thread of a
 #: 2-vCPU x86-64 VM (``python tools/fit_engine.py kernel``), a planned
-#: minibatch gradient is faster on the kernel up to 6000 entries (7x at
-#: 250) and slower from 8000 on (5x at 10^6).  A full pass, which needs no
-#: row slice, crosses over near 3000, but a stage makes one against ``m``
-#: minibatch steps.  Both forms add the same products in the same order, so
-#: the choice never changes a bit of a result.
+#: minibatch gradient is faster on the kernel than on scipy's form up to
+#: 6000 entries (7x at 250) and slower from 8000 on (5x at 10^6).  A full
+#: pass, which needs no row slice, crosses over near 3000, but a stage makes
+#: one against ``m`` minibatch steps.
 KERNEL_MAX_ENTRIES = 6000
 
 
@@ -196,15 +196,26 @@ def row_entries(
 class Rows:
     """Rows ``idx`` of a CSR design matrix (in order, possibly repeated),
     ready for the two products of a gradient: :meth:`dot` is
-    ``A[idx] @ x`` and :meth:`tdot` is ``A[idx].T @ v``.
+    ``A[idx] @ x`` and :meth:`tdot` is ``A[idx].T @ v``.  ``idx`` is None
+    for all rows in order.  Three forms (see :attr:`form`):
 
-    Up to :data:`KERNEL_MAX_ENTRIES` stored entries, the rows are flat
-    arrays in row order -- ``row`` (each entry's position in ``idx``),
-    ``col`` and ``val`` -- and both products are one ``np.bincount`` each.
-    Above it, ``mat`` holds them as a CSR matrix for scipy's products.
-    Either way every output adds its products one at a time, rows in order
-    and entries in stored order, so the two forms agree bit for bit.
-    ``idx`` is None for all rows in order.
+    * ``kernel``, up to :data:`KERNEL_MAX_ENTRIES` stored entries: the rows
+      are flat arrays in row order -- ``row`` (each entry's position in
+      ``idx``), ``col`` and ``val`` -- and each product is one
+      ``np.bincount``;
+    * ``dense``, above it, when the matrix stores every entry: ``dense``
+      holds the rows as a row-major array (for all rows, a view of the
+      matrix's own entries) and each product is one BLAS ``gemv``;
+    * ``csr``, above it otherwise: ``mat`` holds the rows as a CSR matrix
+      for scipy's products.
+
+    The kernel and the csr form add every output's products one at a time,
+    rows in order and entries in stored order, so they agree bit for bit.
+    BLAS sums in its own order, so the dense form agrees with them only to
+    rounding.  Its products do not depend on where the rows sit in memory
+    (checked on OpenBLAS 0.3.31), so a gathered copy of all rows in order
+    gives the bits of the view, as a minibatch of all ``n`` rows must give
+    the full pass's gradient.
     """
 
     idx: Optional[np.ndarray]
@@ -214,14 +225,25 @@ class Rows:
     col: Optional[np.ndarray] = None
     val: Optional[np.ndarray] = None
     mat: Optional[sp.csr_matrix] = None
+    dense: Optional[np.ndarray] = None
+
+    @property
+    def form(self) -> str:
+        if self.dense is not None:
+            return "dense"
+        return "kernel" if self.mat is None else "csr"
 
     def dot(self, x: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense @ x
         if self.mat is not None:
             return self.mat @ x
         return np.bincount(self.row, weights=self.val * x[self.col],
                            minlength=self.count)
 
     def tdot(self, v: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return v @ self.dense
         if self.mat is not None:
             return self.mat.T @ v
         return np.bincount(self.col, weights=self.val * v[self.row],
@@ -234,19 +256,52 @@ def kernel_sized(entries):
     return entries <= KERNEL_MAX_ENTRIES
 
 
+def dense_view(mat: sp.csr_matrix) -> Optional[np.ndarray]:
+    """``mat`` as a row-major ``n x d`` array that shares its entries, or
+    None unless it stores every one of them.
+
+    A canonical CSR matrix (sorted indices, no duplicates) with ``n * d``
+    stored entries holds row ``i`` as ``data[i*d:(i+1)*d]``, columns in
+    order, so the reshape copies nothing.  Both tests take constant time:
+    ``nnz`` is the last row pointer, and scipy checks the canonical format
+    once per matrix and keeps the answer on it.
+    """
+    n, d = mat.shape
+    if mat.nnz != n * d or not mat.has_canonical_format:
+        return None
+    return mat.data.reshape(n, d)
+
+
 def take_rows(mat: sp.csr_matrix, idx: Optional[np.ndarray] = None) -> Rows:
     """Rows ``idx`` of ``mat`` (all rows when None) as :class:`Rows`, in
-    the form the entry count picks."""
+    the form the entry count and :func:`dense_view` pick.  All rows keep
+    the matrix's own arrays; a subset is gathered (``X[idx]`` in the dense
+    form) or sliced (``mat[idx]`` in the csr form).  Only the kernel and
+    the csr form give the same bits as each other."""
     n, d = mat.shape
     if idx is None:
-        if not kernel_sized(mat.nnz):
-            return Rows(None, n, d, mat=mat)
-        row = np.repeat(np.arange(n), np.diff(mat.indptr))
-        return Rows(None, n, d, row, mat.indices.astype(np.intp), mat.data)
-    lens = mat.indptr[idx + 1] - mat.indptr[idx]
-    if not kernel_sized(lens.sum()):
-        return Rows(idx, idx.size, d, mat=mat[idx])
-    return Rows(idx, idx.size, d, *row_entries(mat, idx, lens))
+        count, entries = n, mat.nnz
+    else:
+        lens = mat.indptr[idx + 1] - mat.indptr[idx]
+        count, entries = idx.size, lens.sum()
+    if kernel_sized(entries):
+        if idx is None:
+            row = np.repeat(np.arange(n), np.diff(mat.indptr))
+            return Rows(None, n, d, row, mat.indices.astype(np.intp), mat.data)
+        return Rows(idx, count, d, *row_entries(mat, idx, lens))
+    dense = dense_view(mat)
+    if dense is not None:
+        return Rows(idx, count, d, dense=dense if idx is None else dense[idx])
+    return Rows(idx, count, d, mat=mat if idx is None else mat[idx])
+
+
+def products_form(mat: sp.csr_matrix) -> str:
+    """The form of a full pass's products over ``mat`` and why, as the
+    trace header's ``products`` reports it."""
+    n, d = mat.shape
+    limit = "<=" if kernel_sized(mat.nnz) else ">"
+    return (f"{take_rows(mat).form}: {mat.nnz} of {n}x{d} entries stored, "
+            f"{limit} {KERNEL_MAX_ENTRIES}")
 
 
 def _check_point(problem: Problem, x: np.ndarray) -> np.ndarray:
@@ -329,13 +384,3 @@ def prox_elastic_net(z: np.ndarray, scale: float, reg: ElasticNet) -> np.ndarray
     if shrink != 1.0:
         u /= shrink
     return u
-
-
-def default_prox(problem: Problem):
-    """Prox callback for ``problem``'s own elastic net regularizer."""
-    reg = problem.reg
-
-    def prox(z: np.ndarray, scale: float) -> np.ndarray:
-        return prox_elastic_net(z, scale, reg)
-
-    return prox

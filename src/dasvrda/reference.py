@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import one_stage_pg
-from .problem import Problem, default_prox, full_gradient, objective
+from .problem import Problem, full_gradient, objective, prox_elastic_net
 
 
 @dataclass
@@ -85,7 +85,6 @@ def compute_reference(
                 tolerance=float(cached["tolerance"]),
             )
 
-    prox = default_prox(problem)
     x = np.zeros(problem.d)
     p = objective(problem, x)
 
@@ -114,7 +113,7 @@ def compute_reference(
         theta = (s_local + 1) / 2.0
         y = x + ((theta_prev - 1.0) / theta) * (x - x_prev)
         x_prev = x
-        x = prox(y - eta * full_gradient(problem, y), eta)
+        x = prox_elastic_net(y - eta * full_gradient(problem, y), eta, problem.reg)
         theta_prev = theta
         p_new = objective(problem, x)
         if p_new > p:

@@ -174,9 +174,9 @@ class BatchPlan:
     :class:`~dasvrda.problem.Rows`.  Their stored entries are gathered for
     a block of consecutive steps at once, at most
     :data:`PLAN_BLOCK_ENTRIES` of them (or one step that has more).  A step
-    above :data:`~dasvrda.problem.KERNEL_MAX_ENTRIES` entries gets scipy's
-    form instead, unless ``gather_all`` (the lazy engine needs the flat
-    entries at every size).
+    above :data:`~dasvrda.problem.KERNEL_MAX_ENTRIES` entries gets the form
+    :func:`~dasvrda.problem.take_rows` gives it instead, unless
+    ``gather_all`` (the lazy engine needs the flat entries at every size).
     """
 
     def __init__(self, features, idx: np.ndarray, gather_all: bool = False) -> None:
@@ -272,10 +272,10 @@ def vr_gradient(
     ``b == n``), so the estimate degrades into the deterministic gradient
     with no rounding noise.  ``B`` takes the products of
     :class:`~dasvrda.problem.Rows`, as :func:`~dasvrda.problem.full_pass`
-    does, so that coincidence is bitwise: up to
-    :data:`~dasvrda.problem.KERNEL_MAX_ENTRIES` entries a gather from the
-    CSR arrays and three ``np.bincount`` calls, above it scipy's products,
-    with the same bits either way.
+    does, so that coincidence is bitwise: a batch of all ``n`` rows in
+    order takes the form of the full pass (see
+    :class:`~dasvrda.problem.Rows`), both being above
+    :data:`~dasvrda.problem.KERNEL_MAX_ENTRIES` entries or both below.
     """
     rows = idx if isinstance(idx, Rows) else take_rows(problem.data.features, idx)
     idx = rows.idx

@@ -30,7 +30,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .problem import Problem, default_prox, objective
+# ``prox_elastic_net`` is looked up on its module at each call, so that a
+# wrapper installed there (the per-layer tracer, ``perfbench/tracer.py``)
+# sees every prox.
+from . import problem as problem_module
+from .problem import Problem, objective
 from .baselines import InnerHook, Ledger, StageHook
 from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor, vr_gradient
 
@@ -135,7 +139,6 @@ def one_stage_accsvrda(
     """
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
-    prox = default_prox(problem)
     anchor = make_anchor(problem, x_anchor)
     x = np.asarray(y_start, dtype=np.float64).copy()
     z = x.copy()
@@ -148,7 +151,7 @@ def one_stage_accsvrda(
         g = vr_gradient(problem, anchor, scheme, y, plan.rows(k - 1))
         g_bar = (1.0 - inv) * g_bar + inv * g
         step = eta * theta_pair(k)
-        z = prox(z0 - step * g_bar, step)
+        z = problem_module.prox_elastic_net(z0 - step * g_bar, step, problem.reg)
         x = (1.0 - inv) * x + inv * z
         if on_iterate is not None:
             on_iterate(
@@ -183,7 +186,6 @@ def one_stage_dasvrg(
     """
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
-    prox = default_prox(problem)
     anchor = make_anchor(problem, x_anchor)
     x = np.asarray(y_start, dtype=np.float64).copy()
     z = x.copy()
@@ -193,7 +195,7 @@ def one_stage_dasvrg(
         y = (1.0 - inv) * x + inv * z
         g = vr_gradient(problem, anchor, scheme, y, plan.rows(k - 1))
         step = eta * theta_inner(k - 1)
-        z = prox(z - step * g, step)
+        z = problem_module.prox_elastic_net(z - step * g, step, problem.reg)
         x = (1.0 - inv) * x + inv * z
         if on_iterate is not None:
             on_iterate(k, {"x": x.copy(), "z": z.copy(), "y": y.copy(), "g": g.copy()})

@@ -13,7 +13,6 @@ digging through the verbose listing:
 import re
 
 import pytest
-import scipy.sparse as sp
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -48,21 +47,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
-class CountingCSR(sp.csr_matrix):
-    """CSR matrix that counts its matrix-vector products ``mat @ x``
-    (products with its transpose, a separate matrix, are not counted)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.products = 0
-
-    def _matmul_vector(self, other):
-        self.products += 1
-        return super()._matmul_vector(other)
-
-
 @pytest.fixture
-def counting_csr():
-    """The :class:`CountingCSR` class.  Build a ``Dataset`` on it directly:
-    ``make_dataset`` copies into a plain CSR matrix."""
-    return CountingCSR
+def full_products(monkeypatch):
+    """A list that gets the form of every product ``A @ x`` over all rows
+    of a design matrix, as :meth:`~dasvrda.problem.Rows.dot` takes it
+    (``"kernel"``, ``"csr"`` or ``"dense"``): its length counts them."""
+    from dasvrda.problem import Rows
+
+    forms = []
+    dot = Rows.dot
+
+    def counted(rows, x):
+        if rows.idx is None:
+            forms.append(rows.form)
+        return dot(rows, x)
+
+    monkeypatch.setattr(Rows, "dot", counted)
+    return forms

@@ -10,6 +10,7 @@ from dasvrda import (
     normalize_rows,
     save_libsvm,
 )
+from dasvrda import data_io
 from dasvrda.problem import dataset_summary
 
 
@@ -132,6 +133,17 @@ def test_synthetic_spec_validation():
         SyntheticSpec(kind="lasso", n=5, d=5, noise=-1.0)
     with pytest.raises(ValueError, match="n >= 1"):
         SyntheticSpec(kind="lasso", n=0, d=5)
+
+
+def test_synthetic_spec_rejects_a_draw_beyond_physical_memory(monkeypatch):
+    with pytest.raises(ValueError, match="8000000000000000000 bytes"):
+        SyntheticSpec(kind="ridge-logistic", n=10**9, d=10**9)
+    monkeypatch.setattr(data_io, "physical_memory", lambda: 8 * 5 * 5)
+    SyntheticSpec(kind="lasso", n=5, d=5, sparsity=2)
+    with pytest.raises(ValueError, match="240 bytes, more than the 200 bytes"):
+        SyntheticSpec(kind="lasso", n=5, d=6, sparsity=2)
+    monkeypatch.setattr(data_io, "physical_memory", lambda: None)
+    SyntheticSpec(kind="lasso", n=10**9, d=10**9)
 
 
 def test_synthetic_is_deterministic_per_seed():

@@ -24,7 +24,7 @@ from dasvrda.harness import (
     resolve,
 )
 from dasvrda.losses import Logistic, SmoothedHinge, Squared
-from dasvrda.problem import Dataset, ElasticNet, make_problem
+from dasvrda.problem import ElasticNet, make_problem
 from dasvrda.sampling import make_rng
 from dasvrda.solvers import eta_default, gamma_star, run_dasvrda_warm
 from dasvrda.trace import TraceRecord
@@ -183,6 +183,18 @@ def test_header_records_engine_reason(tmp_path):
         headers.append(read_trace(path)[0])
     assert headers[0] == headers[1]
     assert headers[0]["lazy_reason"] == cases[0][1]
+
+
+def test_header_names_the_form_of_the_full_pass():
+    def header(**spec):
+        synthetic = SyntheticSpec(kind="lasso", sparsity=5, seed=0, **spec)
+        return resolve(lasso_config(synthetic=synthetic)).header["products"]
+
+    assert header(n=60, d=20) == "kernel: 1200 of 60x20 entries stored, <= 6000"
+    assert header(n=200, d=50) == "dense: 10000 of 200x50 entries stored, > 6000"
+    assert header(n=200, d=50) == header(n=200, d=50)
+    text = header(n=400, d=50, density=0.5)
+    assert text.startswith("csr: ") and text.endswith(" of 400x50 entries stored, > 6000")
 
 
 @pytest.mark.parametrize(
@@ -390,20 +402,26 @@ def test_warm_default_step_is_the_runners(overrides):
     np.testing.assert_array_equal(run_experiment(config).x, x)
 
 
-def test_function_restart_sweeps_the_data_once_per_stage(monkeypatch, counting_csr):
+def test_function_restart_sweeps_the_data_once_per_stage(monkeypatch, full_products):
     """dasvrda-ar-f evaluates ``A @ x`` at each stage output for the
     restart test, the trace and the next anchor; the three share one
     product, as do the three uses of ``x0``."""
-    rng = np.random.default_rng(5)
-    n, d = 200, 50   # 10000 entries: full products go through ``mat @ x``
-    data = Dataset(counting_csr(rng.standard_normal((n, d))), rng.standard_normal(n))
-    problem = make_problem(data, Squared(), ElasticNet(1e-3, 0.0))
-    monkeypatch.setattr(harness, "load_problem", lambda config: problem)
+    n, d = 200, 50   # 10000 entries: full products on BLAS or scipy
     stages = 4
-    result = run_experiment(lasso_config(algo="dasvrda-ar-f", batch=4,
-                                         stages=stages, lazy="off"))
-    assert len(result.records) == 1 + stages
-    assert data.features.products == 1 + stages
+    for form in ("dense", "csr"):
+        rng = np.random.default_rng(5)
+        mat = rng.standard_normal((n, d))
+        if form == "csr":
+            mat[7, 3] = 0.0
+        data = make_dataset(mat, rng.standard_normal(n))
+        problem = make_problem(data, Squared(), ElasticNet(1e-3, 0.0))
+        monkeypatch.setattr(harness, "load_problem", lambda config: problem)
+        result = run_experiment(lasso_config(algo="dasvrda-ar-f", batch=4,
+                                             stages=stages, lazy="off"))
+        assert result.header["products"].startswith(form)
+        assert len(result.records) == 1 + stages
+        assert full_products == [form] * (1 + stages)
+        full_products.clear()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -464,6 +482,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_synthetic_draw_beyond_physical_memory(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    code = main([
+        "run", "--synthetic", "lasso:n=1000000,d=1000000", "--l1", "1e-3",
+        "--budget", "100", "--trace", str(trace),
+    ])
+    assert code == 2
+    assert "8000000000000 bytes" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_cli_bad_batch_exit_code(tmp_path, capsys):

@@ -24,6 +24,7 @@ from dasvrda import (
     smoothness_weighted,
 )
 from dasvrda.lazy import _threshold_run, branch_runs, catch_up
+from dasvrda.problem import take_rows
 from dasvrda.solvers import theta_pair
 
 
@@ -358,6 +359,26 @@ def test_lazy_stage_matches_dense_stage_at_high_d():
     lazy = lazy_one_stage_accsvrda(problem, y0, anchor, eta, m, b, scheme, make_rng(3))
     for got, expect in zip(lazy, dense):
         assert np.max(np.abs(got - expect)) <= 1e-9
+
+
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+def test_lazy_stage_matches_dense_stage_on_a_fully_stored_matrix(loss):
+    # 200 x 50, every entry stored: the dense engine's full passes and its
+    # 150-row minibatches (7500 entries) take BLAS on the dense view, the
+    # lazy engine's minibatches the flat-array kernel.
+    problem = sparse_problem(seed=9, n=200, d=50, density=1.0, loss=loss)
+    assert take_rows(problem.data.features).form == "dense"
+    scheme = IidUniform(problem.n)
+    eta = 0.3 / problem.max_smoothness
+    rng = np.random.default_rng(12)
+    y0 = 0.5 * rng.standard_normal(problem.d)
+    anchor = 0.5 * rng.standard_normal(problem.d)
+    m, b = 12, 150
+    dense = one_stage_accsvrda(problem, y0, anchor, eta, m, b, scheme, make_rng(4))
+    lazy = lazy_one_stage_accsvrda(problem, y0, anchor, eta, m, b, scheme, make_rng(4))
+    for got, expect in zip(lazy, dense):
+        scale = max(1.0, float(np.max(np.abs(expect))))
+        assert np.max(np.abs(got - expect)) <= 1e-9 * scale
 
 
 def test_lazy_snapshots_match_dense_midflight():

@@ -21,11 +21,11 @@ from dasvrda import (
 from dasvrda.problem import (
     KERNEL_MAX_ENTRIES,
     SMOOTHNESS_FLOOR,
-    Dataset,
     dataset_summary,
     full_pass,
     margins,
     row_norms_sq,
+    take_rows,
 )
 
 
@@ -207,61 +207,78 @@ def test_row_norms_match_scipy_row_sums_bitwise():
         assert got.tobytes() == expect.tobytes()
 
 
-def counted_problem(counting_csr, n=200, d=50, seed=13):
-    """Dense least squares on a counting matrix, above the kernel limit so
-    that every full product goes through ``mat @ x``."""
+def counted_problem(form, n=200, d=50, seed=13):
+    """Dense least squares above the kernel limit whose full products take
+    ``form``: every entry stored (``"dense"``) or one missing (``"csr"``)."""
     rng = np.random.default_rng(seed)
-    data = Dataset(counting_csr(rng.standard_normal((n, d))), rng.standard_normal(n))
+    mat = rng.standard_normal((n, d))
+    if form == "csr":
+        mat[n // 2, d // 3] = 0.0
+    data = make_dataset(mat, rng.standard_normal(n))
     assert data.features.nnz > KERNEL_MAX_ENTRIES
+    assert take_rows(data.features).form == form
     return make_problem(data, Squared(), ElasticNet(1e-3, 1e-4)), rng
+
+
+ABOVE_LIMIT = ("dense", "csr")
 
 
 def test_margins_match_the_product_bitwise():
     rng = np.random.default_rng(14)
-    # Below and above the kernel limit.
-    for n, d, density in ((40, 9, 0.6), (200, 50, 1.0)):
-        prob, _, _ = random_problem(rng, Squared(), n=n, d=d, density=density)
-        assert (prob.data.features.nnz <= KERNEL_MAX_ENTRIES) == (n == 40)
-        x = rng.standard_normal(d)
-        expect = prob.data.features @ x
+    # Below the kernel limit, and above it with every entry stored or not.
+    problems = [random_problem(rng, Squared(), n=40, d=9, density=0.6)[0]]
+    problems += [counted_problem(form)[0] for form in ABOVE_LIMIT]
+    for prob, form in zip(problems, ("kernel",) + ABOVE_LIMIT):
+        rows = take_rows(prob.data.features)
+        assert rows.form == form
+        x = rng.standard_normal(prob.d)
+        expect = rows.dot(x)
+        if form != "dense":
+            assert expect.tobytes() == (prob.data.features @ x).tobytes()
         assert margins(prob, x).tobytes() == expect.tobytes()
         assert margins(prob, x.copy()).tobytes() == expect.tobytes()   # memo hit
 
 
-def test_objective_then_full_pass_sweep_once(counting_csr):
-    prob, rng = counted_problem(counting_csr)
-    mat = prob.data.features
-    x = rng.standard_normal(prob.d)
-    p = objective(prob, x)
-    derivs, grad = full_pass(prob, x.copy())
-    assert objective(prob, x) == p
-    assert mat.products == 1
-    fresh, _ = counted_problem(counting_csr)
-    derivs_fresh, grad_fresh = full_pass(fresh, x)
-    assert derivs.tobytes() == derivs_fresh.tobytes()
-    assert grad.tobytes() == grad_fresh.tobytes()
-    full_pass(prob, -x)
-    assert mat.products == 2
+def test_objective_then_full_pass_sweep_once(full_products):
+    for form in ABOVE_LIMIT:
+        prob, rng = counted_problem(form)
+        x = rng.standard_normal(prob.d)
+        p = objective(prob, x)
+        derivs, grad = full_pass(prob, x.copy())
+        assert objective(prob, x) == p
+        assert full_products == [form]
+        fresh, _ = counted_problem(form)
+        derivs_fresh, grad_fresh = full_pass(fresh, x)
+        assert derivs.tobytes() == derivs_fresh.tobytes()
+        assert grad.tobytes() == grad_fresh.tobytes()
+        full_pass(prob, -x)
+        assert full_products == [form] * 3   # one of them for ``fresh``
+        full_products.clear()
 
 
-def test_margins_recomputed_after_in_place_mutation(counting_csr):
-    prob, rng = counted_problem(counting_csr)
-    x = rng.standard_normal(prob.d)
-    objective(prob, x)
-    x[3] += 1.0
-    fresh, _ = counted_problem(counting_csr)
-    assert objective(prob, x) == objective(fresh, x.copy())
-    assert prob.data.features.products == 2
-    np.testing.assert_array_equal(margins(prob, x), prob.data.features @ x)
+def test_margins_recomputed_after_in_place_mutation(full_products):
+    for form in ABOVE_LIMIT:
+        prob, rng = counted_problem(form)
+        x = rng.standard_normal(prob.d)
+        objective(prob, x)
+        x[3] += 1.0
+        fresh, _ = counted_problem(form)
+        assert objective(prob, x) == objective(fresh, x.copy())
+        assert full_products == [form] * 3   # two of them for ``prob``
+        rows = take_rows(prob.data.features)
+        assert margins(prob, x).tobytes() == rows.dot(x).tobytes()
+        full_products.clear()
 
 
-def test_problems_on_the_same_data_keep_their_own_margins(counting_csr):
-    prob, rng = counted_problem(counting_csr)
-    other = make_problem(prob.data, Squared(), ElasticNet(0.5, 0.0))
-    copy = dataclasses.replace(prob)
-    x = rng.standard_normal(prob.d)
-    objective(prob, x)
-    objective(other, x)
-    objective(copy, x)
-    assert prob.data.features.products == 3
-    assert margins(prob, x) is not margins(other, x)
+def test_problems_on_the_same_data_keep_their_own_margins(full_products):
+    for form in ABOVE_LIMIT:
+        prob, rng = counted_problem(form)
+        other = make_problem(prob.data, Squared(), ElasticNet(0.5, 0.0))
+        copy = dataclasses.replace(prob)
+        x = rng.standard_normal(prob.d)
+        objective(prob, x)
+        objective(other, x)
+        objective(copy, x)
+        assert full_products == [form] * 3
+        assert margins(prob, x) is not margins(other, x)
+        full_products.clear()

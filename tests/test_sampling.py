@@ -22,7 +22,9 @@ from dasvrda import problem as problem_module
 from dasvrda import sampling as sampling_module
 from dasvrda.losses import Logistic
 from dasvrda.problem import Rows, row_entries, take_rows
+from dasvrda.baselines import one_stage_pg
 from dasvrda.sampling import BatchPlan
+from dasvrda.solvers import one_stage_accsvrda
 
 
 def small_problem(rng, n=12, d=5):
@@ -354,3 +356,97 @@ def test_batch_plan_rows_match_take_rows(monkeypatch, limits):
                 for name in ("row", "col", "val"):
                     assert getattr(got, name).tobytes() == \
                         getattr(kernel, name).tobytes()
+
+
+def stored_problem(loss=Squared(), n=200, d=50, missing=0, seed=4):
+    """Every entry stored but ``missing`` of them: 10000 entries by
+    default, above the kernel limit."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((n, d))
+    mat.ravel()[rng.choice(n * d, missing, replace=False)] = 0.0
+    labels = (np.where(rng.random(n) < 0.5, -1.0, 1.0)
+              if loss.classification else rng.standard_normal(n))
+    return make_problem(make_dataset(mat, labels), loss, ElasticNet(1e-3, 1e-3))
+
+
+def test_dense_form_only_for_fully_stored_matrices_above_the_limit():
+    mat = stored_problem().data.features
+    n, d = mat.shape
+    rows = take_rows(mat)
+    assert rows.form == "dense" and rows.dense.shape == (n, d)
+    assert np.shares_memory(rows.dense, mat.data)   # a view, not a copy
+    assert take_rows(mat, np.arange(121) % 7).form == "dense"   # 6050 entries
+    assert take_rows(mat, np.arange(120) % 7).form == "kernel"   # 6000
+    assert take_rows(stored_problem(n=120).data.features).form == "kernel"
+    missing = stored_problem(missing=1).data.features
+    assert missing.nnz == n * d - 1
+    assert take_rows(missing).form == "csr"
+    assert take_rows(missing, np.arange(150)).form == "csr"
+    # n*d stored entries, but not canonical: columns out of order in one
+    # row, or one column twice and another missing.
+    for cols in ([1, 0], [0, 0]):
+        indices = np.tile(np.arange(d, dtype=np.int32), n)
+        indices[:2] = cols
+        other = sp.csr_matrix((mat.data.copy(), indices, mat.indptr.copy()),
+                              shape=(n, d))
+        assert other.nnz == n * d
+        assert problem_module.dense_view(other) is None
+        assert take_rows(other).form == "csr"
+
+
+def relative_error(got, expect):
+    return float(np.max(np.abs(got - expect)) / np.max(np.abs(expect)))
+
+
+def test_dense_products_agree_with_csr_products():
+    mat = stored_problem().data.features
+    n, d = mat.shape
+    rng = np.random.default_rng(6)
+    everything = np.arange(n)
+    for idx in (None, rng.integers(0, n, size=150), everything):
+        dense = take_rows(mat, idx)
+        assert dense.form == "dense"
+        count = n if idx is None else idx.size
+        csr = Rows(idx, count, d, mat=mat if idx is None else mat[idx])
+        x, v = rng.standard_normal(d), rng.standard_normal(count)
+        assert relative_error(dense.dot(x), csr.dot(x)) <= 1e-12
+        assert relative_error(dense.tdot(v), csr.tdot(v)) <= 1e-12
+    # A gathered copy of all rows gives the bits of the view.
+    view, gathered = take_rows(mat), take_rows(mat, everything)
+    assert not np.shares_memory(gathered.dense, mat.data)
+    assert view.dot(x).tobytes() == gathered.dot(x).tobytes()
+    assert view.tdot(v).tobytes() == gathered.tdot(v).tobytes()
+
+
+def test_full_batch_stage_is_a_prox_gradient_half_step_on_the_dense_form():
+    # Acceptance criterion 09's first reduction, above the kernel limit.
+    problem = stored_problem()
+    n = problem.n
+    rng = np.random.default_rng(99)
+    eta = 0.4 / problem.max_smoothness
+    x = rng.standard_normal(problem.d)
+    plan = BatchPlan(problem.data.features, draw_batch(Partition(n, n), make_rng(0), n, 1))
+    assert plan.rows(0).form == take_rows(problem.data.features).form == "dense"
+    x1, z1 = one_stage_accsvrda(problem, x, x, eta, 1, n, Partition(n, n), make_rng(0))
+    pg = one_stage_pg(problem, x, eta * 0.5)
+    assert np.array_equal(x1, pg)
+    assert np.array_equal(z1, pg)
+
+
+def test_batch_plan_rows_match_take_rows_on_the_dense_form():
+    problem = stored_problem()
+    mat = problem.data.features
+    m, b = 6, 150   # 7500 entries per step
+    idx = draw_batch(IidUniform(problem.n), make_rng(3), b, m)
+    plan = BatchPlan(mat, idx)
+    rng = np.random.default_rng(7)
+    for k in range(m):
+        got, expect = plan.rows(k), take_rows(mat, idx[k])
+        assert got.form == expect.form == "dense"
+        assert got.idx.tobytes() == idx[k].tobytes()
+        assert got.dense.tobytes() == expect.dense.tobytes()
+        y, v = rng.standard_normal(problem.d), rng.standard_normal(b)
+        assert got.dot(y).tobytes() == expect.dot(y).tobytes()
+        assert got.tdot(v).tobytes() == expect.tdot(v).tobytes()
+    # The lazy engine gathers the flat entries at every size.
+    assert BatchPlan(mat, idx, gather_all=True).rows(0).form == "kernel"

@@ -1,4 +1,4 @@
-"""Trajectory grid: run 216 small configurations and compare two runs bitwise.
+"""Trajectory grid: run 648 small configurations and compare two runs bitwise.
 
 Usage, from the root of a checkout::
 
@@ -14,17 +14,24 @@ Usage, from the root of a checkout::
 * uniform, weighted and partition sampling;
 * two engines: ``--lazy off``, and ``--lazy on`` for an algorithm with a
   lazy stage (``auto`` for the others);
-* two problems: a dense lasso (n=60, d=20) and a density-0.1
-  ridge-logistic problem (n=80, d=40, l1 = l2 = 1e-3);
+* three problems: a dense lasso (n=60, d=20), a density-0.1
+  ridge-logistic problem (n=80, d=40, l1 = l2 = 1e-3), and a dense lasso
+  above ``problem.KERNEL_MAX_ENTRIES`` (n=160, d=50: 8000 entries, all
+  stored, so its full passes take BLAS on the dense view);
 * two stopping rules: 3 stages, or a budget of ``7 n`` evaluations with the
-  stage count left open (2 stages per restart for ``dasvrda-sc``).
+  stage count left open (2 stages per restart for ``dasvrda-sc``);
+* two step rules: the algorithm's default, or an explicit ``eta`` fixed per
+  problem, so that a change to a default step rule and a change to a
+  stage's arithmetic show apart.
 
 Batch size 4, seed 0.  For each configuration it writes the trace
 objectives (as exact hex floats), every trace header key, the returned
 ``x`` and a SHA-256 digest of the three.  ``diff`` reports each
-configuration whose digest differs, with the header keys that differ and
-the largest objective and ``x`` differences, and exits 1 if any does.
-The trace's ``seconds`` column is not recorded, since it is a timing.
+configuration whose objectives or ``x`` differ, with the header keys that
+differ, the largest absolute and relative objective differences and the
+largest ``x`` difference; it counts the configurations that differ in
+header keys only.  It exits 1 if any configuration differs.  The trace's
+``seconds`` column is not recorded, since it is a timing.
 """
 
 from __future__ import annotations
@@ -43,13 +50,19 @@ BATCH = 4
 
 
 def problems(SyntheticSpec):
+    """Run keywords of each problem, and its explicit step size (about
+    ``0.02 / L`` for the mean smoothness ``L``)."""
     return {
-        "lasso": dict(loss="squared", l1=1e-3, l2=0.0,
-                      synthetic=SyntheticSpec(kind="lasso", n=60, d=20,
-                                              sparsity=5, seed=0)),
-        "logistic": dict(loss="logistic", l1=1e-3, l2=1e-3,
-                         synthetic=SyntheticSpec(kind="ridge-logistic", n=80,
-                                                 d=40, density=0.1, seed=1)),
+        "lasso": (dict(loss="squared", l1=1e-3, l2=0.0,
+                       synthetic=SyntheticSpec(kind="lasso", n=60, d=20,
+                                               sparsity=5, seed=0)), 1e-3),
+        "logistic": (dict(loss="logistic", l1=1e-3, l2=1e-3,
+                          synthetic=SyntheticSpec(kind="ridge-logistic", n=80,
+                                                  d=40, density=0.1, seed=1)),
+                     0.02),
+        "stored": (dict(loss="squared", l1=1e-3, l2=0.0,
+                        synthetic=SyntheticSpec(kind="lasso", n=160, d=50,
+                                                sparsity=5, seed=2)), 4e-4),
     }
 
 
@@ -58,22 +71,27 @@ def configs():
     from dasvrda import SyntheticSpec
     from dasvrda.harness import ALGORITHMS
 
-    for pname, pkw in problems(SyntheticSpec).items():
+    for pname, (pkw, eta) in problems(SyntheticSpec).items():
         n = pkw["synthetic"].n
         for algo in ALGOS:
             engines = ("off", "on" if ALGORITHMS[algo].lazy else "auto")
             for sampling in SAMPLINGS:
                 for lazy in engines:
                     for stop in ("stages", "budget"):
-                        kw = dict(pkw, algo=algo, sampling=sampling, lazy=lazy,
-                                  batch=BATCH, seed=0)
-                        if stop == "stages":
-                            kw["stages"] = 3
-                        else:
-                            kw["budget"] = 7 * n
-                            if algo == "dasvrda-sc":
-                                kw["stages"] = 2
-                        yield f"{pname}/{algo}/{sampling}/lazy={lazy}/{stop}", kw
+                        for step in ("default", "eta"):
+                            kw = dict(pkw, algo=algo, sampling=sampling,
+                                      lazy=lazy, batch=BATCH, seed=0)
+                            if stop == "stages":
+                                kw["stages"] = 3
+                            else:
+                                kw["budget"] = 7 * n
+                                if algo == "dasvrda-sc":
+                                    kw["stages"] = 2
+                            key = f"{pname}/{algo}/{sampling}/lazy={lazy}/{stop}"
+                            if step == "eta":
+                                kw["eta"] = eta
+                                key += f"/eta={eta:g}"
+                            yield key, kw
 
 
 def run(src: str, out: str) -> int:
@@ -97,11 +115,19 @@ def run(src: str, out: str) -> int:
     return 0
 
 
-def max_diff(a: list[str], b: list[str]) -> float:
+def max_diff(a: list[str], b: list[str], relative: bool = False) -> float:
+    """Largest difference between two lists of hex floats, absolute or
+    relative to the first list's entries."""
     if len(a) != len(b):
         return float("inf")
-    return max((abs(float.fromhex(u) - float.fromhex(v)) for u, v in zip(a, b)),
-               default=0.0)
+    out = 0.0
+    for u, v in zip(a, b):
+        u, v = float.fromhex(u), float.fromhex(v)
+        if u == v:   # also equal infinities
+            continue
+        gap = abs(u - v)
+        out = max(out, gap / abs(u) if relative and u else gap)
+    return out
 
 
 def diff(old_path: str, new_path: str) -> int:
@@ -110,6 +136,7 @@ def diff(old_path: str, new_path: str) -> int:
     with open(new_path) as handle:
         new = json.load(handle)
     changed = 0
+    header_only: dict[tuple, int] = {}
     for key in sorted(set(old) | set(new)):
         if key not in old or key not in new:
             print(f"{key}: only in {'new' if key in new else 'old'}")
@@ -119,14 +146,22 @@ def diff(old_path: str, new_path: str) -> int:
         if a["digest"] == b["digest"]:
             continue
         changed += 1
-        keys = sorted(k for k in set(a["header"]) | set(b["header"])
-                      if a["header"].get(k) != b["header"].get(k))
-        print(f"{key}: header keys {keys or 'equal'}, max |objective diff| "
-              f"{max_diff(a['objectives'], b['objectives']):.3g}, max |x diff| "
+        keys = tuple(sorted(k for k in set(a["header"]) | set(b["header"])
+                            if a["header"].get(k) != b["header"].get(k)))
+        if a["objectives"] == b["objectives"] and a["x"] == b["x"]:
+            header_only[keys] = header_only.get(keys, 0) + 1
+            continue
+        obj_a, obj_b = a["objectives"], b["objectives"]
+        print(f"{key}: header keys {list(keys) or 'equal'}, max |objective "
+              f"diff| {max_diff(obj_a, obj_b):.3g} (relative "
+              f"{max_diff(obj_a, obj_b, relative=True):.3g}), max |x diff| "
               f"{max_diff(a['x'], b['x']):.3g}")
+    for keys, count in sorted(header_only.items()):
+        print(f"{count} configurations differ in header keys {list(keys)} only")
     lazy = sum(1 for key in new if "lazy=on" in key)
-    print(f"{changed} of {len(new)} configurations differ "
-          f"({lazy} run on the lazy engine)")
+    print(f"{changed} of {len(new)} configurations differ, "
+          f"{changed - sum(header_only.values())} of them in objectives or x "
+          f"({lazy} configurations run on the lazy engine)")
     return 1 if changed else 0
 
 
