@@ -62,11 +62,8 @@ from .lazy import (
     LazyStage,
     PrefixTables,
     build_prefix_tables,
-    compute_K_sets,
     lazy_one_stage_accsvrda,
-    lazy_x,
     lazy_z,
-    soft,
 )
 from .data_io import (
     SyntheticSpec,

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .problem import Dataset, make_dataset
+from .problem import Dataset, make_dataset, row_norms_sq
 
 
 def _open_text(path: str):
@@ -130,11 +130,14 @@ def save_libsvm(dataset: Dataset, path: str) -> None:
 
 def normalize_rows(dataset: Dataset) -> Dataset:
     """Scale every nonzero row to unit Euclidean norm."""
-    feats = dataset.features.copy()
-    norms = np.sqrt(np.asarray(feats.multiply(feats).sum(axis=1)).ravel())
-    scale = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
-    diag = sp.diags(scale)
-    return make_dataset(diag @ feats, dataset.labels)
+    feats = dataset.features
+    norms = np.sqrt(row_norms_sq(feats))
+    scale = 1.0 / np.where(norms > 0, norms, 1.0)
+    values = feats.data * np.repeat(scale, np.diff(feats.indptr))
+    return make_dataset(
+        sp.csr_matrix((values, feats.indices, feats.indptr), shape=feats.shape),
+        dataset.labels,
+    )
 
 
 @dataclass(frozen=True)
@@ -145,9 +148,15 @@ class SyntheticSpec:
     label noise) or ``"ridge-logistic"`` (same design, labels flipped by
     logistic noise around the ground-truth margin).  ``density`` is the
     per-entry Bernoulli probability of a nonzero feature and ``sparsity``
-    the number of nonzero ground-truth coefficients.  Either kind draws an
-    ``n x d`` float64 array, so a size whose draw exceeds the machine's
-    physical memory is rejected here, before anything is allocated.
+    the number of nonzero ground-truth coefficients.
+
+    Only density 1 keeps an ``n x d`` array as data: its standard-normal
+    draw becomes the values array of the CSR matrix.  Below density 1 the
+    data are the stored entries alone, but the Bernoulli mask still comes
+    from one ``n x d`` float64 uniform draw that lives while the mask is
+    made.  Either way a size whose ``n x d`` float64 draw exceeds the
+    machine's physical memory is rejected here, before anything is
+    allocated.
     """
 
     kind: str
@@ -190,25 +199,40 @@ def physical_memory() -> Optional[int]:
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     """Materialize a :class:`SyntheticSpec`; returns the dataset and the
-    ground-truth coefficient vector."""
+    ground-truth coefficient vector.
+
+    Both densities fill the three CSR arrays directly (values, column
+    indices, row lengths) and build the matrix from them once, with no
+    dense or COO intermediate.  At density 1 the values array is a view of
+    the ``n x d`` draw itself; an exact zero it might hold stays stored
+    until :func:`make_dataset` drops it, so the result is the one a
+    dense-to-CSR conversion gives.
+    """
+    n, d = spec.n, spec.d
     rng = np.random.default_rng(spec.seed)
     if spec.density >= 1.0:
-        mat = sp.csr_matrix(rng.standard_normal((spec.n, spec.d)))
+        values = rng.standard_normal((n, d)).ravel()
+        cols = np.tile(np.arange(d, dtype=np.int32), n)
+        counts = np.full(n, d)
     else:
-        mask = rng.random((spec.n, spec.d)) < spec.density
-        rows, cols = np.nonzero(mask)
-        values = rng.standard_normal(rows.size)
-        mat = sp.csr_matrix(
-            (values, (rows, cols)), shape=(spec.n, spec.d)
-        )
-    x_true = np.zeros(spec.d)
-    support = rng.choice(spec.d, size=spec.sparsity, replace=False)
+        mask = rng.random((n, d)) < spec.density
+        counts = mask.sum(axis=1)
+        flat = np.flatnonzero(mask)
+        cols = np.remainder(flat, d, out=flat).astype(np.int32)
+        values = rng.standard_normal(cols.size)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    mat = sp.csr_matrix((values, cols, indptr), shape=(n, d))
+    x_true = np.zeros(d)
+    support = rng.choice(d, size=spec.sparsity, replace=False)
     x_true[support] = rng.standard_normal(spec.sparsity)
+    # scipy's CSR product in row order (not BLAS on a dense view), so the
+    # labels keep their bits.
     clean = mat @ x_true
     if spec.kind == "lasso":
-        labels = clean + spec.noise * rng.standard_normal(spec.n)
+        labels = clean + spec.noise * rng.standard_normal(n)
     else:
-        flip = rng.random(spec.n)
+        flip = rng.random(n)
         prob_pos = expit(clean / max(spec.noise, 1e-12))
         labels = np.where(flip < prob_pos, 1.0, -1.0)
     return make_dataset(mat, labels), x_true

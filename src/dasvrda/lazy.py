@@ -15,8 +15,8 @@ lazy variant possible:
 So the dual iterate of an untouched coordinate has a closed form at any
 later iteration (:func:`lazy_z`), and the primal iterate — a weighted
 average of dual iterates — reduces to interval sums of two prefix-sum
-tables (:func:`lazy_x`), once the skipped iterations are classified by
-which soft-threshold branch they landed in (:func:`compute_K_sets`).
+tables (:class:`PrefixTables`), once the skipped iterations are classified
+by which soft-threshold branch they landed in.
 Each branch region is determined by comparing ``z_0`` against a quadratic
 in the iteration index whose vertex lies left of every valid index, so
 each region is one contiguous run found from the quadratic's root and then
@@ -24,10 +24,10 @@ nudged by direct evaluation to absorb rounding.
 
 :func:`catch_up` evaluates these closed forms for a whole array of
 coordinates at once (:func:`branch_runs` is the array form of the run
-search; its nudge is a loop over the coordinates still moving).  The
-scalar :func:`soft`, :func:`compute_K_sets` and :func:`lazy_x` are the
-per-coordinate statement of the same formulas and serve as test oracles;
-:func:`lazy_z` works on floats and arrays alike.
+search; its nudge is a loop over the coordinates still moving).
+:func:`lazy_z` works on floats and arrays alike.  The test suite states
+the same formulas per coordinate, as scalar oracles for these array
+forms.
 
 The stage driver (:func:`lazy_one_stage_accsvrda`) reproduces the dense
 :func:`~dasvrda.solvers.one_stage_accsvrda` trajectory to rounding noise.
@@ -55,15 +55,6 @@ from .solvers import theta_pair
 #: per-operation overhead, small enough that its temporaries stay at a few
 #: megabytes whatever ``d`` is.
 SWEEP_CHUNK = 4096
-
-
-def soft(z: float, lam: float) -> float:
-    """Scalar soft-threshold: shrink ``z`` toward zero by ``lam``."""
-    if z > lam:
-        return z - lam
-    if z < -lam:
-        return z + lam
-    return 0.0
 
 
 def lazy_z(
@@ -115,113 +106,6 @@ def build_prefix_tables(kmax: int, eta: float, l2: float) -> PrefixTables:
     return PrefixTables(s=np.cumsum(term), s_quad=np.cumsum(pair_prev * term))
 
 
-def _threshold_run(
-    a: float, c3: float, z0: float, lo: int, hi: int, above: bool
-) -> range:
-    """Integers ``x`` in ``[lo, hi]`` (with ``lo >= 2``) where ``z0``
-    compares strictly against ``M(x) = a (x^2 - x) + c3``.
-
-    ``above=True`` selects ``z0 > M(x)``; ``above=False`` selects
-    ``z0 < M(x)``.  On ``x >= 2`` the quadratic is monotone (its vertex is
-    at 1/2), so the answer is one run anchored at an end of the window;
-    the boundary comes from the quadratic's larger root and is then nudged
-    by direct comparison so rounding in the root cannot misclassify an
-    index.
-    """
-    if lo > hi:
-        return range(lo, lo)
-
-    def pred(x: int) -> bool:
-        m = a * (float(x) * float(x) - float(x)) + c3
-        return z0 > m if above else z0 < m
-
-    if a == 0.0:
-        return range(lo, hi + 1) if pred(lo) else range(lo, lo)
-    # With a > 0, M increases on the window, so {z0 > M} is a prefix and
-    # {z0 < M} a suffix; a < 0 mirrors this.
-    is_prefix = (a > 0.0) == above
-    disc = a * a + 4.0 * a * (z0 - c3)
-    if disc <= 0.0:
-        # No strict crossing: M - z0 keeps the sign it has at the window.
-        return range(lo, hi + 1) if pred(lo) else range(lo, lo)
-    root = 0.5 + np.sqrt(disc) / (2.0 * abs(a))
-    if is_prefix:
-        bound = min(hi, int(np.floor(root)))
-        bound = max(bound, lo - 1)
-        while bound >= lo and not pred(bound):
-            bound -= 1
-        while bound + 1 <= hi and pred(bound + 1):
-            bound += 1
-        return range(lo, bound + 1)
-    bound = max(lo, int(np.floor(root)) + 1)
-    bound = min(bound, hi + 1)
-    while bound <= hi and not pred(bound):
-        bound += 1
-    while bound - 1 >= lo and pred(bound - 1):
-        bound -= 1
-    return range(bound, hi + 1)
-
-
-def compute_K_sets(
-    c1: float, c2: float, c3: float, z0_j: float, k_j: int, k: int
-) -> tuple[range, range]:
-    """Skipped iterations landing in each nonzero soft-threshold branch.
-
-    Over the window ``k' = k_j + 2 .. k``, the dual coordinate at ``k'-1``
-    is positive exactly when ``z0_j`` exceeds
-    ``M_plus(k') = (c1 + c2)(k'^2 - k') + c3`` and negative exactly when
-    ``z0_j`` falls below ``M_minus(k') = (c1 - c2)(k'^2 - k') + c3``, where
-    ``c1`` scales the anchor gradient coordinate, ``c2 >= 0`` the l1 weight
-    and ``c3`` collects the state at the last touch.  Returns the two runs
-    (each a ``range``); both are empty when the window is.
-    """
-    if c2 < 0:
-        raise ValueError(f"l1 coefficient must be nonnegative, got c2={c2}")
-    lo = k_j + 2
-    if k < lo:
-        return range(lo, lo), range(lo, lo)
-    k_plus = _threshold_run(c1 + c2, c3, z0_j, lo, k, above=True)
-    k_minus = _threshold_run(c1 - c2, c3, z0_j, lo, k, above=False)
-    return k_plus, k_minus
-
-
-def lazy_x(
-    x_at_kj: float,
-    k_plus: range,
-    k_minus: range,
-    tables: PrefixTables,
-    k: int,
-    k_j: int,
-    eta: float,
-    l1: float,
-    tilde_grad_j: float,
-    g_sum_at_kj: float,
-    z0_j: float,
-) -> float:
-    """Primal coordinate ``x_{k-1,j}`` from its state at the last touch
-    ``k_j`` and the branch runs over the skipped window ``[k_j+2, k]``.
-
-    Unrolling the primal interpolation shows
-    ``theta_{k-1} theta_{k-2} x_{k-1}`` equals its value at the last touch
-    plus ``sum theta_{k'-2} z_{k'-1}`` over the window; zero-branch terms
-    vanish and the two nonzero branches are affine in the prefix tables.
-    """
-    if k - 1 == k_j:
-        return x_at_kj
-    if k - 1 < k_j:
-        raise ValueError(f"target iteration {k - 1} precedes last touch {k_j}")
-    c3 = eta * (g_sum_at_kj - theta_pair(k_j) * tilde_grad_j)
-    base = z0_j - c3
-    total = 0.0
-    for run, sign in ((k_plus, 1.0), (k_minus, -1.0)):
-        if len(run):
-            lo, hi = run.start, run.stop - 1
-            ds = tables.s[hi] - tables.s[lo - 1]
-            dq = tables.s_quad[hi] - tables.s_quad[lo - 1]
-            total += base * ds - eta * (tilde_grad_j + sign * l1) * dq
-    return (theta_pair(k_j) * x_at_kj + total) / theta_pair(k - 1)
-
-
 def _theta_pairs(k: np.ndarray) -> np.ndarray:
     """:func:`~dasvrda.solvers.theta_pair` of an array of iteration
     indices ``k >= 0``, with the same rounding."""
@@ -231,9 +115,9 @@ def _theta_pairs(k: np.ndarray) -> np.ndarray:
 def branch_runs(
     a: np.ndarray, c3: np.ndarray, z0: np.ndarray, lo: np.ndarray, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of :func:`_threshold_run` with ``above=True``: one run
-    ``[start, stop)`` of ``z0 > M(x) = a (x^2 - x) + c3`` per entry, over
-    the window ``[lo, hi]`` (``lo >= 2``).
+    """One run ``[start, stop)`` of ``z0 > M(x) = a (x^2 - x) + c3`` per
+    entry, over the window ``[lo, hi]`` (``lo >= 2``): the skipped
+    iterations that land in one nonzero soft-threshold branch.
 
     ``z0 < M(x)`` is ``-z0 > -M(x)`` with the same rounding, so negating
     ``a``, ``c3`` and ``z0`` gives the ``above=False`` runs.  ``M`` is
@@ -297,8 +181,9 @@ def catch_up(
     """``(x, z)`` at iteration ``target`` of an array of coordinates, given
     each one's state at its last touch ``k_last <= target``.
 
-    The array form of :func:`lazy_z`, :func:`compute_K_sets` and
-    :func:`lazy_x`, with the same arithmetic; returns new arrays.
+    :func:`lazy_z` for the dual coordinate, :func:`branch_runs` for the
+    skipped iterations in each nonzero branch, and the prefix tables for
+    the primal one; returns new arrays.
     """
     x = np.array(x_last, dtype=np.float64)
     z = np.array(z_last, dtype=np.float64)

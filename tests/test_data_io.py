@@ -1,7 +1,10 @@
 import gzip
+import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dasvrda import (
     SyntheticSpec,
@@ -10,8 +13,9 @@ from dasvrda import (
     normalize_rows,
     save_libsvm,
 )
-from dasvrda import data_io
+from dasvrda import ElasticNet, Logistic, Squared, data_io, make_problem
 from dasvrda.problem import dataset_summary
+from dasvrda.reference import problem_fingerprint
 
 
 def write(tmp_path, text, name="data.txt"):
@@ -118,6 +122,27 @@ def test_normalize_rows_unit_norm(tmp_path):
     assert np.array_equal(normed.labels, data.labels)
 
 
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(kind="lasso", n=400, d=5, density=0.1, sparsity=2, seed=1),
+    SyntheticSpec(kind="ridge-logistic", n=500, d=60, density=0.05, seed=3),
+    SyntheticSpec(kind="lasso", n=300, d=40, seed=2),
+])
+def test_normalize_rows_matches_the_diagonal_product(spec):
+    """Bitwise the same as scaling by a diagonal matrix built from
+    ``multiply(...).sum(axis=1)``, empty rows (left as they are) included."""
+    data, _ = generate_synthetic(spec)
+    feats = data.features
+    norms = np.sqrt(np.asarray(feats.multiply(feats).sum(axis=1)).ravel())
+    scale = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 1.0)
+    expect = sp.diags(scale) @ feats
+    expect.sort_indices()
+    got = normalize_rows(data).features
+    assert spec.density == 1.0 or (np.diff(feats.indptr) == 0).sum() > 0
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(expect, name), getattr(got, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic generators.
 
@@ -190,3 +215,92 @@ def test_ridge_logistic_labels_are_signs_and_track_margin():
     strong = np.abs(margin) > 0.5
     agree = np.mean(np.sign(margin[strong]) == data.labels[strong])
     assert agree > 0.99
+
+
+def data_digest(data, x_true) -> str:
+    """SHA-256 of the CSR arrays, labels and ground truth, each tagged with
+    its name, dtype and shape."""
+    h = hashlib.sha256()
+    feats = data.features
+    for name, arr in (("indptr", feats.indptr), ("indices", feats.indices),
+                      ("data", feats.data), ("labels", data.labels),
+                      ("x_true", x_true)):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+#: Digests of seeded draws as the generator made them when it still went
+#: through a dense array (density 1) or COO triplets (density < 1): building
+#: the CSR arrays directly must not move a bit, index dtypes included.
+PINNED_DIGESTS = [
+    (dict(kind="lasso", n=200, d=30, seed=0),
+     "19a072b1808e43426e1a58cd4e0bf8dc1268a36815da6c807dd579308083a611"),
+    (dict(kind="ridge-logistic", n=150, d=40, density=0.3, seed=1),
+     "abaa857cf78c7648f693071027c5f47b915b8f2b3e139bf5cdb6e48c893befb0"),
+    (dict(kind="lasso", n=37, d=11, density=0.3, sparsity=4, seed=5),
+     "df7f77065b0d88acf74fe614f1ce0eae07cb2a42a12105bd13047701236f9bb6"),
+    # n = 1
+    (dict(kind="lasso", n=1, d=7, sparsity=3, seed=2),
+     "3e717f6d4e2aa00985985f7d43be6a807bfc326704e1d811a72f6da1cf1500c8"),
+    # d = 1, below and at density 1
+    (dict(kind="ridge-logistic", n=9, d=1, density=0.5, sparsity=1, seed=3),
+     "d44c09a0ac1848e22efe9910aedb4c93e1299e0e69bd9a59df2e307bdaee5b72"),
+    (dict(kind="ridge-logistic", n=6, d=1, sparsity=1, seed=4),
+     "9effaf2022d683fb2b8ac0bf25654beea20d8048dbe5623e7e46fe1b160a432a"),
+    # no stored entry at all
+    (dict(kind="lasso", n=3, d=4, density=1e-6, sparsity=2, seed=0),
+     "f07d62d520d40aa5a1a871225bf03cb35a59baaf9e43586aaef9ee5fef351a26"),
+    # the last three rows empty
+    (dict(kind="ridge-logistic", n=12, d=4, density=0.15, sparsity=2, seed=0),
+     "5759f6f07569779542667e50f3794b41afcf476b2a75953d52b45b479bcb2bea"),
+    # the acceptance-10 problem
+    (dict(kind="ridge-logistic", n=5000, d=500, density=0.02, sparsity=10,
+          seed=3),
+     "43db0490bf0491404123c1d1ca26acd79e0ed65c3403bf2612e99e9a4ef651cc"),
+]
+
+
+@pytest.mark.parametrize("kw,digest", PINNED_DIGESTS,
+                         ids=[str(i) for i in range(len(PINNED_DIGESTS))])
+def test_synthetic_draws_are_pinned(kw, digest):
+    data, x_true = generate_synthetic(SyntheticSpec(**kw))
+    assert data_digest(data, x_true) == digest
+
+
+@pytest.mark.parametrize("kw,loss,fingerprint", [
+    (dict(kind="lasso", n=200, d=30, seed=0), Squared(),
+     "94a8c87d44abc4c15c3f47b70404cd2f319b8baeba9c939d6d6de3127ca4de10"),
+    (dict(kind="ridge-logistic", n=150, d=40, density=0.3, seed=1), Logistic(),
+     "c76cab00a06402306b9ca3c3a735c7f2eeb72d3f5317c2f14f68358f56909696"),
+])
+def test_synthetic_problem_fingerprint_is_pinned(kw, loss, fingerprint):
+    """Cached references are keyed on this hash of the raw bytes."""
+    data, _ = generate_synthetic(SyntheticSpec(**kw))
+    problem = make_problem(data, loss, ElasticNet(1e-3, 1e-4))
+    assert problem_fingerprint(problem) == fingerprint
+
+
+@pytest.mark.parametrize("density", [1.0, 0.3])
+def test_synthetic_matrix_is_canonical_with_int32_indices(density):
+    data, _ = generate_synthetic(SyntheticSpec(kind="lasso", n=50, d=20,
+                                               density=density, seed=4))
+    feats = data.features
+    assert feats.indices.dtype == np.int32 and feats.indptr.dtype == np.int32
+    assert feats.has_canonical_format
+
+
+def test_synthetic_dense_draw_peaks_near_two_copies():
+    """A fully stored draw is the CSR values array, and the matrix
+    ``make_dataset`` keeps is one copy of it: no dense-to-CSR detour."""
+    spec = SyntheticSpec(kind="lasso", n=2000, d=500, seed=0)
+    tracemalloc.start()
+    try:
+        data, _ = generate_synthetic(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    feats = data.features
+    stored = feats.data.nbytes + feats.indices.nbytes + feats.indptr.nbytes
+    assert peak <= 2.25 * stored

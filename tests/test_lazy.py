@@ -11,21 +11,19 @@ from dasvrda import (
     Squared,
     LazyStage,
     build_prefix_tables,
-    compute_K_sets,
     lazy_one_stage_accsvrda,
-    lazy_x,
     lazy_z,
     make_dataset,
     make_problem,
     make_rng,
     one_stage_accsvrda,
     prox_elastic_net,
-    soft,
     smoothness_weighted,
 )
-from dasvrda.lazy import _threshold_run, branch_runs, catch_up
+from dasvrda.lazy import branch_runs, catch_up
 from dasvrda.problem import take_rows
 from dasvrda.solvers import theta_pair
+from lazy_oracles import compute_K_sets, lazy_x, soft, threshold_run
 
 
 def sparse_problem(seed=0, n=60, d=40, density=0.1, l1=1e-3, l2=1e-3,
@@ -200,7 +198,7 @@ def test_array_branch_runs_match_scalar_runs():
             sign = 1.0 if above else -1.0
             start, stop = branch_runs(sign * a, sign * c3, sign * z0, lo, hi)
             for i in range(a.size):
-                run = _threshold_run(a[i], c3[i], z0[i], int(lo[i]), hi, above)
+                run = threshold_run(a[i], c3[i], z0[i], int(lo[i]), hi, above)
                 got = range(start[i], stop[i]) if stop[i] > start[i] else range(0)
                 assert list(got) == list(run)
                 no_crossing += a[i] * a[i] + 4.0 * a[i] * (z0[i] - c3[i]) <= 0.0

@@ -24,13 +24,17 @@ Usage, from the root of a checkout::
   problem, so that a change to a default step rule and a change to a
   stage's arithmetic show apart.
 
-Batch size 4, seed 0.  For each configuration it writes the trace
+Batch size 4, seed 0.  For each problem it writes a data digest: a
+SHA-256 of the generated CSR arrays, labels and ground truth, each tagged
+with its name, dtype and shape.  For each configuration it writes the trace
 objectives (as exact hex floats), every trace header key, the returned
-``x`` and a SHA-256 digest of the three.  ``diff`` reports each
-configuration whose objectives or ``x`` differ, with the header keys that
-differ, the largest absolute and relative objective differences and the
-largest ``x`` difference; it counts the configurations that differ in
-header keys only.  It exits 1 if any configuration differs.  The trace's
+``x`` and a SHA-256 digest of the three.  ``diff`` first reports each
+problem whose data differ, so that a change to the generator shows apart
+from a change to a solver.  It then reports each configuration whose
+objectives or ``x`` differ, with the header keys that differ, the largest
+absolute and relative objective differences and the largest ``x``
+difference; it counts the configurations that differ in header keys only.
+It exits 1 if any problem or configuration differs.  The trace's
 ``seconds`` column is not recorded, since it is a timing.
 """
 
@@ -94,12 +98,30 @@ def configs():
                             yield key, kw
 
 
+def data_digest(data, x_true) -> str:
+    """SHA-256 of a generated problem's CSR arrays, labels and ground
+    truth, each tagged with its name, dtype and shape."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    feats = data.features
+    for name, arr in (("indptr", feats.indptr), ("indices", feats.indices),
+                      ("data", feats.data), ("labels", data.labels),
+                      ("x_true", x_true)):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def run(src: str, out: str) -> int:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
     import dasvrda
-    from dasvrda import RunConfig, run_experiment
+    from dasvrda import RunConfig, SyntheticSpec, generate_synthetic, run_experiment
 
+    data = {pname: data_digest(*generate_synthetic(pkw["synthetic"]))
+            for pname, (pkw, _) in problems(SyntheticSpec).items()}
     results = {}
     for key, kw in configs():
         result = run_experiment(RunConfig(**kw))
@@ -110,7 +132,8 @@ def run(src: str, out: str) -> int:
         results[key] = {"digest": hashlib.sha256(blob).hexdigest(),
                         "objectives": objectives, "header": header, "x": x}
     with open(out, "w") as handle:
-        json.dump(results, handle, indent=0, sort_keys=True)
+        json.dump({"data": data, "configs": results}, handle, indent=0,
+                  sort_keys=True)
     print(f"{len(results)} configurations of {dasvrda.__file__} written to {out}")
     return 0
 
@@ -135,6 +158,13 @@ def diff(old_path: str, new_path: str) -> int:
         old = json.load(handle)
     with open(new_path) as handle:
         new = json.load(handle)
+    data_changed = 0
+    for pname in sorted(set(old["data"]) | set(new["data"])):
+        if old["data"].get(pname) != new["data"].get(pname):
+            print(f"data of problem {pname} differ")
+            data_changed += 1
+    print(f"{data_changed} of {len(new['data'])} problems differ in data")
+    old, new = old["configs"], new["configs"]
     changed = 0
     header_only: dict[tuple, int] = {}
     for key in sorted(set(old) | set(new)):
@@ -162,7 +192,7 @@ def diff(old_path: str, new_path: str) -> int:
     print(f"{changed} of {len(new)} configurations differ, "
           f"{changed - sum(header_only.values())} of them in objectives or x "
           f"({lazy} configurations run on the lazy engine)")
-    return 1 if changed else 0
+    return 1 if changed or data_changed else 0
 
 
 def main(argv=None) -> int:
