@@ -15,6 +15,10 @@ from scipy.special import expit
 
 from .problem import Dataset, make_dataset, row_norms_sq
 
+#: Largest feature index an svmlight file may use: columns are stored as
+#: int32.
+_MAX_INDEX = 2**31 - 1
+
 
 def _open_text(path: str):
     if str(path).endswith(".gz"):
@@ -81,6 +85,11 @@ def load_libsvm(
                 prev_index = index
                 indices.append(index - 1)
                 data.append(value)
+            if prev_index > _MAX_INDEX:  # the line's largest index
+                raise ValueError(
+                    f"{path}: line {lineno}: index {prev_index} is above the "
+                    f"largest supported index {_MAX_INDEX}"
+                )
             max_index = max(max_index, prev_index)
             labels.append(label)
             indptr.append(len(indices))

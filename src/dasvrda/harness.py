@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .baselines import run_apg, run_pg, run_svrg
 from .data_io import SyntheticSpec, generate_synthetic, load_libsvm, normalize_rows
-from .lazy import lazy_one_stage_accsvrda
+from .lazy import BLOCK_STEPS, lazy_one_stage_accsvrda
 from .losses import Logistic, SmoothedHinge, Squared
 from .problem import (ElasticNet, Problem, dataset_summary, make_problem, objective,
                       products_form)
@@ -285,23 +285,24 @@ def load_problem(config: RunConfig) -> Problem:
 # Per-step cost model of the two inner-stage engines, in microseconds per
 # inner iteration.  The dense step pays a fixed overhead, every coordinate
 # (prox and vector updates) and the batch's nonzeros ("entries"); the lazy
-# step pays a larger fixed overhead (a few dozen array operations), each
-# distinct coordinate it catches up, the entries, and its share of the
-# final O(d) sweep.  Fitted by relative least squares to one-stage timings
-# of both engines on 36 logistic problems with n=4000: d from 500 to
-# 400000, 5 to 500 nonzeros per row, b in {16, 71, 400}, m = n/b (one
-# thread of a 2-vCPU x86-64 VM, numpy 2.4; ``python tools/fit_engine.py
-# engine`` repeats it).  The dense constants are from the refit after the
-# dense step moved onto the batch plan and the gather kernel; three refits
-# then put each lazy constant within 16 % of its old value, about their
-# spread between refits, so those were kept.
+# step pays a fixed overhead (a few dozen array operations), each column of
+# its block's union (its arrays' size, and its share of the block's
+# catch-up), the entries, and its share of the final O(d) sweep.  Fitted by
+# relative least squares to one-stage timings of both engines on 36
+# logistic problems with n=4000: d from 500 to 400000, 5 to 500 nonzeros
+# per row, b in {16, 71, 400}, m = n/b (one thread of a 2-vCPU x86-64 VM,
+# numpy 2.4; ``python tools/fit_engine.py engine`` repeats it).  The lazy
+# constants are from the refit after the lazy stage moved to blocks; the
+# dense constants are from the refit after the dense step moved onto the
+# batch plan and the gather kernel, and pick the faster engine as often as
+# refitted ones do, so they were kept.
 DENSE_STEP_US = 42.5
 DENSE_COORD_US = 0.0184
 DENSE_ENTRY_US = 0.0100
-LAZY_STEP_US = 250.0
-LAZY_COORD_US = 0.20
-LAZY_ENTRY_US = 0.046
-SWEEP_COORD_US = 0.29
+LAZY_STEP_US = 58.6
+LAZY_COORD_US = 0.0307
+LAZY_ENTRY_US = 0.0665
+SWEEP_COORD_US = 0.285
 
 
 def choose_engine(
@@ -321,10 +322,11 @@ def choose_engine(
         return False, "auto: no elastic-net term -> dense"
     d = summary["d"]
     entries = config.batch * summary["nnz"] / summary["n"]
-    # Expected distinct columns hit by the batch's entries, spread
-    # uniformly over the d columns.
+    # Expected distinct columns hit by the entries of one batch and of a
+    # lazy block of batches, spread uniformly over the d columns.
     touched = -d * math.expm1(-entries / d) if d else 0.0
-    lazy = (LAZY_STEP_US + LAZY_COORD_US * touched + LAZY_ENTRY_US * entries
+    union = -d * math.expm1(-BLOCK_STEPS * entries / d) if d else 0.0
+    lazy = (LAZY_STEP_US + LAZY_COORD_US * union + LAZY_ENTRY_US * entries
             + SWEEP_COORD_US * d / m)
     dense = DENSE_STEP_US + DENSE_COORD_US * d + DENSE_ENTRY_US * entries
     use = lazy < dense
@@ -351,6 +353,8 @@ def resolve(config: RunConfig) -> ResolvedRun:
         raise ConfigError(
             f"--warm-m0/--warm-stages only apply to {_names_with('warm')}"
         )
+    if config.dim is not None and config.synthetic is not None:
+        raise ConfigError("--dim only applies to --data")
     if config.l1 < 0 or config.l2 < 0:
         raise ConfigError("regularization weights must be nonnegative")
     if config.budget is None and config.stages is None:

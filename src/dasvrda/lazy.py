@@ -31,14 +31,32 @@ forms.
 
 The stage driver (:func:`lazy_one_stage_accsvrda`) reproduces the dense
 :func:`~dasvrda.solvers.one_stage_accsvrda` trajectory to rounding noise.
-Each step is a fixed number of numpy operations over the batch rows'
-entries, which the stage's :class:`~dasvrda.sampling.BatchPlan` gathers,
-and the distinct columns they hit, with no Python loop over rows, entries
-or coordinates; the stage ends with one sweep that catches up every
-coordinate in chunks of :data:`SWEEP_CHUNK`.  A step therefore costs
-a fixed overhead of a few dozen array operations plus work proportional to
-the batch's nonzeros, against the dense stage's work proportional to
-``d``; :func:`~dasvrda.harness.resolve` weighs the two.
+It runs the steps in blocks of up to :data:`BLOCK_STEPS` consecutive
+steps, within one gather block of the stage's
+:class:`~dasvrda.sampling.BatchPlan`, and stays lazy across blocks:
+
+* opening a block costs one ``np.unique`` over its entries, giving the
+  union ``U`` of its columns, and one :func:`catch_up` of ``U`` to the
+  iteration before the block;
+* each step then runs the plain dense recurrence on ``U`` alone, a fixed
+  sequence of about 30 array operations with no catch-up: a column the
+  step's batch misses gets a zero batch gradient, which is exactly its
+  recurrence;
+* closing the block writes ``U``'s state back as its last touch.
+
+Why blocks: on sparse high-``d`` data a step's batch hits a few hundred
+columns, and on arrays that small each of the hundred-odd operations of a
+catch-up (and the ``np.unique``) costs its per-call overhead, not its
+size.  A block pays that once for all its steps; its arrays grow to the
+union, at most :data:`BLOCK_STEPS` times a step's columns, where an
+operation still costs little more than its overhead.  A step therefore
+costs about 30 operations on ``|U|`` entries plus a share of one
+catch-up of ``|U|`` columns -- at ``d = 100000`` with 320 columns per
+step, about 190 us against 340 us for a catch-up per step -- against the
+dense stage's work proportional to ``d``;
+:func:`~dasvrda.harness.choose_engine` weighs the two.  There is no Python
+loop over rows, entries or coordinates, and the stage ends with one sweep
+that catches up every coordinate in chunks of :data:`SWEEP_CHUNK`.
 """
 
 from __future__ import annotations
@@ -55,6 +73,13 @@ from .solvers import theta_pair
 #: per-operation overhead, small enough that its temporaries stay at a few
 #: megabytes whatever ``d`` is.
 SWEEP_CHUNK = 4096
+
+#: Steps per block of :class:`LazyStage`: enough to share a block's
+#: catch-up among its steps, few enough that each step's operations on the
+#: union of their columns still cost little more than their overhead.  At
+#: d = 100000 the step time is flat from 4 to 16; ``python
+#: tools/fit_engine.py block`` measures it again.
+BLOCK_STEPS = 8
 
 
 def lazy_z(
@@ -214,16 +239,43 @@ def catch_up(
     return x, z
 
 
+@dataclass
+class _Block:
+    """Consecutive steps run on the union ``cols`` of their columns.
+
+    ``offsets``, ``row``, ``pos`` and ``val`` are the steps' entries as
+    :meth:`~dasvrda.sampling.BatchPlan.steps` gives them, with each entry's
+    column as its position in ``cols``.  The block runs iterations
+    ``start + 1`` to ``stop``; ``x``, ``z`` and ``g_sum`` are the state of
+    ``cols`` at the stage's current iteration.
+    """
+
+    start: int
+    stop: int
+    offsets: np.ndarray
+    row: np.ndarray
+    pos: np.ndarray
+    val: np.ndarray
+    cols: np.ndarray
+    z0: np.ndarray
+    tg: np.ndarray
+    g_sum: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+
+
 class LazyStage:
     """Stepwise driver holding the per-coordinate last-touch state.
 
-    Exposes :meth:`step` (one inner iteration over the batch rows' entries
-    and the distinct columns they hit) and :meth:`snapshot` (non-destructive
-    full vectors at the current iteration, cost ``O(d)``), so tests can
-    compare against the dense stage mid-flight.  ``touched`` counts
-    coordinate updates for complexity accounting.  The constructor makes
-    the anchor's full pass and draws all ``m`` batches, so ``rng`` advances
-    then, by as much as the dense stage advances it.
+    Exposes :meth:`step` (one inner iteration) and :meth:`snapshot`
+    (non-destructive full vectors at the current iteration, cost ``O(d)``),
+    so tests can compare against the dense stage mid-flight.  Steps run in
+    blocks of up to :data:`BLOCK_STEPS` (see the module docstring); a block
+    opens at its first step and writes its columns back at its last.
+    ``touched`` counts coordinate updates for complexity accounting: the
+    distinct columns each step's batch hits, plus the final sweep.  The
+    constructor makes the anchor's full pass and draws all ``m`` batches,
+    so ``rng`` advances then, by as much as the dense stage advances it.
     """
 
     def __init__(
@@ -264,60 +316,80 @@ class LazyStage:
         self.plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m),
                               gather_all=True)
         self._labels = problem.data.labels
+        self._block: _Block | None = None
         self.touched = 0
 
     def _catch_up(self, cols, target: int) -> tuple[np.ndarray, np.ndarray]:
         """(x, z) of coordinates ``cols`` (index array or slice) at
-        iteration ``target``."""
+        iteration ``target``, from their last-touch state."""
         return catch_up(
             self.x_last[cols], self.z_last[cols], self.z0[cols],
             self.g_sum[cols], self.tilde_grad[cols], self.k_last[cols],
             target, self.tables, self.eta, self.l1, self.l2,
         )
 
+    def _open_block(self) -> None:
+        """Catch the next block's columns up to the current iteration."""
+        k = self.k
+        stop, offsets, row, col, val = self.plan.steps(k, BLOCK_STEPS)
+        cols, pos = np.unique(col, return_inverse=True)
+        # Distinct columns per step: distinct (step, column) pairs.
+        step = np.repeat(np.arange(stop - k), np.diff(offsets))
+        self.touched += int(np.count_nonzero(np.bincount(step * cols.size + pos)))
+        z0, tg, g_sum, k_last = (self.z0[cols], self.tilde_grad[cols],
+                                 self.g_sum[cols], self.k_last[cols])
+        x, z = catch_up(self.x_last[cols], self.z_last[cols], z0, g_sum, tg,
+                        k_last, k, self.tables, self.eta, self.l1, self.l2)
+        g_sum = g_sum + (theta_pair(k) - _theta_pairs(k_last)) * tg
+        self._block = _Block(k, stop, offsets, row, pos, val, cols, z0, tg, g_sum,
+                             x, z)
+
     def step(self) -> None:
         if self.k >= self.m:
             raise RuntimeError(f"stage already ran its {self.m} iterations")
+        if self._block is None:
+            self._open_block()
+        block = self._block
         k = self.k + 1
-        # The batch rows' entries, row by row: ``row`` is the position in
-        # the batch, ``col`` the index into the distinct columns ``cols``.
-        rows = self.plan.rows(self.k)
-        idx, row, vals = rows.idx, rows.row, rows.val
-        cols, col = np.unique(rows.col, return_inverse=True)
+        # This step's entries, row by row: ``row`` is the position in the
+        # batch, ``pos`` the index into the block's columns.
+        j = k - block.start
+        part = slice(block.offsets[j - 1], block.offsets[j])
+        row, pos, vals = block.row[part], block.pos[part], block.val[part]
+        idx = self.plan.idx[k - 1]
         inv = 2.0 / (k + 1)            # 1 / theta_k
         keep = 1.0 - inv
-        x_prev, z_prev = self._catch_up(cols, k - 1)
-        y = keep * x_prev + inv * z_prev
         # Batch margins at the interpolated point, then the per-row
         # derivative deltas against the anchor; bincount adds entry by
         # entry in row order.
-        t_y = np.bincount(row, weights=vals * y[col], minlength=idx.size)
+        y = keep * block.x[pos] + inv * block.z[pos]
+        t_y = np.bincount(row, weights=vals * y, minlength=idx.size)
         dy = self.problem.loss.derivatives(t_y, self._labels[idx])
         delta = dy - self.anchor_derivs[idx]
         if self.weights is not None:
             delta = self.weights[idx] * delta
         delta /= idx.size
-        g_part = np.bincount(col, weights=delta[row] * vals, minlength=cols.size)
-        tg = self.tilde_grad[cols]
-        g_sum = (
-            self.g_sum[cols]
-            + (theta_pair(k - 1) - _theta_pairs(self.k_last[cols])) * tg
-            + (0.5 * k) * (g_part + tg)  # theta_{k-1} g_k
-        )
+        # The block's columns the batch misses get g_part = 0: their plain
+        # recurrence.
+        g_part = np.bincount(pos, weights=delta[row] * vals, minlength=block.cols.size)
+        block.g_sum += (0.5 * k) * (g_part + block.tg)  # theta_{k-1} g_k
         tp_k = theta_pair(k)
-        z_new = lazy_z(self.z0[cols], g_sum, tg, self.eta, self.l1, self.l2,
-                       tp_k, tp_k)
-        self.g_sum[cols] = g_sum
-        self.z_last[cols] = z_new
-        self.x_last[cols] = keep * x_prev + inv * z_new
-        self.k_last[cols] = k
-        self.touched += cols.size
+        block.z = lazy_z(block.z0, block.g_sum, block.tg, self.eta, self.l1,
+                         self.l2, tp_k, tp_k)
+        block.x = keep * block.x + inv * block.z
         self.k = k
+        if k == block.stop:
+            self.x_last[block.cols] = block.x
+            self.z_last[block.cols] = block.z
+            self.g_sum[block.cols] = block.g_sum
+            self.k_last[block.cols] = k
+            self._block = None
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """Full ``(x_k, z_k)`` at the current iteration, without touching
-        the lazy state (long skips stay long).  Runs in chunks of
-        :data:`SWEEP_CHUNK` coordinates, so its temporaries stay small."""
+        the lazy state (long skips stay long, an open block stays open).
+        Runs in chunks of :data:`SWEEP_CHUNK` coordinates, so its
+        temporaries stay small."""
         k = self.k
         if k == 0:
             return self.z0.copy(), self.z0.copy()
@@ -327,6 +399,9 @@ class LazyStage:
         for lo in range(0, d, SWEEP_CHUNK):
             part = slice(lo, lo + SWEEP_CHUNK)
             x[part], z[part] = self._catch_up(part, k)
+        if self._block is not None:
+            x[self._block.cols] = self._block.x
+            z[self._block.cols] = self._block.z
         return x, z
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:

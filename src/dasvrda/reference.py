@@ -37,10 +37,10 @@ def problem_fingerprint(problem: Problem) -> str:
     feats = problem.data.features
     h = hashlib.sha256()
     h.update(repr(feats.shape).encode())
-    h.update(np.ascontiguousarray(feats.indptr).tobytes())
-    h.update(np.ascontiguousarray(feats.indices).tobytes())
-    h.update(np.ascontiguousarray(feats.data).tobytes())
-    h.update(np.ascontiguousarray(problem.data.labels).tobytes())
+    # Hashed straight from the arrays' buffers: the bytes of ``tobytes()``
+    # without copying them.
+    for array in (feats.indptr, feats.indices, feats.data, problem.data.labels):
+        h.update(np.ascontiguousarray(array))
     loss = problem.loss
     tag = type(loss).__name__
     for param in dataclasses.fields(loss):
@@ -69,12 +69,11 @@ def compute_reference(
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    fingerprint = problem_fingerprint(problem)
     if cache_path is not None and os.path.exists(cache_path):
         cached = load_reference(cache_path)
         if (
             cached is not None
-            and cached["fingerprint"] == fingerprint
+            and cached["fingerprint"] == problem_fingerprint(problem)
             and cached["tolerance"] <= tolerance
             and cached["converged"]
         ):

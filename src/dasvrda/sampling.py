@@ -215,6 +215,20 @@ class BatchPlan:
         return Rows(idx, idx.size, self.d,
                     self.row[part], self.col[part], self.val[part])
 
+    def steps(self, k: int, count: int) -> tuple[int, np.ndarray, np.ndarray,
+                                                  np.ndarray, np.ndarray]:
+        """Up to ``count`` consecutive steps from ``k`` as flat entries, as
+        many as fit in ``k``'s gather block: the step they end before, each
+        step's first entry (and the end), and the entries' rows, columns and
+        values.  Only for a plan that gathers every step."""
+        if not self.lo <= k < self.hi:
+            self._gather(k)
+        stop = min(k + count, self.hi)
+        offsets = self.offsets[k - self.lo:stop - self.lo + 1]
+        part = slice(offsets[0], offsets[-1])
+        return (stop, offsets - offsets[0],
+                self.row[part], self.col[part], self.val[part])
+
 
 def importance_weight(scheme: SamplingScheme, i: int, n: int) -> float:
     """Unbiasedness correction ``1 / (n * P[slot == i])`` for example ``i``."""

@@ -68,6 +68,7 @@ def test_binary_label_mapping(tmp_path):
         ("1 3:1 2:3\n", "line 1: index 2 not increasing"),
         ("1 1:nan\n", "line 1: non-finite value"),
         ("1 1:1\n1 oops\n", "line 2: bad feature"),
+        ("1 1:1 3000000000:2\n", "line 1: index 3000000000 is above"),
     ],
 )
 def test_malformed_lines_are_reported(tmp_path, text, fragment):

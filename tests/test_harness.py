@@ -217,6 +217,7 @@ def test_header_names_the_form_of_the_full_pass():
         (dict(warm_m0=3), "--warm-m0/--warm-stages only apply to dasvrda-warm"),
         (dict(algo="pg", warm_stages=2),
          "--warm-m0/--warm-stages only apply to dasvrda-warm"),
+        (dict(dim=100), "--dim only applies to --data"),
     ],
 )
 def test_resolve_rejects_bad_configs(overrides, fragment):
@@ -482,6 +483,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    code = main([
+        "run", "--synthetic", "lasso:n=40,d=20", "--dim", "100",
+        "--budget", "100", "--trace", str(tmp_path / "t.csv"),
+    ])
+    assert code == 2
+    assert "--dim only applies to --data" in capsys.readouterr().err
 
 
 def test_cli_rejects_a_synthetic_draw_beyond_physical_memory(tmp_path, capsys):

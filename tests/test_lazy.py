@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,8 @@ from dasvrda import (
     prox_elastic_net,
     smoothness_weighted,
 )
+from dasvrda import lazy as lazy_module
+from dasvrda import sampling as sampling_module
 from dasvrda.lazy import branch_runs, catch_up
 from dasvrda.problem import take_rows
 from dasvrda.solvers import theta_pair
@@ -426,6 +430,79 @@ def test_lazy_work_counts_touched_coordinates_plus_final_sweep():
     stage.finish()
     assert stage.touched == expected + problem.d
     assert stage.touched < m * problem.d + problem.d
+
+
+def digest_stage():
+    """A seeded stage on a squared loss (no transcendental functions, so
+    its bits do not depend on the platform's math library): the SHA-256 of
+    ``(x_m, z_m)`` and the coordinates touched."""
+    problem = sparse_problem(seed=5, n=60, d=150, density=0.04, l1=2e-3, l2=1e-3)
+    rng = np.random.default_rng(19)
+    y0 = 0.5 * rng.standard_normal(problem.d)
+    anchor = 0.5 * rng.standard_normal(problem.d)
+    eta = 0.3 / problem.max_smoothness
+    stage = LazyStage(problem, y0, anchor, eta, 37, 3, IidUniform(problem.n),
+                      make_rng(23))
+    x, z = stage.finish()
+    return hashlib.sha256(x.tobytes() + z.tobytes()).hexdigest(), stage.touched
+
+
+def test_one_step_blocks_reproduce_the_per_step_engine(monkeypatch):
+    # Recorded from the engine before it ran steps in blocks, which caught
+    # up each step's columns and stepped them alone: blocks of one step
+    # are that engine, bit for bit.
+    monkeypatch.setattr(lazy_module, "BLOCK_STEPS", 1)
+    assert digest_stage() == (
+        "491c5559f7953a6a11ca1d69f61beb1da2dda511550aba1a2600428672992aa9", 768)
+
+
+def test_snapshot_mid_block_leaves_the_final_bits():
+    problem = sparse_problem(seed=8, n=40, d=25, density=0.15)
+    scheme = IidUniform(problem.n)
+    eta = 0.2 / problem.max_smoothness
+    anchor = 0.1 * np.random.default_rng(13).standard_normal(problem.d)
+    m, b = 21, 3
+    args = (problem, np.zeros(problem.d), anchor, eta, m, b, scheme)
+    plain = LazyStage(*args, make_rng(5))
+    expect = plain.finish()
+    watched = LazyStage(*args, make_rng(5))
+    for k in range(1, m + 1):
+        watched.step()
+        if k % lazy_module.BLOCK_STEPS in (1, 3):
+            watched.snapshot()
+    got = watched.finish()
+    for a, e in zip(got, expect):
+        assert a.tobytes() == e.tobytes()
+    assert watched.touched == plain.touched
+
+
+@pytest.mark.parametrize("plan_entries,m", [(40, 27), (1, 19), (1 << 16, 30)])
+def test_blocks_cut_at_plan_blocks_match_dense(monkeypatch, plan_entries, m):
+    # Gather blocks of a few steps (or of one) cut the lazy blocks short,
+    # and m is not a multiple of the block length.
+    monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", plan_entries)
+    problem = sparse_problem(seed=3, n=50, d=60, density=0.08, loss="logistic")
+    scheme = smoothness_weighted(problem)
+    eta = 0.4 / problem.max_smoothness
+    rng = np.random.default_rng(4)
+    y0 = 0.3 * rng.standard_normal(problem.d)
+    anchor = 0.3 * rng.standard_normal(problem.d)
+    b = 4
+    dense = {}
+    one_stage_accsvrda(
+        problem, y0, anchor, eta, m, b, scheme, make_rng(8),
+        on_iterate=lambda k, info: dense.__setitem__(k, (info["x"], info["z"])),
+    )
+    stage = LazyStage(problem, y0, anchor, eta, m, b, scheme, make_rng(8))
+    for k in range(1, m + 1):
+        stage.step()
+        block = stage._block
+        if block is not None:
+            assert stage.plan.lo <= block.start and block.stop <= stage.plan.hi
+        for got, expect in zip(stage.snapshot(), dense[k]):
+            assert np.max(np.abs(got - expect)) <= 1e-9
+    for got, expect in zip(stage.finish(), dense[m]):
+        assert np.max(np.abs(got - expect)) <= 1e-9
 
 
 def test_lazy_stage_guards():

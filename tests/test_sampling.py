@@ -358,6 +358,27 @@ def test_batch_plan_rows_match_take_rows(monkeypatch, limits):
                         getattr(kernel, name).tobytes()
 
 
+@pytest.mark.parametrize("block", [1 << 16, 25, 1])
+def test_batch_plan_steps_are_the_rows_of_one_gather_block(monkeypatch, block):
+    monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", block)
+    problem = kernel_problem()
+    mat = problem.data.features
+    m, b = 23, 5
+    idx = draw_batch(IidUniform(problem.n), make_rng(2), b, m)
+    plan = BatchPlan(mat, idx, gather_all=True)
+    k = 0
+    while k < m:
+        stop, offsets, row, col, val = plan.steps(k, 4)
+        assert k < stop <= min(k + 4, m)
+        assert stop == k + 1 or offsets[-1] <= block
+        for j in range(k, stop):
+            part = slice(offsets[j - k], offsets[j - k + 1])
+            rows = BatchPlan(mat, idx, gather_all=True).rows(j)
+            for name, got in (("row", row), ("col", col), ("val", val)):
+                assert got[part].tobytes() == getattr(rows, name).tobytes()
+        k = stop
+
+
 def stored_problem(loss=Squared(), n=200, d=50, missing=0, seed=4):
     """Every entry stored but ``missing`` of them: 10000 entries by
     default, above the kernel limit."""

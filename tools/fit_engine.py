@@ -4,6 +4,7 @@ Usage, from the root of a checkout (BLAS is pinned to one thread)::
 
     python tools/fit_engine.py engine [--save timings.json | --load timings.json]
     python tools/fit_engine.py kernel
+    python tools/fit_engine.py block
 
 ``engine`` times one stage of both engines -- ``one_stage_accsvrda`` and
 ``lazy_one_stage_accsvrda``, minus one ``make_anchor`` each, best of 2,
@@ -21,6 +22,10 @@ refits saved ones without timing again.
 scipy's CSR products -- as ``vr_gradient`` uses them on a batch plan
 (gather included) and as ``full_pass`` uses them, over a range of entry
 counts, to place ``problem.KERNEL_MAX_ENTRIES``.
+
+``block`` times one lazy stage per step, as ``engine`` does, against the
+block length ``lazy.BLOCK_STEPS`` on a few of the grid's problems, to place
+that constant.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from scipy.optimize import nnls  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from dasvrda import harness, problem as problem_module  # noqa: E402
+from dasvrda import harness, lazy, problem as problem_module  # noqa: E402
 from dasvrda import (  # noqa: E402
     ElasticNet, IidUniform, Logistic, RunConfig, lazy_one_stage_accsvrda,
     make_anchor, make_dataset, make_problem, make_rng, one_stage_accsvrda,
@@ -104,8 +109,8 @@ def terms(point: dict) -> tuple[list[float], list[float]]:
     forms them from d, the batch's expected entries and m."""
     d, m = point["d"], point["m"]
     entries = point["b"] * point["row_nnz"]
-    touched = -d * math.expm1(-entries / d)
-    return [1.0, touched, entries, d / m], [1.0, d, entries]
+    union = -d * math.expm1(-lazy.BLOCK_STEPS * entries / d)
+    return [1.0, union, entries, d / m], [1.0, d, entries]
 
 
 def fit(points: list[dict], which: str) -> list[float]:
@@ -214,6 +219,34 @@ def kernel(args) -> int:
     return 0
 
 
+def block(args) -> int:
+    """Lazy step time against the block length."""
+    lengths = (1, 2, 4, 6, 8, 12, 16, 24, 32)
+    print("     d  nnz/row    b   lazy step (us) at block length "
+          + " ".join(f"{n:5d}" for n in lengths))
+    saved = lazy.BLOCK_STEPS
+    try:
+        for d, r, b in ((100000, 20, 16), (400000, 5, 71), (20000, 20, 16),
+                        (5000, 5, 71)):
+            problem = logistic_problem(N, d, r)
+            m = N // b
+            scheme = IidUniform(N)
+            x0 = np.zeros(d)
+            eta = 0.1 / problem.max_smoothness
+            anchor_s = best_of(lambda: make_anchor(problem, x0), 3)
+            times = []
+            for n in lengths:
+                lazy.BLOCK_STEPS = n
+                stage_s = best_of(lambda: lazy_one_stage_accsvrda(
+                    problem, x0, x0, eta, m, b, scheme, make_rng(0)), 3)
+                times.append(1e6 * (stage_s - anchor_s) / m)
+            print(f"{d:6d} {r:8d} {b:4d} {'':32s}"
+                  + " ".join(f"{t:5.0f}" for t in times), flush=True)
+    finally:
+        lazy.BLOCK_STEPS = saved
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -221,8 +254,9 @@ def main(argv=None) -> int:
     p_engine.add_argument("--save")
     p_engine.add_argument("--load")
     sub.add_parser("kernel", help="time the two forms of the minibatch products")
+    sub.add_parser("block", help="time the lazy step against its block length")
     args = parser.parse_args(argv)
-    return engine(args) if args.command == "engine" else kernel(args)
+    return {"engine": engine, "kernel": kernel, "block": block}[args.command](args)
 
 
 if __name__ == "__main__":
