@@ -10,7 +10,6 @@ from .losses import (
     Squared,
     loss_derivative,
     loss_value,
-    smoothness_constant,
 )
 from .problem import (
     Dataset,
@@ -29,7 +28,6 @@ from .sampling import (
     Partition,
     StageAnchor,
     draw_batch,
-    importance_weight,
     make_anchor,
     make_rng,
     smoothness_weighted,
@@ -38,8 +36,6 @@ from .sampling import (
 from .baselines import one_stage_pg, one_stage_svrg, run_apg, run_pg, run_svrg
 from .solvers import (
     OuterState,
-    RestartState,
-    adaptive_restart_check,
     choose_S_for_rho,
     default_warm_start,
     eta_default,
@@ -78,9 +74,7 @@ from .harness import (
     ConfigError,
     RunConfig,
     RunResult,
-    evals_to_gap,
     learning_rate_grid,
-    restart_interval_grid,
     run_experiment,
 )
 

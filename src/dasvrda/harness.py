@@ -355,8 +355,6 @@ def resolve(config: RunConfig) -> ResolvedRun:
         )
     if config.dim is not None and config.synthetic is not None:
         raise ConfigError("--dim only applies to --data")
-    if config.l1 < 0 or config.l2 < 0:
-        raise ConfigError("regularization weights must be nonnegative")
     if config.budget is None and config.stages is None:
         raise ConfigError("need a budget or an explicit stage count")
     if config.budget is not None and config.budget < 1:
@@ -398,16 +396,17 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if algo.step_divisor is None:
         if gamma is None:
             gamma = gamma_star(m, b)
-        elif gamma <= 1:
-            raise ConfigError(f"momentum parameter must exceed 1, got {gamma}")
+        elif not 1 < gamma < math.inf:
+            raise ConfigError(
+                f"momentum parameter must be finite and exceed 1, got {gamma}")
     loop = algo.loop_length(config, problem, gamma, m)
     if eta is None:
         if algo.step_divisor is None:
             eta = eta_default(gamma, loop, b, smooth)
         else:
             eta = 1.0 / (algo.step_divisor * smooth)
-    if eta <= 0:
-        raise ConfigError(f"step size must be positive, got {eta}")
+    if not 0 < eta < math.inf:
+        raise ConfigError(f"step size must be finite and positive, got {eta}")
 
     stages = config.stages
     restarts = config.restarts
@@ -557,18 +556,3 @@ def run_experiment(config: RunConfig) -> RunResult:
 def learning_rate_grid(base: float = 1.0) -> list[float]:
     """The sweep grid {1,2,5} x 10^p, p in {-2..2}, scaled by ``base``."""
     return sorted(base * c * 10.0**p for p in range(-2, 3) for c in (1, 2, 5))
-
-
-def restart_interval_grid() -> list[int]:
-    """Stage counts per restart for sweeping fixed-schedule restarts:
-    {1,2,5} x 10^k, k in {0,1,2}."""
-    return sorted(c * 10**k for k in range(0, 3) for c in (1, 2, 5))
-
-
-def evals_to_gap(records: list[TraceRecord], threshold: float) -> Optional[float]:
-    """First ``evals_over_n`` at which the recorded gap reaches the
-    threshold, or None if it never does."""
-    for rec in records:
-        if rec.gap is not None and rec.gap <= threshold:
-            return rec.evals_over_n
-    return None

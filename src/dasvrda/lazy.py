@@ -13,10 +13,11 @@ lazy variant possible:
   gradient sum grows affinely in the (known) anchor gradient coordinate.
 
 So the dual iterate of an untouched coordinate has a closed form at any
-later iteration (:func:`lazy_z`), and the primal iterate — a weighted
-average of dual iterates — reduces to interval sums of two prefix-sum
-tables (:class:`PrefixTables`), once the skipped iterations are classified
-by which soft-threshold branch they landed in.
+later iteration (:func:`lazy_z`: the dense stage's own prox,
+:func:`~dasvrda.problem.prox_elastic_net`, at the drifted point), and the
+primal iterate — a weighted average of dual iterates — reduces to interval
+sums of two prefix-sum tables (:class:`PrefixTables`), once the skipped
+iterations are classified by which soft-threshold branch they landed in.
 Each branch region is determined by comparing ``z_0`` against a quadratic
 in the iteration index whose vertex lies left of every valid index, so
 each region is one contiguous run found from the quadratic's root and then
@@ -65,7 +66,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Problem
+# ``prox_elastic_net`` is bound here by name, so a wrapper installed on
+# its module (the per-layer tracer's dense prox span) does not count the
+# lazy engine's calls.
+from .problem import ElasticNet, Problem, prox_elastic_net
 from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor
 from .solvers import theta_pair
 
@@ -87,24 +91,22 @@ def lazy_z(
     g_sum_at_kj: float,
     tilde_grad_j: float,
     eta: float,
-    l1: float,
-    l2: float,
+    reg: ElasticNet,
     theta_pair_now: float,
     theta_pair_at_kj: float,
-) -> float:
+) -> np.ndarray:
     """Dual coordinate at a later iteration, given its state at the last
-    touch.
+    touch: the elastic-net prox of the stage start drifted by the gradient
+    sum, as the dense stage takes it.
 
     ``theta_pair_now`` is ``theta_k theta_{k-1}`` at the target iteration,
     ``theta_pair_at_kj`` the same product at the last touch; the gradient
     sum grows by the anchor gradient times the difference in between.
-    Elementwise: every argument may be a float or an array.
+    Elementwise, except ``theta_pair_now``, which is one number.  Being the
+    dense stage's prox, it keeps NaN wherever the dense stage does.
     """
     drift = g_sum_at_kj + (theta_pair_now - theta_pair_at_kj) * tilde_grad_j
-    v = z0_j - eta * drift
-    lam = eta * theta_pair_now * l1
-    value = np.where(v > lam, v - lam, np.where(v < -lam, v + lam, 0.0))
-    return value / (1.0 + eta * theta_pair_now * l2)
+    return prox_elastic_net(z0_j - eta * drift, eta * theta_pair_now, reg)
 
 
 @dataclass
@@ -200,8 +202,7 @@ def catch_up(
     target: int,
     tables: PrefixTables,
     eta: float,
-    l1: float,
-    l2: float,
+    reg: ElasticNet,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(x, z)`` at iteration ``target`` of an array of coordinates, given
     each one's state at its last touch ``k_last <= target``.
@@ -219,9 +220,9 @@ def catch_up(
     tg, gs, z0g = tilde_grad[gap], g_sum[gap], z0[gap]
     tp_kj = _theta_pairs(kj)
     tp_now = theta_pair(target)
-    z[gap] = lazy_z(z0g, gs, tg, eta, l1, l2, tp_now, tp_kj)
+    z[gap] = lazy_z(z0g, gs, tg, eta, reg, tp_now, tp_kj)
     c1 = 0.25 * eta * tg
-    c2 = 0.25 * eta * l1
+    c2 = 0.25 * eta * reg.l1
     c3 = eta * (gs - tp_kj * tg)
     # The positive branch's run, then the negative branch's, in one search.
     start, stop = branch_runs(
@@ -230,7 +231,7 @@ def catch_up(
     )
     ds = tables.s[stop - 1] - tables.s[start - 1]
     dq = tables.s_quad[stop - 1] - tables.s_quad[start - 1]
-    slope = np.concatenate((tg + l1, tg - l1))
+    slope = np.concatenate((tg + reg.l1, tg - reg.l1))
     base = z0g - c3
     term = np.where(stop > start,
                     np.concatenate((base, base)) * ds - eta * slope * dq, 0.0)
@@ -296,8 +297,7 @@ class LazyStage:
         self.problem = problem
         self.eta = float(eta)
         self.m = m
-        self.l1 = float(problem.reg.l1)
-        self.l2 = float(problem.reg.l2)
+        self.reg = problem.reg
         anchor = make_anchor(problem, x_anchor)  # one full pass
         self.tilde_grad = anchor.grad
         self.anchor_derivs = anchor.derivs
@@ -311,7 +311,7 @@ class LazyStage:
         self.g_sum = np.zeros(d)
         self.k_last = np.zeros(d, dtype=np.int64)
         self.k = 0
-        self.tables = build_prefix_tables(m + 1, self.eta, self.l2)
+        self.tables = build_prefix_tables(m + 1, self.eta, self.reg.l2)
         self.weights = scheme.weights
         self.plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m),
                               gather_all=True)
@@ -325,7 +325,7 @@ class LazyStage:
         return catch_up(
             self.x_last[cols], self.z_last[cols], self.z0[cols],
             self.g_sum[cols], self.tilde_grad[cols], self.k_last[cols],
-            target, self.tables, self.eta, self.l1, self.l2,
+            target, self.tables, self.eta, self.reg,
         )
 
     def _open_block(self) -> None:
@@ -339,7 +339,7 @@ class LazyStage:
         z0, tg, g_sum, k_last = (self.z0[cols], self.tilde_grad[cols],
                                  self.g_sum[cols], self.k_last[cols])
         x, z = catch_up(self.x_last[cols], self.z_last[cols], z0, g_sum, tg,
-                        k_last, k, self.tables, self.eta, self.l1, self.l2)
+                        k_last, k, self.tables, self.eta, self.reg)
         g_sum = g_sum + (theta_pair(k) - _theta_pairs(k_last)) * tg
         self._block = _Block(k, stop, offsets, row, pos, val, cols, z0, tg, g_sum,
                              x, z)
@@ -374,8 +374,8 @@ class LazyStage:
         g_part = np.bincount(pos, weights=delta[row] * vals, minlength=block.cols.size)
         block.g_sum += (0.5 * k) * (g_part + block.tg)  # theta_{k-1} g_k
         tp_k = theta_pair(k)
-        block.z = lazy_z(block.z0, block.g_sum, block.tg, self.eta, self.l1,
-                         self.l2, tp_k, tp_k)
+        block.z = lazy_z(block.z0, block.g_sum, block.tg, self.eta, self.reg,
+                         tp_k, tp_k)
         block.x = keep * block.x + inv * block.z
         self.k = k
         if k == block.stop:

@@ -7,10 +7,12 @@ chain rule, so the solvers only ever need ``psi`` and its derivative in
 ``t`` plus a per-example smoothness constant.
 
 Each loss object carries ``curvature`` (the Lipschitz constant ``c`` of
-``dpsi/dt``; the per-example smoothness constant is ``c * ||a_i||^2``), a
-``classification`` flag (labels in {-1, +1}), the vectorized ``values`` /
-``derivatives`` the solvers use, and the scalar ``value`` / ``derivative``,
-an independent oracle that :func:`loss_value` / :func:`loss_derivative` wrap.
+``dpsi/dt``; :func:`~dasvrda.problem.make_problem` stores the per-example
+smoothness constants ``c * ||a_i||^2``), a ``classification`` flag (labels
+in {-1, +1}) and the vectorized ``values`` / ``derivatives``, the one
+implementation of each loss: the solvers call them, and
+:func:`loss_value` / :func:`loss_derivative` evaluate them at a single
+example.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import expit
 
 
@@ -30,13 +31,6 @@ class Squared:
 
     curvature = 1.0
     classification = False
-
-    def value(self, t: float, label: float) -> float:
-        r = t - label
-        return 0.5 * r * r
-
-    def derivative(self, t: float, label: float) -> float:
-        return t - label
 
     def values(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
         r = t - labels
@@ -52,21 +46,6 @@ class Logistic:
 
     curvature = 0.25
     classification = True
-
-    def value(self, t: float, label: float) -> float:
-        # log(1 + exp(u)) with u = -label*t, computed without overflow.
-        u = -label * t
-        if u > 0:
-            return u + math.log1p(math.exp(-u))
-        return math.log1p(math.exp(u))
-
-    def derivative(self, t: float, label: float) -> float:
-        # -label * sigmoid(-label * t), kept stable for large |t|.
-        u = label * t
-        if u >= 0:
-            e = math.exp(-u)
-            return -label * e / (1.0 + e)
-        return -label / (1.0 + math.exp(u))
 
     def values(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return np.logaddexp(0.0, -labels * t)
@@ -100,22 +79,6 @@ class SmoothedHinge:
     def curvature(self) -> float:
         return 1.0 / self.nu
 
-    def value(self, t: float, label: float) -> float:
-        z = label * t
-        if z >= 1.0:
-            return 0.0
-        if z <= 1.0 - self.nu:
-            return 1.0 - z - 0.5 * self.nu
-        return (1.0 - z) ** 2 / (2.0 * self.nu)
-
-    def derivative(self, t: float, label: float) -> float:
-        z = label * t
-        if z >= 1.0:
-            return 0.0
-        if z <= 1.0 - self.nu:
-            return -label
-        return -label * (1.0 - z) / self.nu
-
     def values(self, t: np.ndarray, labels: np.ndarray) -> np.ndarray:
         z = labels * t
         nu = self.nu
@@ -138,34 +101,18 @@ class SmoothedHinge:
 LossKind = Union[Squared, Logistic, SmoothedHinge]
 
 
-def _check_margin(t: float) -> float:
+def _check_margin(t: float) -> np.ndarray:
     t = float(t)
     if not math.isfinite(t):
         raise ValueError(f"non-finite margin {t!r}")
-    return t
+    return np.array([t])
 
 
 def loss_value(loss: LossKind, t: float, label: float) -> float:
     """Evaluate ``psi(t, label)`` for a single example."""
-    return loss.value(_check_margin(t), label)
+    return float(loss.values(_check_margin(t), np.array([float(label)]))[0])
 
 
 def loss_derivative(loss: LossKind, t: float, label: float) -> float:
     """Derivative of ``psi`` with respect to the prediction ``t``."""
-    return loss.derivative(_check_margin(t), label)
-
-
-def smoothness_constant(loss: LossKind, feature_row) -> float:
-    """Smoothness constant of ``x -> psi(a @ x, label)`` for one feature row.
-
-    Accepts a dense vector or a scipy sparse row; only the squared norm of
-    the row enters.  A zero row yields 0 here; problem construction floors
-    the stored constants at a small positive value so importance weights
-    stay defined.
-    """
-    if sp.issparse(feature_row):
-        sq = float(feature_row.multiply(feature_row).sum())
-    else:
-        row = np.asarray(feature_row, dtype=np.float64).ravel()
-        sq = float(row @ row)
-    return loss.curvature * sq
+    return float(loss.derivatives(_check_margin(t), np.array([float(label)]))[0])

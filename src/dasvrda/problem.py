@@ -20,6 +20,7 @@ would.  :func:`~dasvrda.sampling.make_anchor` takes the entry over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,8 +53,10 @@ class ElasticNet:
     l2: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError(f"regularization weights must be nonnegative: {self}")
+        # Written so that NaN fails it.
+        if not (0 <= self.l1 < math.inf and 0 <= self.l2 < math.inf):
+            raise ValueError(
+                f"regularization weights must be finite and nonnegative: {self}")
 
     def value(self, x: np.ndarray) -> float:
         out = 0.0

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -67,8 +68,8 @@ def compute_reference(
     reused if the file holds a reference for the same problem at the same
     or tighter tolerance.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
     if cache_path is not None and os.path.exists(cache_path):
         cached = load_reference(cache_path)
         if (

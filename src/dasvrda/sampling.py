@@ -230,15 +230,6 @@ class BatchPlan:
                 self.row[part], self.col[part], self.val[part])
 
 
-def importance_weight(scheme: SamplingScheme, i: int, n: int) -> float:
-    """Unbiasedness correction ``1 / (n * P[slot == i])`` for example ``i``."""
-    if not 0 <= i < n:
-        raise ValueError(f"example index {i} out of range for n={n}")
-    if scheme.weights is None:
-        return 1.0
-    return 1.0 / (n * float(scheme.q[i]))
-
-
 @dataclass
 class StageAnchor:
     """Snapshot point of one variance-reduction stage.

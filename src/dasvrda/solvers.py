@@ -378,37 +378,6 @@ def choose_S_for_rho(
 # Adaptive restarting.
 
 
-@dataclass
-class RestartState:
-    """Inputs of the restart tests.
-
-    The function test compares consecutive stage objectives; the gradient
-    test asks whether the momentum direction about to be taken points
-    against the progress just made (positive inner product between
-    ``y_curr - x_curr`` and ``y_next - x_curr``).
-    """
-
-    objective_prev: Optional[float] = None
-    objective_curr: Optional[float] = None
-    y_curr: Optional[np.ndarray] = None
-    x_curr: Optional[np.ndarray] = None
-    y_next: Optional[np.ndarray] = None
-
-
-def adaptive_restart_check(kind: str, state: RestartState) -> bool:
-    if kind == "function":
-        if state.objective_prev is None or state.objective_curr is None:
-            raise ValueError("function restart test needs both objectives")
-        return state.objective_curr > state.objective_prev
-    if kind == "gradient":
-        if state.y_curr is None or state.x_curr is None or state.y_next is None:
-            raise ValueError("gradient restart test needs y_curr, x_curr, y_next")
-        return float(
-            (state.y_curr - state.x_curr) @ (state.y_next - state.x_curr)
-        ) > 0.0
-    raise ValueError(f"unknown restart test {kind!r}")
-
-
 def run_dasvrda_adaptive(
     problem: Problem,
     x0: np.ndarray,
@@ -457,13 +426,9 @@ def run_dasvrda_adaptive(
         if y is None:
             y = outer_momentum(state, gamma, s_local)
         x_new, z_new = one_stage(problem, y, state.x_prev, eta, m, b, scheme, rng)
-        fired = False
         if kind == "function":
             p_new = objective(problem, x_new)
-            fired = adaptive_restart_check(
-                "function",
-                RestartState(objective_prev=p_prev, objective_curr=p_new),
-            )
+            fired = p_new > p_prev
             p_prev = p_new
             y = None
             if not fired:
@@ -473,10 +438,9 @@ def run_dasvrda_adaptive(
         else:
             trial = OuterState(x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new)
             y_next = outer_momentum(trial, gamma, s_local + 1)
-            fired = adaptive_restart_check(
-                "gradient",
-                RestartState(y_curr=y, x_curr=x_new, y_next=y_next),
-            )
+            # Restart when the momentum step about to be taken points
+            # against the progress just made.
+            fired = float((y - x_new) @ (y_next - x_new)) > 0.0
             if not fired:
                 state = trial
                 y = y_next

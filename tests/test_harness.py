@@ -6,11 +6,9 @@ from dasvrda import (
     ConfigError,
     RunConfig,
     SyntheticSpec,
-    evals_to_gap,
     learning_rate_grid,
     make_dataset,
     read_trace,
-    restart_interval_grid,
     run_experiment,
     save_libsvm,
 )
@@ -27,7 +25,6 @@ from dasvrda.losses import Logistic, SmoothedHinge, Squared
 from dasvrda.problem import ElasticNet, make_problem
 from dasvrda.sampling import make_rng
 from dasvrda.solvers import eta_default, gamma_star, run_dasvrda_warm
-from dasvrda.trace import TraceRecord
 
 
 def lasso_config(**overrides):
@@ -218,6 +215,14 @@ def test_header_names_the_form_of_the_full_pass():
         (dict(algo="pg", warm_stages=2),
          "--warm-m0/--warm-stages only apply to dasvrda-warm"),
         (dict(dim=100), "--dim only applies to --data"),
+        # Appended, so the cases above keep their ids.
+        (dict(l1=float("nan")), "finite and nonnegative"),
+        (dict(l1=float("inf")), "finite and nonnegative"),
+        (dict(l2=float("nan")), "finite and nonnegative"),
+        (dict(eta=float("nan")), "step size must be finite"),
+        (dict(eta=float("inf")), "step size must be finite"),
+        (dict(gamma=float("nan")), "momentum parameter must be finite"),
+        (dict(gamma=float("inf")), "momentum parameter must be finite"),
     ],
 )
 def test_resolve_rejects_bad_configs(overrides, fragment):
@@ -456,22 +461,6 @@ def test_learning_rate_grid():
     assert scaled[0] == pytest.approx(0.02)
 
 
-def test_restart_interval_grid():
-    assert restart_interval_grid() == [1, 2, 5, 10, 20, 50, 100, 200, 500]
-
-
-def test_evals_to_gap():
-    records = [
-        TraceRecord(0, 0, 0.0, 1.0, 0.5, 0.0, False),
-        TraceRecord(1, 60, 1.0, 0.5, 0.1, 0.0, False),
-        TraceRecord(2, 120, 2.0, 0.4, 0.01, 0.0, False),
-    ]
-    assert evals_to_gap(records, 0.1) == 1.0
-    assert evals_to_gap(records, 1e-3) is None
-    no_ref = [TraceRecord(0, 0, 0.0, 1.0, None, 0.0, False)]
-    assert evals_to_gap(no_ref, 0.1) is None
-
-
 # ---------------------------------------------------------------------------
 # CLI behavior.
 
@@ -489,6 +478,24 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ])
     assert code == 2
     assert "--dim only applies to --data" in capsys.readouterr().err
+    # NaN and infinite parameters are configuration errors too.
+    for flag, value in (("--l1", "nan"), ("--l1", "inf"), ("--l2", "nan"),
+                        ("--eta", "nan"), ("--eta", "inf"), ("--gamma", "nan")):
+        trace = tmp_path / "nan.csv"
+        code = main([
+            "run", "--synthetic", "lasso:n=40,d=20", flag, value,
+            "--budget", "400", "--trace", str(trace),
+        ])
+        assert code == 2, flag
+        assert "must be finite" in capsys.readouterr().err
+        assert not trace.exists()
+    code = main([
+        "ref", "--synthetic", "lasso:n=40,d=20", "--l1", "1e-3", "--tol", "nan",
+        "--out", str(tmp_path / "ref.json"),
+    ])
+    assert code == 2
+    assert "tolerance must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "ref.json").exists()
 
 
 def test_cli_rejects_a_synthetic_draw_beyond_physical_memory(tmp_path, capsys):

@@ -19,7 +19,6 @@ from dasvrda import (
     make_problem,
     make_rng,
     one_stage_accsvrda,
-    prox_elastic_net,
     smoothness_weighted,
 )
 from dasvrda import lazy as lazy_module
@@ -76,12 +75,16 @@ def test_lazy_z_matches_explicit_prox():
         k = kj + int(rng.integers(1, 30))
         drift = gs + (theta_pair(k) - theta_pair(kj)) * tg
         step = eta * theta_pair(k)
-        expect = float(
-            prox_elastic_net(np.array([z0 - eta * drift]), step, reg)[0]
-        )
-        got = lazy_z(z0, gs, tg, eta, reg.l1, reg.l2,
-                     theta_pair(k), theta_pair(kj))
+        expect = soft(z0 - eta * drift, step * reg.l1) / (1.0 + step * reg.l2)
+        got = float(lazy_z(z0, gs, tg, eta, reg, theta_pair(k), theta_pair(kj)))
         assert got == pytest.approx(expect, abs=1e-15, rel=1e-12)
+
+
+def test_lazy_z_keeps_nan():
+    # As the dense stage's prox does, with or without a soft-threshold.
+    for reg in (ElasticNet(1.0, 0.0), ElasticNet(0.0, 1.0), ElasticNet(0.0, 0.0)):
+        assert np.isnan(lazy_z(np.array([np.nan]), 0.0, 0.0, 1.0, reg, 1.0, 1.0)).all()
+        assert np.isnan(lazy_z(np.array([0.5]), np.nan, 0.0, 1.0, reg, 1.0, 1.0)).all()
 
 
 def test_prefix_tables_match_direct_sums():
@@ -209,11 +212,12 @@ def test_array_branch_runs_match_scalar_runs():
     assert no_crossing > 0
 
 
-def scalar_catch_up(x_last, z_last, z0, gs, tg, kj, target, tables, eta, l1, l2):
+def scalar_catch_up(x_last, z_last, z0, gs, tg, kj, target, tables, eta, reg):
     """One coordinate through the scalar oracles."""
     if target == kj:
         return x_last, z_last
-    z = lazy_z(z0, gs, tg, eta, l1, l2, theta_pair(target), theta_pair(kj))
+    l1 = reg.l1
+    z = lazy_z(z0, gs, tg, eta, reg, theta_pair(target), theta_pair(kj))
     c3 = eta * (gs - theta_pair(kj) * tg)
     k_plus, k_minus = compute_K_sets(0.25 * eta * tg, 0.25 * eta * l1, c3, z0,
                                      kj, target + 1)
@@ -224,6 +228,7 @@ def scalar_catch_up(x_last, z_last, z0, gs, tg, kj, target, tables, eta, l1, l2)
 @pytest.mark.parametrize("l1,l2", [(0.2, 0.3), (0.0, 0.1), (0.05, 0.0)])
 def test_array_catch_up_matches_scalar_oracles(l1, l2):
     rng = np.random.default_rng(5)
+    reg = ElasticNet(l1, l2)
     size, m = 400, 60
     eta = 4.0                      # so c1 = tg and c2 = l1 exactly
     tables = build_prefix_tables(m + 1, eta, l2)
@@ -238,10 +243,10 @@ def test_array_catch_up_matches_scalar_oracles(l1, l2):
         kj = np.minimum(k_last, target)
         kj[::5] = target           # caught up already
         x, z = catch_up(x_last, z_last, z0, g_sum, tg, kj, target,
-                        tables, eta, l1, l2)
+                        tables, eta, reg)
         for i in range(size):
             ex, ez = scalar_catch_up(x_last[i], z_last[i], z0[i], g_sum[i],
-                                     tg[i], int(kj[i]), target, tables, eta, l1, l2)
+                                     tg[i], int(kj[i]), target, tables, eta, reg)
             assert abs(x[i] - ex) <= 1e-12 * max(1.0, abs(ex))
             assert abs(z[i] - ez) <= 1e-12 * max(1.0, abs(ez))
 
@@ -276,7 +281,7 @@ def test_lazy_coordinate_matches_scalar_replay():
         tg = float(rng.normal())
         xs, zs = scalar_replay(z0, tg, eta, l1, l2, 60)
         for target in (1, 2, 3, 7, 29, 60):
-            z = lazy_z(z0, 0.0, tg, eta, l1, l2, theta_pair(target), 0.0)
+            z = lazy_z(z0, 0.0, tg, eta, ElasticNet(l1, l2), theta_pair(target), 0.0)
             assert z == pytest.approx(zs[target], rel=1e-12, abs=1e-14)
             c3 = 0.0
             k_plus, k_minus = compute_K_sets(
@@ -503,6 +508,26 @@ def test_blocks_cut_at_plan_blocks_match_dense(monkeypatch, plan_entries, m):
             assert np.max(np.abs(got - expect)) <= 1e-9
     for got, expect in zip(stage.finish(), dense[m]):
         assert np.max(np.abs(got - expect)) <= 1e-9
+
+
+def test_lazy_and_dense_stages_agree_on_nan_coordinates():
+    # A start with one NaN coordinate: the NaN spreads through the batches'
+    # rows, and both engines must end with NaN at the same coordinates.
+    problem = sparse_problem(seed=7, n=48, d=33, density=0.12)
+    scheme = IidUniform(problem.n)
+    eta = 0.3 / problem.max_smoothness
+    rng0 = np.random.default_rng(11)
+    y0 = 0.5 * rng0.standard_normal(problem.d)
+    y0[int(problem.data.features.indices[0])] = np.nan
+    anchor = 0.5 * rng0.standard_normal(problem.d)
+    dense = one_stage_accsvrda(problem, y0, anchor, eta, 5, 4, scheme, make_rng(99))
+    lazy = lazy_one_stage_accsvrda(problem, y0, anchor, eta, 5, 4, scheme,
+                                   make_rng(99))
+    for got, expect in zip(lazy, dense):
+        assert 1 < np.isnan(expect).sum() < problem.d
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(expect))
+        finite = ~np.isnan(expect)
+        assert np.max(np.abs(got[finite] - expect[finite])) <= 1e-9
 
 
 def test_lazy_stage_guards():

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from dasvrda import (
+    ElasticNet,
     Logistic,
     SmoothedHinge,
     Squared,
     loss_derivative,
     loss_value,
-    smoothness_constant,
+    make_dataset,
+    make_problem,
 )
+import loss_oracles
 
 ALL_LOSSES = [Squared(), Logistic(), SmoothedHinge(0.5), SmoothedHinge(1.5)]
 
@@ -70,6 +73,28 @@ def test_smoothed_hinge_continuity_at_breakpoints():
             assert abs(dhi - dlo) < 1e-8
 
 
+def test_vectorized_forms_match_the_scalar_oracles():
+    rng = np.random.default_rng(3)
+    for loss in ALL_LOSSES:
+        tails = [-1000.0, -745.0, -40.0, -1e-300, 0.0, 40.0, 745.0, 1000.0]
+        t = np.concatenate((rng.uniform(-6.0, 6.0, 400), tails))
+        if isinstance(loss, SmoothedHinge):
+            # Margins on, just below and just above both breakpoints.
+            kinks = np.array([1.0, 1.0 - loss.nu])
+            t = np.concatenate((t, kinks, np.nextafter(kinks, -np.inf),
+                                np.nextafter(kinks, np.inf)))
+        t = np.concatenate((t, -t))
+        if isinstance(loss, Squared):
+            labels = rng.standard_normal(t.size)
+        else:
+            labels = np.repeat([1.0, -1.0], t.size // 2)  # -t mirrors t
+        for vectorized, oracle in ((loss.values, loss_oracles.value),
+                                   (loss.derivatives, loss_oracles.derivative)):
+            expect = [oracle(loss, float(u), float(v)) for u, v in zip(t, labels)]
+            np.testing.assert_allclose(vectorized(t, labels), expect,
+                                       rtol=1e-13, atol=1e-300)
+
+
 def test_invalid_smoothing_width():
     with pytest.raises(ValueError):
         SmoothedHinge(0.0)
@@ -111,7 +136,7 @@ def test_midpoint_convexity():
 def test_derivative_is_lipschitz():
     rng = np.random.default_rng(2)
     for loss in ALL_LOSSES:
-        lip = smoothness_constant(loss, np.array([1.0]))  # unit row: margin slope 1
+        lip = loss.curvature  # a unit row's smoothness constant
         for _ in range(500):
             t1, t2 = rng.uniform(-4, 4, size=2)
             label = label_for(loss, rng)
@@ -121,15 +146,10 @@ def test_derivative_is_lipschitz():
 
 
 def test_smoothness_constants():
-    row = np.array([3.0, 4.0])
-    assert smoothness_constant(Squared(), row) == 25.0
-    assert smoothness_constant(Logistic(), row) == 6.25
-    assert smoothness_constant(SmoothedHinge(0.5), np.array([1.0, 0.0])) == 2.0
-    # sparse rows are accepted too
-    import scipy.sparse as sp
-
-    srow = sp.csr_matrix(row)
-    assert smoothness_constant(Squared(), srow) == 25.0
+    data = make_dataset(np.array([[3.0, 4.0], [1.0, 0.0]]), [1.0, -1.0])
+    for loss, expect in ((Squared(), [25.0, 1.0]), (Logistic(), [6.25, 0.25]),
+                         (SmoothedHinge(0.5), [50.0, 2.0])):
+        assert make_problem(data, loss, ElasticNet()).smoothness.tolist() == expect
 
 
 def test_smoothness_constant_is_tight_curvature_bound():
@@ -141,7 +161,7 @@ def test_smoothness_constant_is_tight_curvature_bound():
         (Logistic(), 0.0),
         (SmoothedHinge(0.5), 0.8),  # inside the quadratic piece
     ]:
-        const = smoothness_constant(loss, np.array([1.0]))
+        const = loss.curvature  # a unit row's smoothness constant
         worst = 0.0
         for t in np.linspace(-6, 6, 2001):
             second = (

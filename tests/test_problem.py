@@ -11,8 +11,6 @@ from dasvrda import (
     SmoothedHinge,
     Squared,
     full_gradient,
-    loss_derivative,
-    loss_value,
     make_dataset,
     make_problem,
     objective,
@@ -27,6 +25,7 @@ from dasvrda.problem import (
     row_norms_sq,
     take_rows,
 )
+import loss_oracles
 
 
 def random_problem(rng, loss, n=40, d=9, l1=1e-3, l2=1e-4, density=0.6):
@@ -42,7 +41,8 @@ def random_problem(rng, loss, n=40, d=9, l1=1e-3, l2=1e-4, density=0.6):
 
 def objective_oracle(mat, labels, loss, reg, x):
     """Compensated-summation reimplementation of the composite objective."""
-    terms = [loss_value(loss, float(row @ x), float(lab)) for row, lab in zip(mat, labels)]
+    terms = [loss_oracles.value(loss, float(row @ x), float(lab))
+             for row, lab in zip(mat, labels)]
     smooth = math.fsum(terms) / len(terms)
     r = reg.l1 * math.fsum(abs(v) for v in x) + 0.5 * reg.l2 * math.fsum(v * v for v in x)
     return smooth + r
@@ -53,7 +53,8 @@ def gradient_oracle(mat, labels, loss, x):
     n, d = mat.shape
     out = np.zeros(d)
     for i in range(n):
-        out += loss_derivative(loss, float(mat[i] @ x), float(labels[i])) * mat[i]
+        t = float(mat[i] @ x)
+        out += loss_oracles.derivative(loss, t, float(labels[i])) * mat[i]
     return out / n
 
 

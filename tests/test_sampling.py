@@ -10,7 +10,6 @@ from dasvrda import (
     Squared,
     draw_batch,
     full_gradient,
-    importance_weight,
     make_anchor,
     make_dataset,
     make_problem,
@@ -119,13 +118,12 @@ def test_weighted_draw_matches_plain_search(seed, b, m):
 
 
 def test_importance_weights():
+    # 1 / (n q_i), and None where every weight is one.
     scheme = IidWeighted(np.array([0.25, 0.75]))  # smoothness pair (1, 3)
-    assert importance_weight(scheme, 0, 2) == 2.0
-    assert importance_weight(scheme, 1, 2) == pytest.approx(1.0 / 1.5)
-    assert importance_weight(IidUniform(7), 3, 7) == 1.0
-    assert importance_weight(Partition(8, 4), 3, 8) == 1.0
-    with pytest.raises(ValueError):
-        importance_weight(IidUniform(7), 7, 7)
+    assert scheme.weights[0] == 2.0
+    assert scheme.weights[1] == pytest.approx(1.0 / 1.5)
+    assert IidUniform(7).weights is None
+    assert Partition(8, 4).weights is None
 
 
 def test_smoothness_weighted_probabilities():

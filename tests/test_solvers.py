@@ -11,7 +11,6 @@ from dasvrda import (
     OuterState,
     Partition,
     Squared,
-    adaptive_restart_check,
     choose_S_for_rho,
     default_warm_start,
     eta_default,
@@ -35,7 +34,6 @@ from dasvrda import (
     warm_final_loop_length,
     warm_start_schedule,
 )
-from dasvrda.solvers import RestartState
 
 
 def small_problem(seed=0, n=40, d=12, l1=1e-3, l2=1e-3, loss=None):
@@ -367,28 +365,21 @@ def test_choose_restart_length_is_minimal():
 # Adaptive restarting.
 
 
-def test_restart_checks():
-    assert adaptive_restart_check(
-        "function", RestartState(objective_prev=1.0, objective_curr=1.5)
-    )
-    assert not adaptive_restart_check(
-        "function", RestartState(objective_prev=1.0, objective_curr=0.5)
-    )
-    up = np.array([1.0, 0.0])
-    assert adaptive_restart_check(
-        "gradient",
-        RestartState(y_curr=up, x_curr=np.zeros(2), y_next=np.array([0.5, 1.0])),
-    )
-    assert not adaptive_restart_check(
-        "gradient",
-        RestartState(y_curr=up, x_curr=np.zeros(2), y_next=np.array([-0.5, 1.0])),
-    )
-    with pytest.raises(ValueError):
-        adaptive_restart_check("function", RestartState(objective_prev=1.0))
-    with pytest.raises(ValueError):
-        adaptive_restart_check("gradient", RestartState(y_curr=up))
-    with pytest.raises(ValueError):
-        adaptive_restart_check("nope", RestartState())
+def test_function_restart_fires_when_the_objective_rises():
+    # Stage s restarts exactly when P(x_s) > P(x_{s-1}), with x_0 the start.
+    problem = small_problem(16, n=120, d=20, l1=1e-4, l2=1e-2)
+    x0 = np.zeros(problem.d)
+    outputs, fired = [x0], []
+
+    def on_stage(s, x, cost, restarted):
+        outputs.append(x.copy())
+        fired.append(restarted)
+
+    run_dasvrda_adaptive(problem, x0, 3.0, 30, 4, 60, IidUniform(problem.n),
+                         make_rng(17), kind="function", on_stage=on_stage)
+    p = [objective(problem, x) for x in outputs]
+    assert fired == [p[s] > p[s - 1] for s in range(1, len(p))]
+    assert any(fired) and not all(fired)
 
 
 @pytest.mark.parametrize("kind", ["function", "gradient"])

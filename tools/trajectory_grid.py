@@ -33,8 +33,10 @@ problem whose data differ, so that a change to the generator shows apart
 from a change to a solver.  It then reports each configuration whose
 objectives or ``x`` differ, with the header keys that differ, the largest
 absolute and relative objective differences and the largest ``x``
-difference; it counts the configurations that differ in header keys only.
-It exits 1 if any problem or configuration differs.  The trace's
+difference.  It counts, each on a line of its own, the configurations
+that differ in header keys only, and those whose objectives are equal and
+whose ``x`` differs only in the sign of zeros.  It exits 1 if any problem
+or configuration differs.  The trace's
 ``seconds`` column is not recorded, since it is a timing.
 """
 
@@ -153,6 +155,13 @@ def max_diff(a: list[str], b: list[str], relative: bool = False) -> float:
     return out
 
 
+def same_values(a: list[str], b: list[str]) -> bool:
+    """Whether two lists of hex floats hold equal numbers, so that ``-0.0``
+    equals ``0.0``."""
+    return len(a) == len(b) and all(
+        float.fromhex(u) == float.fromhex(v) for u, v in zip(a, b))
+
+
 def diff(old_path: str, new_path: str) -> int:
     with open(old_path) as handle:
         old = json.load(handle)
@@ -167,6 +176,7 @@ def diff(old_path: str, new_path: str) -> int:
     old, new = old["configs"], new["configs"]
     changed = 0
     header_only: dict[tuple, int] = {}
+    signed_zeros = 0
     for key in sorted(set(old) | set(new)):
         if key not in old or key not in new:
             print(f"{key}: only in {'new' if key in new else 'old'}")
@@ -182,12 +192,16 @@ def diff(old_path: str, new_path: str) -> int:
             header_only[keys] = header_only.get(keys, 0) + 1
             continue
         obj_a, obj_b = a["objectives"], b["objectives"]
+        if not keys and obj_a == obj_b and same_values(a["x"], b["x"]):
+            signed_zeros += 1
+            continue
         print(f"{key}: header keys {list(keys) or 'equal'}, max |objective "
               f"diff| {max_diff(obj_a, obj_b):.3g} (relative "
               f"{max_diff(obj_a, obj_b, relative=True):.3g}), max |x diff| "
               f"{max_diff(a['x'], b['x']):.3g}")
     for keys, count in sorted(header_only.items()):
         print(f"{count} configurations differ in header keys {list(keys)} only")
+    print(f"{signed_zeros} configurations differ only in signed zeros of x")
     lazy = sum(1 for key in new if "lazy=on" in key)
     print(f"{changed} of {len(new)} configurations differ, "
           f"{changed - sum(header_only.values())} of them in objectives or x "
