@@ -107,8 +107,7 @@ def run_apg(
         theta = (s + 1) / 2.0
         y = x + ((theta_prev - 1.0) / theta) * (x - x_prev)
         x_prev = x
-        x = problem_module.prox_elastic_net(
-            y - eta * full_gradient(problem, y), eta, problem.reg)
+        x = one_stage_pg(problem, y, eta)
         theta_prev = theta
         ledger.charge(x, problem.n)
     return x

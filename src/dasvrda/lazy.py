@@ -39,7 +39,8 @@ steps, within one gather block of the stage's
 * opening a block costs one ``np.unique`` over its entries, giving the
   union ``U`` of its columns, and one :func:`catch_up` of ``U`` to the
   iteration before the block;
-* each step then runs the plain dense recurrence on ``U`` alone, a fixed
+* each step then runs the plain dense recurrence on ``U`` alone, its batch
+  products those of :class:`~dasvrda.problem.Rows` over ``U``, a fixed
   sequence of about 30 array operations with no catch-up: a column the
   step's batch misses gets a zero batch gradient, which is exactly its
   recurrence;
@@ -69,7 +70,7 @@ import numpy as np
 # ``prox_elastic_net`` is bound here by name, so a wrapper installed on
 # its module (the per-layer tracer's dense prox span) does not count the
 # lazy engine's calls.
-from .problem import ElasticNet, Problem, prox_elastic_net
+from .problem import ElasticNet, Problem, Rows, prox_elastic_net
 from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor
 from .solvers import theta_pair
 
@@ -351,27 +352,25 @@ class LazyStage:
             self._open_block()
         block = self._block
         k = self.k + 1
-        # This step's entries, row by row: ``row`` is the position in the
-        # batch, ``pos`` the index into the block's columns.
+        # This step's rows over the block's columns: ``row`` is an entry's
+        # position in the batch, ``pos`` its index into ``block.cols``.
         j = k - block.start
         part = slice(block.offsets[j - 1], block.offsets[j])
-        row, pos, vals = block.row[part], block.pos[part], block.val[part]
         idx = self.plan.idx[k - 1]
+        rows = Rows(idx, idx.size, block.cols.size,
+                    block.row[part], block.pos[part], block.val[part])
         inv = 2.0 / (k + 1)            # 1 / theta_k
         keep = 1.0 - inv
         # Batch margins at the interpolated point, then the per-row
-        # derivative deltas against the anchor; bincount adds entry by
-        # entry in row order.
-        y = keep * block.x[pos] + inv * block.z[pos]
-        t_y = np.bincount(row, weights=vals * y, minlength=idx.size)
+        # derivative deltas against the anchor; the block's columns the
+        # batch misses get g_part = 0: their plain recurrence.
+        t_y = rows.dot(keep * block.x + inv * block.z)
         dy = self.problem.loss.derivatives(t_y, self._labels[idx])
         delta = dy - self.anchor_derivs[idx]
         if self.weights is not None:
             delta = self.weights[idx] * delta
         delta /= idx.size
-        # The block's columns the batch misses get g_part = 0: their plain
-        # recurrence.
-        g_part = np.bincount(pos, weights=delta[row] * vals, minlength=block.cols.size)
+        g_part = rows.tdot(delta)
         block.g_sum += (0.5 * k) * (g_part + block.tg)  # theta_{k-1} g_k
         tp_k = theta_pair(k)
         block.z = lazy_z(block.z0, block.g_sum, block.tg, self.eta, self.reg,

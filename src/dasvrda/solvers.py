@@ -248,24 +248,38 @@ def _momentum_loop(
     one_stage: Optional[OneStageFn],
     ledger: Ledger,
     restarted: bool = False,
+    restart: Optional[Callable[..., bool]] = None,
+    extra_cost: int = 0,
 ) -> np.ndarray:
-    """Up to ``n_stages`` momentum stages charged to ``ledger``; returns the
-    last stage output.  ``restarted`` flags the first stage."""
+    """Up to ``n_stages`` momentum stages charged to ``ledger``, each at
+    ``extra_cost`` more than its anchor and steps; returns the last output.
+
+    ``restarted`` flags the first stage.  When ``restart(state, s, y, x_new,
+    z_new)`` fires on stage ``s``, counted from the last restart, the
+    history collapses onto ``x_new``, ``s`` rewinds and the stage is flagged.
+    """
     if one_stage is None:
         one_stage = one_stage_accsvrda
-    x0 = np.asarray(x0, dtype=np.float64).copy()
-    z0 = np.asarray(z0, dtype=np.float64).copy()
-    state = OuterState(x_prev=x0, x_prev2=z0.copy(), z_prev=z0)
-    cost = _stage_cost(problem, m, b)
-    for s in range(1, n_stages + 1):
+    # Copies held by the state alone, so each is freed once the history
+    # moves past it.
+    state = OuterState(x_prev=np.array(x0, dtype=np.float64),
+                       x_prev2=np.array(z0, dtype=np.float64),
+                       z_prev=np.array(z0, dtype=np.float64))
+    cost = _stage_cost(problem, m, b) + extra_cost
+    s = 0
+    for t in range(n_stages):
         if not ledger.affords(cost):
             break
+        s += 1
         y = outer_momentum(state, gamma, s)
         x_new, z_new = one_stage(problem, y, state.x_prev, eta, m, b, scheme, rng)
-        state.x_prev2 = state.x_prev
-        state.x_prev = x_new
-        state.z_prev = z_new
-        ledger.charge(x_new, cost, restarted and s == 1)
+        fired = restart is not None and restart(state, s, y, x_new, z_new)
+        if fired:
+            state = OuterState(x_prev=x_new, x_prev2=x_new.copy(), z_prev=x_new.copy())
+            s = 0
+        else:
+            state = OuterState(x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new)
+        ledger.charge(x_new, cost, fired or (restarted and t == 0))
     return state.x_prev
 
 
@@ -397,61 +411,37 @@ def run_dasvrda_adaptive(
     """Momentum outer loop with heuristic restarts; no strong convexity
     constant required.
 
-    When the chosen test fires after a stage, the momentum history
-    collapses onto that stage's output (both previous outputs and the dual
-    point), and the stage counter driving the outer weights rewinds to the
-    start.  ``n_stages`` counts total stages across restarts.  The function
-    test charges one extra full pass per stage for the objective it
-    monitors; the gradient test is free (the lookahead point it inspects is
-    reused for the next stage).
+    The tests of O'Donoghue & Candes (2015), applied after each stage.  The
+    function test fires when ``P(x_s) > P(x_{s-1})`` and charges a full pass
+    per stage; the free gradient test fires when the next momentum step
+    points against the progress just made, ``(y_s - x_s) @ (y_{s+1} - x_s)
+    > 0``.  A restart collapses the history onto ``x_s`` and rewinds the
+    outer weights.  ``n_stages`` counts total stages across restarts.
     """
     _check_gamma(gamma)
     if kind not in ("function", "gradient"):
         raise ValueError(f"unknown restart test {kind!r}")
     if eta is None:
         eta = eta_default(gamma, m, b, problem.mean_smoothness)
-    if one_stage is None:
-        one_stage = one_stage_accsvrda
-    x0 = np.asarray(x0, dtype=np.float64).copy()
-    state = OuterState(x_prev=x0, x_prev2=x0.copy(), z_prev=x0.copy())
-    p_prev = objective(problem, x0) if kind == "function" else None
-    cost = _stage_cost(problem, m, b) + (problem.n if kind == "function" else 0)
-    ledger = Ledger(budget, on_stage)
-    s_local = 0
-    y = None
-    for _ in range(n_stages):
-        if not ledger.affords(cost):
-            break
-        s_local += 1
-        if y is None:
-            y = outer_momentum(state, gamma, s_local)
-        x_new, z_new = one_stage(problem, y, state.x_prev, eta, m, b, scheme, rng)
-        if kind == "function":
+    extra_cost = 0
+    if kind == "function":
+        p_prev = objective(problem, x0)
+        extra_cost = problem.n
+
+        def restart(state, s, y, x_new, z_new):
+            nonlocal p_prev
             p_new = objective(problem, x_new)
             fired = p_new > p_prev
             p_prev = p_new
-            y = None
-            if not fired:
-                state.x_prev2 = state.x_prev
-                state.x_prev = x_new
-                state.z_prev = z_new
-        else:
+            return fired
+    else:
+        def restart(state, s, y, x_new, z_new):
             trial = OuterState(x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new)
-            y_next = outer_momentum(trial, gamma, s_local + 1)
-            # Restart when the momentum step about to be taken points
-            # against the progress just made.
-            fired = float((y - x_new) @ (y_next - x_new)) > 0.0
-            if not fired:
-                state = trial
-                y = y_next
-        if fired:
-            state = OuterState(
-                x_prev=x_new, x_prev2=x_new.copy(), z_prev=x_new.copy()
-            )
-            s_local = 0
-            y = None
-        ledger.charge(x_new, cost, fired)
-    return state.x_prev
+            y_next = outer_momentum(trial, gamma, s + 1)
+            return float((y - x_new) @ (y_next - x_new)) > 0.0
+    return _momentum_loop(problem, x0, x0, gamma, m, b, n_stages, scheme, rng,
+                          eta, one_stage, Ledger(budget, on_stage),
+                          restart=restart, extra_cost=extra_cost)
 
 
 # ---------------------------------------------------------------------------

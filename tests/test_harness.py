@@ -509,6 +509,48 @@ def test_cli_rejects_a_synthetic_draw_beyond_physical_memory(tmp_path, capsys):
     assert not trace.exists()
 
 
+def test_cli_rejects_a_dim_beyond_physical_memory(tmp_path, capsys):
+    # 2**40 coordinates: one float64 vector alone is 8 TiB.  The check runs
+    # after the two-line file is read and before any d-vector exists.
+    data = tmp_path / "two.svm"
+    data.write_text("1 1:1\n-1 2:1\n")
+    trace = tmp_path / "t.csv"
+    code = main([
+        "run", "--data", str(data), "--dim", "1099511627776", "--l1", "1e-3",
+        "--budget", "100", "--trace", str(trace),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "d=1099511627776" in err and "physical memory" in err
+    assert not trace.exists()
+
+
+def test_d_check_runs_before_the_synthetic_draw(monkeypatch):
+    monkeypatch.setattr(harness, "physical_memory",
+                        lambda: 8 * harness.D_VECTORS * 20 - 1)
+    monkeypatch.setattr(harness, "generate_synthetic",
+                        lambda spec: pytest.fail("drew a rejected problem"))
+    with pytest.raises(ConfigError, match="d=20 needs"):
+        resolve(lasso_config())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cli_start_objective_not_finite_is_a_diverged_run(tmp_path, capsys):
+    # The squared loss overflows at x = 0 on a label of 1e200.
+    data = tmp_path / "huge.svm"
+    data.write_text("1e200 1:1\n-1 2:1\n")
+    trace = tmp_path / "t.csv"
+    code = main([
+        "run", "--data", str(data), "--l1", "1e-3", "--stages", "2",
+        "--budget", "100", "--trace", str(trace),
+    ])
+    assert code == 0
+    assert "diverged: 0 stages" in capsys.readouterr().out
+    _, records = read_trace(str(trace))
+    assert [r.stage for r in records] == [0]
+    assert records[0].objective == np.inf
+
+
 def test_cli_bad_batch_exit_code(tmp_path, capsys):
     code = main([
         "run", "--synthetic", "lasso:n=10,d=5,sparsity=3", "--batch", "11",

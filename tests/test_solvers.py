@@ -382,6 +382,35 @@ def test_function_restart_fires_when_the_objective_rises():
     assert any(fired) and not all(fired)
 
 
+def test_gradient_restart_fires_when_momentum_opposes_progress():
+    # Stage s restarts exactly when (y_s - x_s) @ (y_next - x_s) > 0, where
+    # y_next is the lookahead the unrestarted history would take next.
+    problem = small_problem(16, n=120, d=20, l1=1e-4, l2=1e-2)
+    gamma = 3.0
+    stages, fired = [], []
+
+    def one_stage(problem, y, x_anchor, *args):
+        x, z = one_stage_accsvrda(problem, y, x_anchor, *args)
+        stages.append((y, x_anchor, x, z))
+        return x, z
+
+    run_dasvrda_adaptive(problem, np.zeros(problem.d), gamma, 30, 4, 60,
+                         IidUniform(problem.n), make_rng(17), kind="gradient",
+                         one_stage=one_stage,
+                         on_stage=lambda s, x, e, r: fired.append(r))
+    assert len(fired) == len(stages) == 60
+    local = 1
+    for s, (y, x_prev, x, z) in enumerate(stages):
+        trial = OuterState(x_prev=x, x_prev2=x_prev, z_prev=z)
+        y_next = outer_momentum(trial, gamma, local + 1)
+        assert fired[s] == (float((y - x) @ (y_next - x)) > 0.0), s
+        if s + 1 < len(stages):
+            # The next stage starts from y_next, or from x after a restart.
+            assert np.array_equal(stages[s + 1][0], x if fired[s] else y_next)
+        local = 1 if fired[s] else local + 1
+    assert any(fired) and not all(fired)
+
+
 @pytest.mark.parametrize("kind", ["function", "gradient"])
 def test_adaptive_runner_restarts_and_converges(kind):
     problem = small_problem(16, n=120, d=20, l1=1e-4, l2=1e-2)

@@ -26,16 +26,19 @@ Usage, from the root of a checkout::
 
 Batch size 4, seed 0.  For each problem it writes a data digest: a
 SHA-256 of the generated CSR arrays, labels and ground truth, each tagged
-with its name, dtype and shape.  For each configuration it writes the trace
-objectives (as exact hex floats), every trace header key, the returned
-``x`` and a SHA-256 digest of the three.  ``diff`` first reports each
-problem whose data differ, so that a change to the generator shows apart
-from a change to a solver.  It then reports each configuration whose
-objectives or ``x`` differ, with the header keys that differ, the largest
+with its name, dtype and shape.  For each configuration it writes, per
+trace row, the objective (as an exact hex float), the cumulative
+``evals`` charged and the ``restarted`` flag; every trace header key; the
+returned ``x``; and a SHA-256 digest of all of them.  So a moved restart
+flag or a moved charge shows, not only a moved objective.  ``diff`` first
+reports each problem whose data differ, so that a change to the generator
+shows apart from a change to a solver.  It then reports each
+configuration whose rows or ``x`` differ, with the header keys that
+differ, whether its ``evals`` or ``restarted`` columns differ, the largest
 absolute and relative objective differences and the largest ``x``
 difference.  It counts, each on a line of its own, the configurations
-that differ in header keys only, and those whose objectives are equal and
-whose ``x`` differs only in the sign of zeros.  It exits 1 if any problem
+that differ in header keys only, and those whose rows are equal and whose
+``x`` differs only in the sign of zeros.  It exits 1 if any problem
 or configuration differs.  The trace's
 ``seconds`` column is not recorded, since it is a timing.
 """
@@ -128,11 +131,15 @@ def run(src: str, out: str) -> int:
     for key, kw in configs():
         result = run_experiment(RunConfig(**kw))
         objectives = [float(r.objective).hex() for r in result.records]
+        evals = [int(r.evals) for r in result.records]
+        restarted = [bool(r.restarted) for r in result.records]
         header = json.loads(json.dumps(result.header, sort_keys=True, default=str))
         x = [float(v).hex() for v in np.asarray(result.x, dtype=np.float64)]
-        blob = json.dumps([objectives, header, x], sort_keys=True).encode()
+        blob = json.dumps([objectives, evals, restarted, header, x],
+                          sort_keys=True).encode()
         results[key] = {"digest": hashlib.sha256(blob).hexdigest(),
-                        "objectives": objectives, "header": header, "x": x}
+                        "objectives": objectives, "evals": evals,
+                        "restarted": restarted, "header": header, "x": x}
     with open(out, "w") as handle:
         json.dump({"data": data, "configs": results}, handle, indent=0,
                   sort_keys=True)
@@ -188,14 +195,17 @@ def diff(old_path: str, new_path: str) -> int:
         changed += 1
         keys = tuple(sorted(k for k in set(a["header"]) | set(b["header"])
                             if a["header"].get(k) != b["header"].get(k)))
-        if a["objectives"] == b["objectives"] and a["x"] == b["x"]:
+        columns = [c for c in ("objectives", "evals", "restarted")
+                   if a.get(c) != b.get(c)]
+        if not columns and a["x"] == b["x"]:
             header_only[keys] = header_only.get(keys, 0) + 1
             continue
-        obj_a, obj_b = a["objectives"], b["objectives"]
-        if not keys and obj_a == obj_b and same_values(a["x"], b["x"]):
+        if not keys and not columns and same_values(a["x"], b["x"]):
             signed_zeros += 1
             continue
-        print(f"{key}: header keys {list(keys) or 'equal'}, max |objective "
+        obj_a, obj_b = a["objectives"], b["objectives"]
+        print(f"{key}: header keys {list(keys) or 'equal'}, trace columns "
+              f"{columns or 'equal'}, max |objective "
               f"diff| {max_diff(obj_a, obj_b):.3g} (relative "
               f"{max_diff(obj_a, obj_b, relative=True):.3g}), max |x diff| "
               f"{max_diff(a['x'], b['x']):.3g}")
