@@ -304,9 +304,9 @@ def load_problem(config: RunConfig) -> Problem:
 # per row, b in {16, 71, 400}, m = n/b (one thread of a 2-vCPU x86-64 VM,
 # numpy 2.4; ``python tools/fit_engine.py engine`` repeats it).  The lazy
 # constants are from the refit after the lazy stage moved to blocks; the
-# dense constants are from the refit after the dense step moved onto the
-# batch plan and the gather kernel, and pick the faster engine as often as
-# refitted ones do, so they were kept.
+# dense constants, timed again on the csr form of the batch products, pick
+# the faster engine as often as refitted ones do (35 of 36 points), so they
+# were kept.
 DENSE_STEP_US = 42.5
 DENSE_COORD_US = 0.0184
 DENSE_ENTRY_US = 0.0100
@@ -411,6 +411,14 @@ def resolve(config: RunConfig) -> ResolvedRun:
             raise ConfigError(
                 f"momentum parameter must be finite and exceed 1, got {gamma}")
     loop = algo.loop_length(config, problem, gamma, m)
+    # Checked before a stage draws its batch plan, the longest loop's: 16
+    # bytes per draw (its int64 index and row length) and per step (the
+    # lazy engine's two prefix tables).
+    need, have = 16 * (loop or 0) * (b + 1), physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(f"epoch length {m} runs stages of {loop} steps of "
+                          f"batch {b}, whose batch plan needs {need} bytes, "
+                          f"above {have} bytes of physical memory")
     if eta is None:
         if algo.step_divisor is None:
             eta = eta_default(gamma, loop, b, smooth)

@@ -40,7 +40,8 @@ steps, within one gather block of the stage's
   union ``U`` of its columns, and one :func:`catch_up` of ``U`` to the
   iteration before the block;
 * each step then runs the plain dense recurrence on ``U`` alone, its batch
-  products those of :class:`~dasvrda.problem.Rows` over ``U``, a fixed
+  products the csr form of :class:`~dasvrda.problem.Rows` over ``U`` (the
+  block's entries, their columns numbered by position in ``U``), a fixed
   sequence of about 30 array operations with no catch-up: a column the
   step's batch misses gets a zero batch gradient, which is exactly its
   recurrence;
@@ -245,7 +246,7 @@ def catch_up(
 class _Block:
     """Consecutive steps run on the union ``cols`` of their columns.
 
-    ``offsets``, ``row``, ``pos`` and ``val`` are the steps' entries as
+    ``ptr``, ``pos`` and ``val`` are the steps' rows as CSR arrays, as
     :meth:`~dasvrda.sampling.BatchPlan.steps` gives them, with each entry's
     column as its position in ``cols``.  The block runs iterations
     ``start + 1`` to ``stop``; ``x``, ``z`` and ``g_sum`` are the state of
@@ -254,8 +255,7 @@ class _Block:
 
     start: int
     stop: int
-    offsets: np.ndarray
-    row: np.ndarray
+    ptr: np.ndarray
     pos: np.ndarray
     val: np.ndarray
     cols: np.ndarray
@@ -314,8 +314,7 @@ class LazyStage:
         self.k = 0
         self.tables = build_prefix_tables(m + 1, self.eta, self.reg.l2)
         self.weights = scheme.weights
-        self.plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m),
-                              gather_all=True)
+        self.plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
         self._labels = problem.data.labels
         self._block: _Block | None = None
         self.touched = 0
@@ -332,18 +331,18 @@ class LazyStage:
     def _open_block(self) -> None:
         """Catch the next block's columns up to the current iteration."""
         k = self.k
-        stop, offsets, row, col, val = self.plan.steps(k, BLOCK_STEPS)
+        stop, ptr, col, val = self.plan.steps(k, BLOCK_STEPS)
         cols, pos = np.unique(col, return_inverse=True)
         # Distinct columns per step: distinct (step, column) pairs.
-        step = np.repeat(np.arange(stop - k), np.diff(offsets))
+        step = np.repeat(np.arange(stop - k), np.diff(ptr[::self.plan.b]))
         self.touched += int(np.count_nonzero(np.bincount(step * cols.size + pos)))
         z0, tg, g_sum, k_last = (self.z0[cols], self.tilde_grad[cols],
                                  self.g_sum[cols], self.k_last[cols])
         x, z = catch_up(self.x_last[cols], self.z_last[cols], z0, g_sum, tg,
                         k_last, k, self.tables, self.eta, self.reg)
         g_sum = g_sum + (theta_pair(k) - _theta_pairs(k_last)) * tg
-        self._block = _Block(k, stop, offsets, row, pos, val, cols, z0, tg, g_sum,
-                             x, z)
+        self._block = _Block(k, stop, ptr, pos.astype(ptr.dtype), val, cols, z0,
+                             tg, g_sum, x, z)
 
     def step(self) -> None:
         if self.k >= self.m:
@@ -352,13 +351,12 @@ class LazyStage:
             self._open_block()
         block = self._block
         k = self.k + 1
-        # This step's rows over the block's columns: ``row`` is an entry's
-        # position in the batch, ``pos`` its index into ``block.cols``.
+        # This step's rows over the block's columns.
         j = k - block.start
-        part = slice(block.offsets[j - 1], block.offsets[j])
         idx = self.plan.idx[k - 1]
-        rows = Rows(idx, idx.size, block.cols.size,
-                    block.row[part], block.pos[part], block.val[part])
+        b = idx.size
+        rows = Rows(idx, b, block.cols.size, block.ptr[(j - 1) * b:j * b + 1],
+                    block.pos, block.val)
         inv = 2.0 / (k + 1)            # 1 / theta_k
         keep = 1.0 - inv
         # Batch margins at the interpolated point, then the per-row
@@ -369,7 +367,7 @@ class LazyStage:
         delta = dy - self.anchor_derivs[idx]
         if self.weights is not None:
             delta = self.weights[idx] * delta
-        delta /= idx.size
+        delta /= b
         g_part = rows.tdot(delta)
         block.g_sum += (0.5 * k) * (g_part + block.tg)  # theta_{k-1} g_k
         tp_k = theta_pair(k)

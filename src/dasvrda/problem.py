@@ -26,6 +26,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+# The loops behind scipy's own CSR row gather and products; the tests hold
+# them to the public ones bit for bit, since the module is private.
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
 
 from .losses import LossKind
 
@@ -33,16 +36,15 @@ from .losses import LossKind
 # importance weight) degenerate, so stored constants are floored here.
 SMOOTHNESS_FLOOR = 1e-12
 
-#: Most stored entries one :class:`Rows` holds as flat arrays.  Above it,
-#: the products go through compiled loops, whose fixed cost of about 150 us
-#: per minibatch no longer dominates: BLAS on a dense view when the matrix
-#: stores every entry, scipy's CSR products otherwise.  On one thread of a
-#: 2-vCPU x86-64 VM (``python tools/fit_engine.py kernel``), a planned
-#: minibatch gradient is faster on the kernel than on scipy's form up to
-#: 6000 entries (7x at 250) and slower from 8000 on (5x at 10^6).  A full
-#: pass, which needs no row slice, crosses over near 3000, but a stage makes
-#: one against ``m`` minibatch steps.
-KERNEL_MAX_ENTRIES = 6000
+#: Most stored entries of a block of rows that takes the csr form of
+#: :class:`Rows` even when the matrix stores every entry; above it, such a
+#: block takes BLAS on a dense view.  On one thread of a 2-vCPU x86-64 VM
+#: (``python tools/fit_engine.py kernel``, d = 50), BLAS is faster per
+#: planned minibatch step from about 1000 entries and per full pass from
+#: about 6000, but the limit stays where it was placed against an older
+#: form: lowering it would move small fully stored problems' trajectories
+#: at rounding level.
+BLAS_ABOVE_ENTRIES = 6000
 
 
 @dataclass(frozen=True)
@@ -180,19 +182,23 @@ def row_norms_sq(mat: sp.csr_matrix) -> np.ndarray:
 
 
 def row_entries(
-    mat: sp.csr_matrix, idx: np.ndarray, lens: np.ndarray,
-    labels: Optional[np.ndarray] = None,
+    mat: sp.csr_matrix, idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stored entries of rows ``idx`` of ``mat`` (``lens`` their lengths),
-    row by row: each entry's row label (``labels``, by default the row's
-    position in ``idx``), column and value."""
-    starts = mat.indptr[idx]
-    ends = np.cumsum(lens)
-    pos = np.arange(ends[-1] if ends.size else 0)
-    pos += np.repeat(starts - (ends - lens), lens)
-    if labels is None:
-        labels = np.arange(idx.size)
-    return np.repeat(labels, lens), mat.indices[pos].astype(np.intp), mat.data[pos]
+    """Rows ``idx`` of ``mat`` as CSR arrays, gathered by the loop that
+    scipy's ``mat[idx]`` runs: their row pointer, and their stored entries'
+    columns and values, row by row.  The pointer and the columns take the
+    integer type of ``mat.indices``, unless the rows hold too many entries
+    for it."""
+    if idx.size and not (0 <= idx.min() and idx.max() < mat.shape[0]):
+        raise IndexError(f"row index out of range for {mat.shape[0]} rows")
+    ends = np.cumsum(mat.indptr[idx + 1] - mat.indptr[idx])
+    total = int(ends[-1]) if ends.size else 0
+    itype = mat.indices.dtype if total <= np.iinfo(mat.indices.dtype).max else np.int64
+    col, val = np.empty(total, dtype=itype), np.empty(total, dtype=mat.data.dtype)
+    # The loop's index type is that of its row list, which its outputs share.
+    csr_row_index(idx.size, idx.astype(itype), mat.indptr, mat.indices, mat.data,
+                  col, val)
+    return np.concatenate(([0], ends)).astype(itype), col, val
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,111 +206,101 @@ class Rows:
     """Rows ``idx`` of a CSR design matrix (in order, possibly repeated),
     ready for the two products of a gradient: :meth:`dot` is
     ``A[idx] @ x`` and :meth:`tdot` is ``A[idx].T @ v``.  ``idx`` is None
-    for all rows in order.  Three forms (see :attr:`form`):
+    for all rows in order.  Two forms (see :attr:`form`):
 
-    * ``kernel``, up to :data:`KERNEL_MAX_ENTRIES` stored entries: the rows
-      are flat arrays in row order -- ``row`` (each entry's position in
-      ``idx``), ``col`` and ``val`` -- and each product is one
-      ``np.bincount``;
-    * ``dense``, above it, when the matrix stores every entry: ``dense``
-      holds the rows as a row-major array (for all rows, a view of the
-      matrix's own entries) and each product is one BLAS ``gemv``;
-    * ``csr``, above it otherwise: ``mat`` holds the rows as a CSR matrix
-      for scipy's products.
+    * ``csr``: the rows as CSR arrays -- the row pointer ``ptr`` and the
+      entries' columns ``col`` and values ``val`` -- and each product is
+      one of the compiled loops that scipy's own ``mat @ x`` and
+      ``mat.T @ v`` run.  ``ptr`` indexes ``col`` and ``val`` directly, so
+      it may be a slice of a larger block's pointer over that block's
+      whole arrays, and all rows are the matrix's own arrays;
+    * ``dense``, above :data:`BLAS_ABOVE_ENTRIES` entries when the matrix
+      stores every entry: ``dense`` holds the rows as a row-major array
+      (for all rows, a view of the matrix's own entries) and each product
+      is one BLAS ``gemv``.
 
-    The kernel and the csr form add every output's products one at a time,
-    rows in order and entries in stored order, so they agree bit for bit.
-    BLAS sums in its own order, so the dense form agrees with them only to
-    rounding.  Its products do not depend on where the rows sit in memory
-    (checked on OpenBLAS 0.3.31), so a gathered copy of all rows in order
-    gives the bits of the view, as a minibatch of all ``n`` rows must give
-    the full pass's gradient.
+    The csr form adds every output's products one at a time, rows in order
+    and entries in stored order, so it gives the bits of scipy's products
+    on ``mat[idx]``.  BLAS sums in its own order, so the dense form agrees
+    with them only to rounding.  Its products do not depend on where the
+    rows sit in memory (checked on OpenBLAS 0.3.31), so a gathered copy of
+    all rows in order gives the bits of the view, as a minibatch of all
+    ``n`` rows must give the full pass's gradient.
     """
 
     idx: Optional[np.ndarray]
     count: int
     d: int
-    row: Optional[np.ndarray] = None
+    ptr: Optional[np.ndarray] = None
     col: Optional[np.ndarray] = None
     val: Optional[np.ndarray] = None
-    mat: Optional[sp.csr_matrix] = None
     dense: Optional[np.ndarray] = None
 
     @property
     def form(self) -> str:
-        if self.dense is not None:
-            return "dense"
-        return "kernel" if self.mat is None else "csr"
+        return "csr" if self.dense is None else "dense"
 
     def dot(self, x: np.ndarray) -> np.ndarray:
         if self.dense is not None:
             return self.dense @ x
-        if self.mat is not None:
-            return self.mat @ x
-        return np.bincount(self.row, weights=self.val * x[self.col],
-                           minlength=self.count)
+        # The compiled loop reads ``x`` at the stored columns unchecked.
+        if x.shape != (self.d,):
+            raise ValueError(f"vector has shape {x.shape}, expected ({self.d},)")
+        out = np.zeros(self.count)
+        csr_matvec(self.count, self.d, self.ptr, self.col, self.val, x, out)
+        return out
 
     def tdot(self, v: np.ndarray) -> np.ndarray:
         if self.dense is not None:
             return v @ self.dense
-        if self.mat is not None:
-            return self.mat.T @ v
-        return np.bincount(self.col, weights=self.val * v[self.row],
-                           minlength=self.d)
+        if v.shape != (self.count,):
+            raise ValueError(f"vector has shape {v.shape}, expected ({self.count},)")
+        out = np.zeros(self.d)
+        csc_matvec(self.d, self.count, self.ptr, self.col, self.val, v, out)
+        return out
 
 
-def kernel_sized(entries):
-    """Whether rows holding ``entries`` stored entries (a count, or an
-    array of counts) take the flat-array form of :class:`Rows`."""
-    return entries <= KERNEL_MAX_ENTRIES
-
-
-def dense_view(mat: sp.csr_matrix) -> Optional[np.ndarray]:
-    """``mat`` as a row-major ``n x d`` array that shares its entries, or
-    None unless it stores every one of them.
+def dense_view(mat: sp.csr_matrix, count: int) -> Optional[np.ndarray]:
+    """``mat`` as a row-major ``n x d`` array that shares its entries, if
+    ``count`` of its rows take the dense form of :class:`Rows`: they hold
+    more than :data:`BLAS_ABOVE_ENTRIES` entries, and ``mat`` stores every
+    one of its entries.  None otherwise.
 
     A canonical CSR matrix (sorted indices, no duplicates) with ``n * d``
     stored entries holds row ``i`` as ``data[i*d:(i+1)*d]``, columns in
-    order, so the reshape copies nothing.  Both tests take constant time:
+    order, so the reshape copies nothing.  The tests take constant time:
     ``nnz`` is the last row pointer, and scipy checks the canonical format
     once per matrix and keeps the answer on it.
     """
     n, d = mat.shape
-    if mat.nnz != n * d or not mat.has_canonical_format:
+    if (count * d <= BLAS_ABOVE_ENTRIES or mat.nnz != n * d
+            or not mat.has_canonical_format):
         return None
     return mat.data.reshape(n, d)
 
 
 def take_rows(mat: sp.csr_matrix, idx: Optional[np.ndarray] = None) -> Rows:
     """Rows ``idx`` of ``mat`` (all rows when None) as :class:`Rows`, in
-    the form the entry count and :func:`dense_view` pick.  All rows keep
-    the matrix's own arrays; a subset is gathered (``X[idx]`` in the dense
-    form) or sliced (``mat[idx]`` in the csr form).  Only the kernel and
-    the csr form give the same bits as each other."""
+    the form :func:`dense_view` picks.  All rows keep the matrix's own
+    arrays; a subset is gathered (``X[idx]`` in the dense form, or
+    :func:`row_entries`)."""
     n, d = mat.shape
-    if idx is None:
-        count, entries = n, mat.nnz
-    else:
-        lens = mat.indptr[idx + 1] - mat.indptr[idx]
-        count, entries = idx.size, lens.sum()
-    if kernel_sized(entries):
-        if idx is None:
-            row = np.repeat(np.arange(n), np.diff(mat.indptr))
-            return Rows(None, n, d, row, mat.indices.astype(np.intp), mat.data)
-        return Rows(idx, count, d, *row_entries(mat, idx, lens))
-    dense = dense_view(mat)
+    count = n if idx is None else idx.size
+    dense = dense_view(mat, count)
     if dense is not None:
         return Rows(idx, count, d, dense=dense if idx is None else dense[idx])
-    return Rows(idx, count, d, mat=mat if idx is None else mat[idx])
+    if idx is None:
+        return Rows(None, n, d, mat.indptr, mat.indices, mat.data)
+    return Rows(idx, count, d, *row_entries(mat, idx))
 
 
 def products_form(mat: sp.csr_matrix) -> str:
     """The form of a full pass's products over ``mat`` and why, as the
     trace header's ``products`` reports it."""
     n, d = mat.shape
-    limit = "<=" if kernel_sized(mat.nnz) else ">"
+    limit = "<=" if mat.nnz <= BLAS_ABOVE_ENTRIES else ">"
     return (f"{take_rows(mat).form}: {mat.nnz} of {n}x{d} entries stored, "
-            f"{limit} {KERNEL_MAX_ENTRIES}")
+            f"{limit} {BLAS_ABOVE_ENTRIES}")
 
 
 def _check_point(problem: Problem, x: np.ndarray) -> np.ndarray:
@@ -350,7 +346,7 @@ def full_pass(problem: Problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One pass over the data: the per-example loss derivatives at the
     predictions ``A @ x``, and the loss gradient ``A.T @ (derivs / n)``.
 
-    Both products are those of :class:`Rows`, the kernel of the minibatch
+    Both products are those of :class:`Rows`, as in the minibatch
     estimator :func:`~dasvrda.sampling.vr_gradient`, so a batch of all
     ``n`` rows in order gives this gradient bit for bit.  The predictions
     come through :func:`margins`, so they cost nothing when the objective

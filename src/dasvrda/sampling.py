@@ -23,7 +23,7 @@ reproducible, independent substreams (for parallel workers or sweep cells).
 :class:`BatchPlan` holds a stage's batches and gathers their rows' stored
 entries a block of steps at a time; :func:`vr_gradient` is the
 variance-reduced estimator over one batch, computed by the
-:class:`~dasvrda.problem.Rows` kernel that :func:`~dasvrda.problem.full_pass`
+:class:`~dasvrda.problem.Rows` products that :func:`~dasvrda.problem.full_pass`
 also uses.
 """
 
@@ -34,7 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .problem import Problem, Rows, full_pass, kernel_sized, row_entries, take_rows
+from .problem import Problem, Rows, dense_view, full_pass, row_entries, take_rows
 
 #: Most stored entries a :class:`BatchPlan` gathers at once (a block of
 #: consecutive steps, or one larger step): a few megabytes of temporaries
@@ -171,63 +171,59 @@ class BatchPlan:
 
     ``idx`` is the ``(m, b)`` array of a stage's draws (see
     :func:`draw_batch`).  :meth:`rows` gives step ``k``'s rows as
-    :class:`~dasvrda.problem.Rows`.  Their stored entries are gathered for
-    a block of consecutive steps at once, at most
-    :data:`PLAN_BLOCK_ENTRIES` of them (or one step that has more).  A step
-    above :data:`~dasvrda.problem.KERNEL_MAX_ENTRIES` entries gets the form
-    :func:`~dasvrda.problem.take_rows` gives it instead, unless
-    ``gather_all`` (the lazy engine needs the flat entries at every size).
+    :class:`~dasvrda.problem.Rows`, and :meth:`steps` gives consecutive
+    steps' rows as one set of CSR arrays.  Their stored entries are
+    gathered (:func:`~dasvrda.problem.row_entries`) for a block of
+    consecutive steps at once, at most :data:`PLAN_BLOCK_ENTRIES` of them
+    (or one step that has more).  Every step holds ``b`` rows, so on a
+    matrix that stores every entry every step has ``b * d`` entries, and
+    :func:`~dasvrda.problem.dense_view` picks one form for the whole plan:
+    :meth:`rows` then gives the dense form, while :meth:`steps` still
+    gathers.
     """
 
-    def __init__(self, features, idx: np.ndarray, gather_all: bool = False) -> None:
+    def __init__(self, features, idx: np.ndarray) -> None:
         self.features = features
         self.idx = idx
+        self.b = idx.shape[1]
         self.d = features.shape[1]
-        self.lens = features.indptr[idx + 1] - features.indptr[idx]
-        steps = self.lens.sum(axis=1)
-        self.ends = np.cumsum(steps)
-        self.kernel = gather_all | kernel_sized(steps)
+        self.dense = dense_view(features, self.b)
+        lens = features.indptr[idx + 1] - features.indptr[idx]
+        self.ends = np.cumsum(lens.sum(axis=1))
         self.lo = self.hi = 0
 
-    def _gather(self, k: int) -> None:
-        """Gather the entries of the block of steps starting at ``k``."""
-        base = self.ends[k - 1] if k else 0
-        hi = int(np.searchsorted(self.ends, base + PLAN_BLOCK_ENTRIES, side="right"))
-        hi = max(hi, k + 1)
-        scipy_steps = np.flatnonzero(~self.kernel[k:hi])
-        if scipy_steps.size:
-            hi = k + int(scipy_steps[0])
-        steps, b = self.idx[k:hi].shape
-        self.row, self.col, self.val = row_entries(
-            self.features, self.idx[k:hi].ravel(), self.lens[k:hi].ravel(),
-            np.tile(np.arange(b), steps))
-        self.offsets = np.concatenate(([0], self.ends[k:hi] - base))
-        self.lo, self.hi = k, hi
+    def _block(self, k: int) -> np.ndarray:
+        """The row pointer of ``k``'s gather block, from step ``k`` on,
+        gathering the block of steps starting at ``k`` if need be."""
+        if not self.lo <= k < self.hi:
+            base = self.ends[k - 1] if k else 0
+            hi = int(np.searchsorted(self.ends, base + PLAN_BLOCK_ENTRIES,
+                                     side="right"))
+            hi = max(hi, k + 1)
+            self.ptr, self.col, self.val = row_entries(self.features,
+                                                       self.idx[k:hi].ravel())
+            self.lo, self.hi = k, hi
+        return self.ptr[(k - self.lo) * self.b:]
 
     def rows(self, k: int) -> Rows:
         """Rows of step ``k`` (from 0)."""
         idx = self.idx[k]
-        if not self.kernel[k]:
-            return take_rows(self.features, idx)
-        if not self.lo <= k < self.hi:
-            self._gather(k)
-        part = slice(self.offsets[k - self.lo], self.offsets[k - self.lo + 1])
-        return Rows(idx, idx.size, self.d,
-                    self.row[part], self.col[part], self.val[part])
+        if self.dense is not None:
+            return Rows(idx, self.b, self.d, dense=self.dense[idx])
+        ptr = self._block(k)[:self.b + 1]
+        return Rows(idx, self.b, self.d, ptr, self.col, self.val)
 
     def steps(self, k: int, count: int) -> tuple[int, np.ndarray, np.ndarray,
-                                                  np.ndarray, np.ndarray]:
-        """Up to ``count`` consecutive steps from ``k`` as flat entries, as
-        many as fit in ``k``'s gather block: the step they end before, each
-        step's first entry (and the end), and the entries' rows, columns and
-        values.  Only for a plan that gathers every step."""
-        if not self.lo <= k < self.hi:
-            self._gather(k)
+                                                  np.ndarray]:
+        """Up to ``count`` consecutive steps from ``k``, as many as ``k``'s
+        gather block holds, as CSR arrays of their ``b`` rows each: the
+        step they end before, their row pointer (from 0), and their
+        entries' columns and values."""
+        ptr = self._block(k)
         stop = min(k + count, self.hi)
-        offsets = self.offsets[k - self.lo:stop - self.lo + 1]
-        part = slice(offsets[0], offsets[-1])
-        return (stop, offsets - offsets[0],
-                self.row[part], self.col[part], self.val[part])
+        ptr = ptr[:(stop - k) * self.b + 1]
+        part = slice(ptr[0], ptr[-1])
+        return stop, ptr - ptr[0], self.col[part], self.val[part]
 
 
 @dataclass
@@ -278,9 +274,9 @@ def vr_gradient(
     with no rounding noise.  ``B`` takes the products of
     :class:`~dasvrda.problem.Rows`, as :func:`~dasvrda.problem.full_pass`
     does, so that coincidence is bitwise: a batch of all ``n`` rows in
-    order takes the form of the full pass (see
-    :class:`~dasvrda.problem.Rows`), both being above
-    :data:`~dasvrda.problem.KERNEL_MAX_ENTRIES` entries or both below.
+    order takes the form of the full pass, both being above
+    :data:`~dasvrda.problem.BLAS_ABOVE_ENTRIES` entries or both below, and
+    the csr form's loops do not depend on where the arrays sit.
     """
     rows = idx if isinstance(idx, Rows) else take_rows(problem.data.features, idx)
     idx = rows.idx

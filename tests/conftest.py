@@ -51,7 +51,7 @@ def pytest_terminal_summary(terminalreporter):
 def full_products(monkeypatch):
     """A list that gets the form of every product ``A @ x`` over all rows
     of a design matrix, as :meth:`~dasvrda.problem.Rows.dot` takes it
-    (``"kernel"``, ``"csr"`` or ``"dense"``): its length counts them."""
+    (``"csr"`` or ``"dense"``): its length counts them."""
     from dasvrda.problem import Rows
 
     forms = []

@@ -187,7 +187,7 @@ def test_header_names_the_form_of_the_full_pass():
         synthetic = SyntheticSpec(kind="lasso", sparsity=5, seed=0, **spec)
         return resolve(lasso_config(synthetic=synthetic)).header["products"]
 
-    assert header(n=60, d=20) == "kernel: 1200 of 60x20 entries stored, <= 6000"
+    assert header(n=60, d=20) == "csr: 1200 of 60x20 entries stored, <= 6000"
     assert header(n=200, d=50) == "dense: 10000 of 200x50 entries stored, > 6000"
     assert header(n=200, d=50) == header(n=200, d=50)
     text = header(n=400, d=50, density=0.5)
@@ -532,6 +532,36 @@ def test_d_check_runs_before_the_synthetic_draw(monkeypatch):
                         lambda spec: pytest.fail("drew a rejected problem"))
     with pytest.raises(ConfigError, match="d=20 needs"):
         resolve(lasso_config())
+
+
+def test_cli_rejects_an_epoch_length_beyond_physical_memory(tmp_path, capsys):
+    # 10**12 steps of one draw: the stage's draws alone are 8 TB.
+    trace = tmp_path / "t.csv"
+    code = main([
+        "run", "--synthetic", "lasso:n=100,d=10", "--l1", "1e-3",
+        "--epoch-len", "1000000000000", "--budget", "1000000000000000",
+        "--trace", str(trace),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "epoch length 1000000000000" in err and "physical memory" in err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("algo", ["dasvrda-ns", "dasvrda-warm", "svrg"])
+def test_epoch_length_check_covers_the_longest_stage_loop(monkeypatch, algo):
+    # Both above the d check's 24 vectors of d = 20.
+    config = lasso_config(algo=algo, batch=3, epoch_len=400)
+    loop = resolve(config).header["epoch_len"]
+    assert loop == 400 or algo == "dasvrda-warm" and loop > 400
+    need = 16 * loop * (3 + 1)
+    monkeypatch.setattr(harness, "physical_memory", lambda: need)
+    resolve(config)
+    monkeypatch.setattr(harness, "physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match=f"epoch length 400 runs stages of {loop} "):
+        resolve(config)
+    # pg and apg draw no batches.
+    resolve(lasso_config(algo="pg", epoch_len=10**12))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -372,7 +372,7 @@ def test_lazy_stage_matches_dense_stage_at_high_d():
 def test_lazy_stage_matches_dense_stage_on_a_fully_stored_matrix(loss):
     # 200 x 50, every entry stored: the dense engine's full passes and its
     # 150-row minibatches (7500 entries) take BLAS on the dense view, the
-    # lazy engine's minibatches the flat-array kernel.
+    # lazy engine's minibatches the csr form over its blocks' columns.
     problem = sparse_problem(seed=9, n=200, d=50, density=1.0, loss=loss)
     assert take_rows(problem.data.features).form == "dense"
     scheme = IidUniform(problem.n)

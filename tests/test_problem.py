@@ -17,7 +17,7 @@ from dasvrda import (
     prox_elastic_net,
 )
 from dasvrda.problem import (
-    KERNEL_MAX_ENTRIES,
+    BLAS_ABOVE_ENTRIES,
     SMOOTHNESS_FLOOR,
     dataset_summary,
     full_pass,
@@ -209,14 +209,14 @@ def test_row_norms_match_scipy_row_sums_bitwise():
 
 
 def counted_problem(form, n=200, d=50, seed=13):
-    """Dense least squares above the kernel limit whose full products take
+    """Dense least squares above the BLAS limit whose full products take
     ``form``: every entry stored (``"dense"``) or one missing (``"csr"``)."""
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, d))
     if form == "csr":
         mat[n // 2, d // 3] = 0.0
     data = make_dataset(mat, rng.standard_normal(n))
-    assert data.features.nnz > KERNEL_MAX_ENTRIES
+    assert data.features.nnz > BLAS_ABOVE_ENTRIES
     assert take_rows(data.features).form == form
     return make_problem(data, Squared(), ElasticNet(1e-3, 1e-4)), rng
 
@@ -226,10 +226,10 @@ ABOVE_LIMIT = ("dense", "csr")
 
 def test_margins_match_the_product_bitwise():
     rng = np.random.default_rng(14)
-    # Below the kernel limit, and above it with every entry stored or not.
+    # Below the BLAS limit, and above it with every entry stored or not.
     problems = [random_problem(rng, Squared(), n=40, d=9, density=0.6)[0]]
     problems += [counted_problem(form)[0] for form in ABOVE_LIMIT]
-    for prob, form in zip(problems, ("kernel",) + ABOVE_LIMIT):
+    for prob, form in zip(problems, ("csr",) + ABOVE_LIMIT):
         rows = take_rows(prob.data.features)
         assert rows.form == form
         x = rng.standard_normal(prob.d)

@@ -235,7 +235,7 @@ def test_anchor_takes_over_the_swept_copy_of_its_point():
 
 
 # ---------------------------------------------------------------------------
-# Stage plans and the minibatch kernel.
+# Stage plans and the minibatch products.
 
 
 def plan_scheme(kind, n, b):
@@ -266,7 +266,7 @@ def test_stage_plan_equals_successive_draws(kind, b):
         draw_batch(scheme, one_call, b, 0)
 
 
-def kernel_problem(loss=Squared(), n=40, d=30, seed=0):
+def csr_problem(loss=Squared(), n=40, d=30, seed=0):
     """Sparse rows with empty rows (one of them trailing) and empty columns."""
     rng = np.random.default_rng(seed)
     mat = np.where(rng.random((n, d)) < 0.15, rng.standard_normal((n, d)), 0.0)
@@ -278,17 +278,85 @@ def kernel_problem(loss=Squared(), n=40, d=30, seed=0):
                         ElasticNet(1e-3, 1e-3))
 
 
-def both_forms(mat, idx):
-    """The kernel and the scipy form of the same rows, built directly."""
-    lens = mat.indptr[idx + 1] - mat.indptr[idx]
-    return (Rows(idx, idx.size, mat.shape[1], *row_entries(mat, idx, lens)),
-            Rows(idx, idx.size, mat.shape[1], mat=mat[idx]))
+def csr_rows(mat, idx=None):
+    """The csr form of rows ``idx`` of ``mat`` (all rows when None),
+    whatever their size."""
+    n, d = mat.shape
+    if idx is None:
+        return Rows(None, n, d, mat.indptr, mat.indices, mat.data)
+    return Rows(idx, idx.size, d, *row_entries(mat, idx))
+
+
+def same_bits(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+def check_public_products(rows, sub, rng):
+    """``rows`` against scipy's public products of the same rows ``sub``,
+    bit for bit, on float64, float32 and integer vectors."""
+    d = sub.shape[1]
+    for x, v in ((rng.standard_normal(d), rng.standard_normal(rows.count)),
+                 (rng.standard_normal(d).astype(np.float32),
+                  rng.standard_normal(rows.count).astype(np.float32)),
+                 (rng.integers(-3, 4, size=d), rng.integers(-3, 4, size=rows.count))):
+        same_bits(rows.dot(x), sub @ x)
+        same_bits(rows.tdot(v), sub.T @ v)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_csr_form_matches_scipy_public_products_bitwise(monkeypatch, index_dtype):
+    # The csr form runs scipy's private compiled loops; this holds them to
+    # the public products, so a scipy whose loops moved fails here.
+    mat = csr_problem().data.features.copy()
+    mat.indptr = mat.indptr.astype(index_dtype)
+    mat.indices = mat.indices.astype(index_dtype)
+    n = mat.shape[0]
+    rng = np.random.default_rng(21)
+    # Repeated rows, empty rows (3, 17 and the trailing 39), rows that are
+    # all empty, a random batch, and all rows gathered in order.
+    for idx in (np.array([3, 3, 17, 39, 5, 5, 5]), np.array([17]),
+                np.array([39, 3]), rng.integers(0, n, size=25), np.arange(n)):
+        rows, sub = take_rows(mat, idx), mat[idx]
+        assert rows.form == "csr"
+        # scipy may narrow the index type of its copy.
+        assert rows.ptr.dtype == rows.col.dtype == index_dtype
+        assert np.array_equal(rows.ptr, sub.indptr)
+        assert np.array_equal(rows.col, sub.indices)
+        same_bits(rows.val, sub.data)
+        check_public_products(rows, sub, rng)
+    # All rows: the matrix's own arrays.
+    rows = take_rows(mat)
+    assert rows.ptr is mat.indptr and rows.col is mat.indices and rows.val is mat.data
+    check_public_products(rows, mat, rng)
+    # Steps of a plan: their pointers are slices of a gather block's pointer
+    # over the block's whole arrays.
+    monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", 60)
+    idx = draw_batch(IidUniform(n), make_rng(9), 5, 12)
+    plan = BatchPlan(mat, idx)
+    inner = 0
+    for k in range(idx.shape[0]):
+        rows = plan.rows(k)
+        assert rows.col is plan.col and rows.ptr.dtype == index_dtype
+        inner += rows.ptr[0] > 0
+        check_public_products(rows, mat[idx[k]], rng)
+    assert inner >= 2
+    # The loops check no index or length, so their callers do.
+    for bad in ([0, n], [-1, 0]):
+        with pytest.raises(IndexError, match="out of range"):
+            take_rows(mat, np.array(bad))
+    with pytest.raises(ValueError, match="shape"):
+        rows.dot(np.zeros(mat.shape[1] - 1))
+    with pytest.raises(ValueError, match="shape"):
+        rows.tdot(np.zeros(rows.count + 1))
 
 
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("loss", [Squared(), Logistic()], ids=["squared", "logistic"])
 def test_kernel_matches_scipy_products_bitwise(loss, weighted):
-    problem = kernel_problem(loss)
+    # The estimator on the csr form, from the batch's indices or a plan's
+    # rows, against the same formula on scipy's public products.
+    problem = csr_problem(loss)
     mat = problem.data.features
     scheme = smoothness_weighted(problem) if weighted else IidUniform(problem.n)
     rng = np.random.default_rng(1)
@@ -297,89 +365,108 @@ def test_kernel_matches_scipy_products_bitwise(loss, weighted):
                np.array([39, 3]), rng.integers(0, problem.n, size=25),
                np.arange(problem.n)]
     for idx in batches:
-        kernel, scipy_form = both_forms(mat, idx)
         y = rng.standard_normal(problem.d)
-        v = rng.standard_normal(idx.size)
-        assert kernel.dot(y).tobytes() == scipy_form.dot(y).tobytes()
-        assert kernel.tdot(v).tobytes() == scipy_form.tdot(v).tobytes()
-        assert kernel.tdot(v).tobytes() == (mat[idx].T @ v).tobytes()
-        got = vr_gradient(problem, anchor, scheme, y, kernel)
-        assert got.tobytes() == vr_gradient(problem, anchor, scheme, y,
-                                            scipy_form).tobytes()
-        assert got.tobytes() == vr_gradient(problem, anchor, scheme, y, idx).tobytes()
-    # All rows in order: the full pass's two forms.
+        sub, b = mat[idx], idx.size
+        dy = loss.derivatives(sub @ y, problem.data.labels[idx])
+        dx = anchor.derivs[idx]
+        if weighted:
+            dy, dx = scheme.weights[idx] * dy, scheme.weights[idx] * dx
+        expect = sub.T @ (dy / b) + (anchor.grad - sub.T @ (dx / b))
+        planned = BatchPlan(mat, idx[None, :]).rows(0)
+        for got in (vr_gradient(problem, anchor, scheme, y, idx),
+                    vr_gradient(problem, anchor, scheme, y, planned)):
+            same_bits(got, expect)
+    # All rows in order: the full pass's products.
     n, d = mat.shape
-    all_kernel = Rows(None, n, d, np.repeat(np.arange(n), np.diff(mat.indptr)),
-                      mat.indices.astype(np.intp), mat.data)
-    all_scipy = Rows(None, n, d, mat=mat)
-    x = rng.standard_normal(d)
-    assert all_kernel.dot(x).tobytes() == all_scipy.dot(x).tobytes()
-    v = rng.standard_normal(n)
-    assert all_kernel.tdot(v).tobytes() == all_scipy.tdot(v).tobytes()
+    x, v = rng.standard_normal(d), rng.standard_normal(n)
+    same_bits(take_rows(mat).dot(x), mat @ x)
+    same_bits(take_rows(mat).tdot(v), mat.T @ v)
 
 
 def test_take_rows_switches_form_at_the_entry_limit(monkeypatch):
-    problem = kernel_problem()
-    mat = problem.data.features
+    mat = stored_problem(n=30, d=8).data.features
+    n, d = mat.shape
     idx = np.array([0, 1, 2, 4])
-    entries = int((mat.indptr[idx + 1] - mat.indptr[idx]).sum())
-    monkeypatch.setattr(problem_module, "KERNEL_MAX_ENTRIES", entries)
-    assert take_rows(mat, idx).mat is None
-    assert take_rows(mat).mat is mat
-    monkeypatch.setattr(problem_module, "KERNEL_MAX_ENTRIES", entries - 1)
-    assert take_rows(mat, idx).mat is not None
-    monkeypatch.setattr(problem_module, "KERNEL_MAX_ENTRIES", mat.nnz)
-    assert take_rows(mat).mat is None
+    monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", idx.size * d)
+    assert take_rows(mat, idx).form == "csr"
+    assert take_rows(mat).form == "dense"
+    monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", idx.size * d - 1)
+    assert take_rows(mat, idx).form == "dense"
+    monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", n * d)
+    assert take_rows(mat).ptr is mat.indptr
+    # A matrix that misses entries takes the csr form at every size.
+    monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", 0)
+    sparse = csr_problem().data.features
+    assert take_rows(sparse).form == take_rows(sparse, idx).form == "csr"
+
+
+def check_plan_rows(plan, mat, idx, rng):
+    """Each step of ``plan`` has the form, the arrays and the product bits
+    of :func:`take_rows` of its batch."""
+    for k in range(idx.shape[0]):
+        got, expect = plan.rows(k), take_rows(mat, idx[k])
+        assert got.form == expect.form
+        assert got.idx.tobytes() == idx[k].tobytes()
+        if got.form == "dense":
+            assert got.dense.tobytes() == expect.dense.tobytes()
+        else:
+            part = slice(got.ptr[0], got.ptr[-1])
+            for gathered, own in ((got.ptr - got.ptr[0], expect.ptr),
+                                  (got.col[part], expect.col),
+                                  (got.val[part], expect.val)):
+                same_bits(gathered, own)
+        y, v = rng.standard_normal(mat.shape[1]), rng.standard_normal(idx.shape[1])
+        same_bits(got.dot(y), expect.dot(y))
+        same_bits(got.tdot(v), expect.tdot(v))
 
 
 @pytest.mark.parametrize("limits", [(10**9, 1 << 16), (10**9, 25), (20, 60), (0, 1)])
 def test_batch_plan_rows_match_take_rows(monkeypatch, limits):
-    # Large and small blocks, and steps on either side of the kernel limit.
-    kernel_max, block = limits
-    monkeypatch.setattr(problem_module, "KERNEL_MAX_ENTRIES", kernel_max)
+    # Large and small gather blocks, and fully stored steps on either side
+    # of the BLAS limit.
+    blas_above, block = limits
+    monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", blas_above)
     monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", block)
-    problem = kernel_problem()
-    mat = problem.data.features
+    rng = np.random.default_rng(7)
     m, b = 23, 5
-    idx = draw_batch(IidUniform(problem.n), make_rng(2), b, m)
-    for gather_all in (False, True):
-        plan = BatchPlan(mat, idx, gather_all=gather_all)
-        for k in range(m):
-            got = plan.rows(k)
-            assert got.idx.tobytes() == idx[k].tobytes()
-            kernel, _ = both_forms(mat, idx[k])
-            scipy_step = not gather_all and kernel.val.size > kernel_max
-            assert (got.mat is not None) == scipy_step
-            if not scipy_step:
-                for name in ("row", "col", "val"):
-                    assert getattr(got, name).tobytes() == \
-                        getattr(kernel, name).tobytes()
+    for problem in (csr_problem(), stored_problem(n=40, d=6)):
+        mat = problem.data.features
+        idx = draw_batch(IidUniform(problem.n), make_rng(2), b, m)
+        plan = BatchPlan(mat, idx)
+        assert (plan.dense is not None) == (mat.nnz == 240 and b * 6 > blas_above)
+        check_plan_rows(plan, mat, idx, rng)
 
 
 @pytest.mark.parametrize("block", [1 << 16, 25, 1])
 def test_batch_plan_steps_are_the_rows_of_one_gather_block(monkeypatch, block):
     monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", block)
-    problem = kernel_problem()
-    mat = problem.data.features
+    # On a fully stored matrix the plan's rows take BLAS, and its steps
+    # still gather the entries.
+    monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", 0)
     m, b = 23, 5
-    idx = draw_batch(IidUniform(problem.n), make_rng(2), b, m)
-    plan = BatchPlan(mat, idx, gather_all=True)
-    k = 0
-    while k < m:
-        stop, offsets, row, col, val = plan.steps(k, 4)
-        assert k < stop <= min(k + 4, m)
-        assert stop == k + 1 or offsets[-1] <= block
-        for j in range(k, stop):
-            part = slice(offsets[j - k], offsets[j - k + 1])
-            rows = BatchPlan(mat, idx, gather_all=True).rows(j)
-            for name, got in (("row", row), ("col", col), ("val", val)):
-                assert got[part].tobytes() == getattr(rows, name).tobytes()
-        k = stop
+    for problem in (csr_problem(), stored_problem(n=40, d=6)):
+        mat = problem.data.features
+        idx = draw_batch(IidUniform(problem.n), make_rng(2), b, m)
+        plan = BatchPlan(mat, idx)
+        k = 0
+        while k < m:
+            stop, ptr, col, val = plan.steps(k, 4)
+            assert k < stop <= min(k + 4, m)
+            assert ptr.size == (stop - k) * b + 1 and ptr[0] == 0
+            assert ptr.dtype == col.dtype and ptr[-1] == col.size == val.size
+            assert stop == k + 1 or ptr[-1] <= block
+            for j in range(k, stop):
+                step = ptr[(j - k) * b:(j - k + 1) * b + 1]
+                rows = csr_rows(mat, idx[j])
+                same_bits(step - step[0], rows.ptr)
+                same_bits(col[step[0]:step[-1]], rows.col)
+                same_bits(val[step[0]:step[-1]], rows.val)
+            k = stop
 
 
 def stored_problem(loss=Squared(), n=200, d=50, missing=0, seed=4):
     """Every entry stored but ``missing`` of them: 10000 entries by
-    default, above the kernel limit."""
+    default, above the BLAS limit."""
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, d))
     mat.ravel()[rng.choice(n * d, missing, replace=False)] = 0.0
@@ -395,8 +482,8 @@ def test_dense_form_only_for_fully_stored_matrices_above_the_limit():
     assert rows.form == "dense" and rows.dense.shape == (n, d)
     assert np.shares_memory(rows.dense, mat.data)   # a view, not a copy
     assert take_rows(mat, np.arange(121) % 7).form == "dense"   # 6050 entries
-    assert take_rows(mat, np.arange(120) % 7).form == "kernel"   # 6000
-    assert take_rows(stored_problem(n=120).data.features).form == "kernel"
+    assert take_rows(mat, np.arange(120) % 7).form == "csr"   # 6000
+    assert take_rows(stored_problem(n=120).data.features).form == "csr"
     missing = stored_problem(missing=1).data.features
     assert missing.nnz == n * d - 1
     assert take_rows(missing).form == "csr"
@@ -409,7 +496,7 @@ def test_dense_form_only_for_fully_stored_matrices_above_the_limit():
         other = sp.csr_matrix((mat.data.copy(), indices, mat.indptr.copy()),
                               shape=(n, d))
         assert other.nnz == n * d
-        assert problem_module.dense_view(other) is None
+        assert problem_module.dense_view(other, n) is None
         assert take_rows(other).form == "csr"
 
 
@@ -425,9 +512,8 @@ def test_dense_products_agree_with_csr_products():
     for idx in (None, rng.integers(0, n, size=150), everything):
         dense = take_rows(mat, idx)
         assert dense.form == "dense"
-        count = n if idx is None else idx.size
-        csr = Rows(idx, count, d, mat=mat if idx is None else mat[idx])
-        x, v = rng.standard_normal(d), rng.standard_normal(count)
+        csr = csr_rows(mat, idx)
+        x, v = rng.standard_normal(d), rng.standard_normal(csr.count)
         assert relative_error(dense.dot(x), csr.dot(x)) <= 1e-12
         assert relative_error(dense.tdot(v), csr.tdot(v)) <= 1e-12
     # A gathered copy of all rows gives the bits of the view.
@@ -438,7 +524,7 @@ def test_dense_products_agree_with_csr_products():
 
 
 def test_full_batch_stage_is_a_prox_gradient_half_step_on_the_dense_form():
-    # Acceptance criterion 09's first reduction, above the kernel limit.
+    # Acceptance criterion 09's first reduction, above the BLAS limit.
     problem = stored_problem()
     n = problem.n
     rng = np.random.default_rng(99)
@@ -458,14 +544,11 @@ def test_batch_plan_rows_match_take_rows_on_the_dense_form():
     m, b = 6, 150   # 7500 entries per step
     idx = draw_batch(IidUniform(problem.n), make_rng(3), b, m)
     plan = BatchPlan(mat, idx)
-    rng = np.random.default_rng(7)
-    for k in range(m):
-        got, expect = plan.rows(k), take_rows(mat, idx[k])
-        assert got.form == expect.form == "dense"
-        assert got.idx.tobytes() == idx[k].tobytes()
-        assert got.dense.tobytes() == expect.dense.tobytes()
-        y, v = rng.standard_normal(problem.d), rng.standard_normal(b)
-        assert got.dot(y).tobytes() == expect.dot(y).tobytes()
-        assert got.tdot(v).tobytes() == expect.tdot(v).tobytes()
-    # The lazy engine gathers the flat entries at every size.
-    assert BatchPlan(mat, idx, gather_all=True).rows(0).form == "kernel"
+    assert plan.rows(0).form == "dense"
+    check_plan_rows(plan, mat, idx, np.random.default_rng(7))
+    # Its steps still gather the entries, as the lazy engine needs them.
+    stop, ptr, col, val = plan.steps(0, 1)
+    rows = csr_rows(mat, idx[0])
+    assert stop == 1
+    for got, expect in ((ptr, rows.ptr), (col, rows.col), (val, rows.val)):
+        same_bits(got, expect)

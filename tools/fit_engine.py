@@ -18,10 +18,11 @@ lazy/dense ratio and the engine ``choose_engine`` picks with the current
 and with the fitted constants.  ``--save`` keeps the timings, ``--load``
 refits saved ones without timing again.
 
-``kernel`` times the two forms of ``problem.Rows`` -- the gather kernel and
-scipy's CSR products -- as ``vr_gradient`` uses them on a batch plan
-(gather included) and as ``full_pass`` uses them, over a range of entry
-counts, to place ``problem.KERNEL_MAX_ENTRIES``.
+``kernel`` times the two forms of ``problem.Rows`` on fully stored
+matrices (d = 50) -- the csr form and BLAS on the dense view -- as
+``vr_gradient`` uses them on a batch plan (gather included) and as
+``full_pass`` uses them, over a range of entry counts, to place
+``problem.BLAS_ABOVE_ENTRIES``.
 
 ``block`` times one lazy stage per step, as ``engine`` does, against the
 block length ``lazy.BLOCK_STEPS`` on a few of the grid's problems, to place
@@ -175,27 +176,28 @@ def engine(args) -> int:
 
 
 def kernel(args) -> int:
-    """Gather kernel against scipy's products, per call, by entry count."""
-    forms = {"kernel": 10**12, "scipy": -1}
+    """The csr form against the dense form on fully stored matrices, per
+    call, by entry count."""
+    forms = {"csr": 10**12, "dense": -1}
+    d = 50
 
     def timed(form: str, fn, reps: int) -> float:
-        saved = problem_module.KERNEL_MAX_ENTRIES
-        problem_module.KERNEL_MAX_ENTRIES = forms[form]
+        saved = problem_module.BLAS_ABOVE_ENTRIES
+        problem_module.BLAS_ABOVE_ENTRIES = forms[form]
         try:
             return best_of(fn, reps)
         finally:
-            problem_module.KERNEL_MAX_ENTRIES = saved
+            problem_module.BLAS_ABOVE_ENTRIES = saved
 
-    print("entries  minibatch step: kernel  scipy (us)   full pass: kernel  scipy (us)")
-    for entries in (250, 1000, 2000, 4000, 6000, 8000, 12000, 16000, 32000, 10**6):
-        r = 50 if entries <= 32000 else 500
-        b = max(1, entries // r)
-        n_batch = max(4 * b, 400)
-        problem = logistic_problem(n_batch, 500, r, seed=1)
+    print("entries  minibatch step: csr  dense (us)   full pass: csr  dense (us)")
+    for entries in (500, 1000, 2000, 3000, 4000, 6000, 8000, 16000, 32000,
+                    10**5, 10**6):
+        b = entries // d
+        problem = logistic_problem(max(4 * b, 400), d, d, seed=1)
         scheme = IidUniform(problem.n)
         rng = np.random.default_rng(0)
-        anchor = make_anchor(problem, 0.1 * rng.standard_normal(problem.d))
-        y = 0.1 * rng.standard_normal(problem.d)
+        anchor = make_anchor(problem, 0.1 * rng.standard_normal(d))
+        y = 0.1 * rng.standard_normal(d)
         m = 40
         idx = draw_batch(scheme, make_rng(0), b, m)
 
@@ -204,18 +206,18 @@ def kernel(args) -> int:
             for k in range(m):
                 vr_gradient(problem, anchor, scheme, y, plan.rows(k))
 
-        step = {form: 1e6 * timed(form, planned, 3) / m for form in forms}
-        small = logistic_problem(max(1, entries // 50), 500, 50, seed=2)
-        x = 0.1 * rng.standard_normal(500)
-        reps = max(3, min(200, 10**6 // entries))
+        reps = max(3, min(50, 10**6 // entries))
+        step = {form: 1e6 * timed(form, planned, reps) / m for form in forms}
+        small = logistic_problem(b, d, d, seed=2)
+        x = 0.1 * rng.standard_normal(d)
 
         def passes():
             for _ in range(10):
                 full_pass(small, x)
 
-        full = {form: 1e6 * timed(form, passes, reps) / 10 for form in forms}
-        print(f"{b * r:7d}  {step['kernel']:20.1f} {step['scipy']:6.1f}"
-              f"   {full['kernel']:17.1f} {full['scipy']:6.1f}", flush=True)
+        full = {form: 1e6 * timed(form, passes, 4 * reps) / 10 for form in forms}
+        print(f"{entries:7d}  {step['csr']:17.1f} {step['dense']:6.1f}"
+              f"   {full['csr']:14.1f} {full['dense']:6.1f}", flush=True)
     return 0
 
 
@@ -253,7 +255,8 @@ def main(argv=None) -> int:
     p_engine = sub.add_parser("engine", help="time both engines and fit the cost model")
     p_engine.add_argument("--save")
     p_engine.add_argument("--load")
-    sub.add_parser("kernel", help="time the two forms of the minibatch products")
+    sub.add_parser("kernel", help="time the two forms of the minibatch products "
+                   "on fully stored matrices")
     sub.add_parser("block", help="time the lazy step against its block length")
     args = parser.parse_args(argv)
     return {"engine": engine, "kernel": kernel, "block": block}[args.command](args)

@@ -1,4 +1,4 @@
-"""Trajectory grid: run 648 small configurations and compare two runs bitwise.
+"""Trajectory grid: run 660 small configurations and compare two runs bitwise.
 
 Usage, from the root of a checkout::
 
@@ -16,13 +16,19 @@ Usage, from the root of a checkout::
   lazy stage (``auto`` for the others);
 * three problems: a dense lasso (n=60, d=20), a density-0.1
   ridge-logistic problem (n=80, d=40, l1 = l2 = 1e-3), and a dense lasso
-  above ``problem.KERNEL_MAX_ENTRIES`` (n=160, d=50: 8000 entries, all
+  above ``problem.BLAS_ABOVE_ENTRIES`` (n=160, d=50: 8000 entries, all
   stored, so its full passes take BLAS on the dense view);
 * two stopping rules: 3 stages, or a budget of ``7 n`` evaluations with the
   stage count left open (2 stages per restart for ``dasvrda-sc``);
 * two step rules: the algorithm's default, or an explicit ``eta`` fixed per
   problem, so that a change to a default step rule and a change to a
   stage's arithmetic show apart.
+
+The 648 configurations stop before either adaptive restart test fires, so
+12 more run ``dasvrda-ar-f`` and ``dasvrda-ar-g`` over the three samplings
+and both engines on a fourth problem, a strongly convex dense lasso (n=120,
+d=20, l2 = 1e-2), at their default step and a budget of ``150 n``
+evaluations: each of them flags a restart.
 
 Batch size 4, seed 0.  For each problem it writes a data digest: a
 SHA-256 of the generated CSR arrays, labels and ground truth, each tagged
@@ -38,7 +44,8 @@ differ, whether its ``evals`` or ``restarted`` columns differ, the largest
 absolute and relative objective differences and the largest ``x``
 difference.  It counts, each on a line of its own, the configurations
 that differ in header keys only, and those whose rows are equal and whose
-``x`` differs only in the sign of zeros.  It exits 1 if any problem
+``x`` differs only in the sign of zeros, and the configurations of each
+file that flag a restart, per algorithm.  It exits 1 if any problem
 or configuration differs.  The trace's
 ``seconds`` column is not recorded, since it is a timing.
 """
@@ -56,6 +63,9 @@ ALGOS = ("pg", "apg", "svrg", "dasvrda-ns", "dasvrda-sc", "dasvrda-ar-f",
          "dasvrda-ar-g", "dasvrda-warm", "dasvrg")
 SAMPLINGS = ("uniform", "weighted", "partition")
 BATCH = 4
+#: The problem of the adaptive configurations, and their algorithms.
+RESTARTS = "restarts"
+ADAPTIVE = ("dasvrda-ar-f", "dasvrda-ar-g")
 
 
 def problems(SyntheticSpec):
@@ -72,6 +82,9 @@ def problems(SyntheticSpec):
         "stored": (dict(loss="squared", l1=1e-3, l2=0.0,
                         synthetic=SyntheticSpec(kind="lasso", n=160, d=50,
                                                 sparsity=5, seed=2)), 4e-4),
+        RESTARTS: (dict(loss="squared", l1=1e-3, l2=1e-2,
+                        synthetic=SyntheticSpec(kind="lasso", n=120, d=20,
+                                                sparsity=5, seed=0)), None),
     }
 
 
@@ -80,7 +93,9 @@ def configs():
     from dasvrda import SyntheticSpec
     from dasvrda.harness import ALGORITHMS
 
-    for pname, (pkw, eta) in problems(SyntheticSpec).items():
+    grid = problems(SyntheticSpec)
+    restarts, _ = grid.pop(RESTARTS)
+    for pname, (pkw, eta) in grid.items():
         n = pkw["synthetic"].n
         for algo in ALGOS:
             engines = ("off", "on" if ALGORITHMS[algo].lazy else "auto")
@@ -101,6 +116,25 @@ def configs():
                                 kw["eta"] = eta
                                 key += f"/eta={eta:g}"
                             yield key, kw
+    for algo in ADAPTIVE:
+        for sampling in SAMPLINGS:
+            for lazy in ("off", "on"):
+                yield (f"{RESTARTS}/{algo}/{sampling}/lazy={lazy}/budget",
+                       dict(restarts, algo=algo, sampling=sampling, lazy=lazy,
+                            batch=BATCH, seed=0,
+                            budget=150 * restarts["synthetic"].n))
+
+
+def restart_counts(results: dict) -> str:
+    """How many configurations flag a restart, in all and per algorithm."""
+    counts: dict[str, int] = {}
+    for key, result in results.items():
+        if any(result["restarted"]):
+            algo = key.split("/")[1]
+            counts[algo] = counts.get(algo, 0) + 1
+    parts = ", ".join(f"{algo} {count}" for algo, count in sorted(counts.items()))
+    return (f"{sum(counts.values())} of {len(results)} configurations flag a "
+            f"restart ({parts or 'none'})")
 
 
 def data_digest(data, x_true) -> str:
@@ -144,6 +178,7 @@ def run(src: str, out: str) -> int:
         json.dump({"data": data, "configs": results}, handle, indent=0,
                   sort_keys=True)
     print(f"{len(results)} configurations of {dasvrda.__file__} written to {out}")
+    print(restart_counts(results))
     return 0
 
 
@@ -181,6 +216,8 @@ def diff(old_path: str, new_path: str) -> int:
             data_changed += 1
     print(f"{data_changed} of {len(new['data'])} problems differ in data")
     old, new = old["configs"], new["configs"]
+    print(f"old: {restart_counts(old)}")
+    print(f"new: {restart_counts(new)}")
     changed = 0
     header_only: dict[tuple, int] = {}
     signed_zeros = 0
