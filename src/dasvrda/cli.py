@@ -9,81 +9,79 @@ still written, flagged unconverged).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .harness import (ALGORITHMS, DEFAULT_ALGORITHM, SAMPLINGS, RunConfig,
+from .harness import (ALGORITHMS, LAZY_MODES, LIPSCHITZ, SAMPLINGS, RunConfig,
                       load_problem, parse_synthetic, run_experiment)
 from .reference import compute_reference, save_reference
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--data", metavar="PATH", help="svmlight/libsvm file (.gz ok)")
+    source.add_argument("--data", dest="data_path", metavar="PATH",
+                        help="svmlight/libsvm file (.gz ok)")
     source.add_argument(
         "--synthetic",
         metavar="SPEC",
         help="e.g. lasso:n=200,d=50,density=0.3,noise=0.1,sparsity=10,seed=0 "
         "or ridge-logistic:n=500,d=50",
     )
-    parser.add_argument(
-        "--dim", type=int, default=None, help="override feature count of --data"
-    )
-    parser.add_argument(
-        "--normalize",
-        choices=["l2-rows"],
-        default=None,
-        help="scale every example to unit norm before solving",
-    )
-    parser.add_argument("--loss", default="squared",
-                        help="squared | logistic | smoothed-hinge:NU")
-    parser.add_argument("--l1", type=float, default=0.0, help="l1 weight")
-    parser.add_argument("--l2", type=float, default=0.0, help="squared-l2 weight")
+    parser.add_argument("--dim", type=int, help="override feature count of --data")
+    parser.add_argument("--normalize", choices=["l2-rows"],
+                        help="scale every example to unit norm before solving")
+    parser.add_argument("--loss", help="squared | logistic | smoothed-hinge:NU")
+    parser.add_argument("--l1", type=float, help="l1 weight")
+    parser.add_argument("--l2", type=float, help="squared-l2 weight")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each option but ``ref``'s last three sets the :class:`RunConfig` field
+    named by its dest, and has no default of its own."""
     parser = argparse.ArgumentParser(
         prog="erm",
         description="Benchmark solvers for elastic-net regularized ERM",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one solver and write a trace")
+    run = sub.add_parser("run", help="run one solver and write a trace",
+                         argument_default=argparse.SUPPRESS)
     _add_data_arguments(run)
-    run.add_argument("--algo", default=DEFAULT_ALGORITHM, choices=list(ALGORITHMS))
-    run.add_argument("--batch", type=int, default=1, help="minibatch size")
-    run.add_argument("--epoch-len", type=int, default=None,
+    run.add_argument("--algo", choices=list(ALGORITHMS))
+    run.add_argument("--batch", type=int, help="minibatch size")
+    run.add_argument("--epoch-len", type=int,
                      help="inner iterations per stage (default n/batch; "
                      "twice that for the SVRG baseline)")
-    run.add_argument("--gamma", type=float, default=None,
+    run.add_argument("--gamma", type=float,
                      help="outer momentum parameter (default: tuned optimum)")
-    run.add_argument("--eta", type=float, default=None,
-                     help="step size (default: theory value)")
-    run.add_argument("--stages", type=int, default=None,
+    run.add_argument("--eta", type=float, help="step size (default: theory value)")
+    run.add_argument("--stages", type=int,
                      help="outer stages (per restart with fixed restarts)")
-    run.add_argument("--restarts", type=int, default=None,
+    run.add_argument("--restarts", type=int,
                      help="restart count for the fixed-restart variant")
-    run.add_argument("--warm-m0", type=int, default=None,
+    run.add_argument("--warm-m0", type=int,
                      help="initial warm-up loop length for the warm-start variant")
-    run.add_argument("--warm-stages", type=int, default=None,
+    run.add_argument("--warm-stages", type=int,
                      help="warm-up stage count for the warm-start variant")
-    run.add_argument("--sampling", default="uniform", choices=SAMPLINGS)
-    run.add_argument("--lipschitz", default=None, choices=["mean", "max"],
+    run.add_argument("--sampling", choices=SAMPLINGS)
+    run.add_argument("--lipschitz", choices=LIPSCHITZ,
                      help="smoothness constant for default step sizes "
                      "(default mean; max under partition sampling)")
-    run.add_argument("--lazy", default="auto", choices=["auto", "on", "off"],
+    run.add_argument("--lazy", choices=LAZY_MODES,
                      help="sparse just-in-time updates where the algorithm has "
                      "a lazy stage (auto: with an elastic-net term, when a "
                      "per-step cost model of d, batch size, mean row nonzeros "
                      "and epoch length favours it; the trace header's "
                      "lazy_reason says why)")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=int)
     run.add_argument("--budget", type=int, required=True,
                      help="component-gradient evaluation budget")
-    run.add_argument("--trace", required=True, metavar="OUT.csv")
-    run.add_argument("--ref", default=None, metavar="REF.json",
+    run.add_argument("--trace", dest="trace_path", required=True, metavar="OUT.csv")
+    run.add_argument("--ref", dest="ref_path", metavar="REF.json",
                      help="reference file for the gap column")
 
-    ref = sub.add_parser("ref", help="compute a high-accuracy reference")
+    ref = sub.add_parser("ref", help="compute a high-accuracy reference",
+                         argument_default=argparse.SUPPRESS)
     _add_data_arguments(ref)
     ref.add_argument("--tol", type=float, default=1e-12,
                      help="relative stall tolerance")
@@ -92,56 +90,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dataset_config(args: argparse.Namespace) -> dict:
-    return {
-        "data_path": args.data,
-        "synthetic": parse_synthetic(args.synthetic) if args.synthetic else None,
-        "dim": args.dim,
-        "normalize": args.normalize is not None,
-        "loss": args.loss,
-        "l1": args.l1,
-        "l2": args.l2,
-    }
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The :class:`RunConfig` of the parsed options that are its fields,
+    with ``--synthetic SPEC`` parsed and ``--normalize l2-rows`` as True."""
+    values = {key: value for key, value in vars(args).items() if key in _FIELDS}
+    if "synthetic" in values:
+        values["synthetic"] = parse_synthetic(values["synthetic"])
+    if "normalize" in values:
+        values["normalize"] = True
+    return RunConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
+    try:  # a bad --synthetic spec is a ValueError too
+        config = _config(args)
         if args.command == "run":
-            config = RunConfig(
-                algo=args.algo,
-                batch=args.batch,
-                epoch_len=args.epoch_len,
-                gamma=args.gamma,
-                eta=args.eta,
-                stages=args.stages,
-                restarts=args.restarts,
-                warm_m0=args.warm_m0,
-                warm_stages=args.warm_stages,
-                sampling=args.sampling,
-                lipschitz=args.lipschitz,
-                lazy=args.lazy,
-                seed=args.seed,
-                budget=args.budget,
-                trace_path=args.trace,
-                ref_path=args.ref,
-                **_dataset_config(args),
-            )
             result = run_experiment(config)
             last = result.records[-1]
             status = "diverged" if result.diverged else "done"
             print(
                 f"{status}: {len(result.records) - 1} stages, "
                 f"{last.evals} evals ({last.evals_over_n:.2f} passes), "
-                f"objective {last.objective!r} -> {args.trace}"
+                f"objective {last.objective!r} -> {config.trace_path}"
             )
             return 0
 
         # args.command == "ref"
-        problem = load_problem(
-            RunConfig(algo=DEFAULT_ALGORITHM, **_dataset_config(args))
-        )
+        problem = load_problem(config)
         reference = compute_reference(
             problem, args.tol, max_stages=args.max_stages
         )

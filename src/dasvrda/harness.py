@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from .solvers import (
 from .trace import TraceRecord, write_trace
 
 SAMPLINGS = ("uniform", "weighted", "partition")
+LAZY_MODES = ("auto", "on", "off")
+LIPSCHITZ = ("mean", "max")
+DEFAULT_ALGORITHM = "dasvrda-ns"
 
 #: Many stages; practical runs are stopped by the evaluation budget.
 _UNBOUNDED = 10**9
@@ -64,12 +67,13 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything needed to reproduce one benchmark run.
 
-    Exactly one of ``data_path`` / ``synthetic`` selects the dataset.
-    Optional fields default per algorithm at resolution time; see
-    :func:`resolve`.
+    The one definition of each run setting: each field is the dest of its
+    ``erm run`` option, which has no default of its own.  Exactly one of
+    ``data_path`` / ``synthetic`` selects the dataset.  Optional fields
+    default per algorithm at resolution time; see :func:`resolve`.
     """
 
-    algo: str
+    algo: str = DEFAULT_ALGORITHM
     loss: str = "squared"
     l1: float = 0.0
     l2: float = 0.0
@@ -209,8 +213,6 @@ ALGORITHMS: dict[str, Algorithm] = {
                                       dict(hooks, one_stage=one_stage_dasvrg))),
 }
 
-DEFAULT_ALGORITHM = "dasvrda-ns"
-
 
 def _names_with(flag: str) -> str:
     return ", ".join(name for name, algo in ALGORITHMS.items() if getattr(algo, flag))
@@ -237,7 +239,8 @@ def parse_loss(text: str):
 
 
 def parse_synthetic(text: str) -> SyntheticSpec:
-    """Parse ``kind:key=value,...``, e.g. ``lasso:n=200,d=50,density=0.3``."""
+    """Parse ``kind:key=value,...``, e.g. ``lasso:n=200,d=50,density=0.3``;
+    the keys are the other fields of :class:`SyntheticSpec`, of their types."""
     kind, _, tail = text.partition(":")
     fields = {}
     if tail:
@@ -246,14 +249,13 @@ def parse_synthetic(text: str) -> SyntheticSpec:
             if not sep:
                 raise ConfigError(f"bad synthetic parameter {part!r}")
             fields[key.strip()] = value.strip()
-    ints = {"n", "d", "sparsity", "seed"}
-    floats = {"density", "noise"}
+    types = get_type_hints(SyntheticSpec)
     kwargs = {}
     for key, value in fields.items():
-        if key not in ints and key not in floats:
+        if key == "kind" or key not in types:
             raise ConfigError(f"unknown synthetic parameter {key!r}")
         try:
-            kwargs[key] = int(value) if key in ints else float(value)
+            kwargs[key] = types[key](value)
         except ValueError:
             raise ConfigError(f"bad value for synthetic {key}: {value!r}") from None
     if "n" not in kwargs or "d" not in kwargs:
@@ -352,8 +354,8 @@ def resolve(config: RunConfig) -> ResolvedRun:
         raise ConfigError(f"unknown algorithm {config.algo!r}")
     if config.sampling not in SAMPLINGS:
         raise ConfigError(f"unknown sampling {config.sampling!r}")
-    if config.lazy not in ("auto", "on", "off"):
-        raise ConfigError(f"lazy must be auto/on/off, got {config.lazy!r}")
+    if config.lazy not in LAZY_MODES:
+        raise ConfigError(f"lazy must be {'/'.join(LAZY_MODES)}, got {config.lazy!r}")
     if config.lazy == "on" and not algo.lazy:
         raise ConfigError(
             f"--lazy on: {config.algo} cannot use the lazy stage; only "
@@ -396,8 +398,9 @@ def resolve(config: RunConfig) -> ResolvedRun:
     lipschitz = config.lipschitz
     if lipschitz is None:
         lipschitz = "max" if config.sampling == "partition" else "mean"
-    if lipschitz not in ("mean", "max"):
-        raise ConfigError(f"lipschitz must be mean or max, got {lipschitz!r}")
+    if lipschitz not in LIPSCHITZ:
+        raise ConfigError(
+            f"lipschitz must be {' or '.join(LIPSCHITZ)}, got {lipschitz!r}")
     smooth = (
         problem.mean_smoothness if lipschitz == "mean" else problem.max_smoothness
     )

@@ -373,19 +373,27 @@ def choose_S_for_rho(
     gamma: float, eta: float, m: int, mu: float, target_rho: float
 ) -> int:
     """Smallest stage count per restart whose guaranteed contraction factor
-    is at most ``target_rho``."""
+    is at most ``target_rho``: the factor, in floating point too, does not
+    increase with the count, so doubling brackets it and bisection finds it."""
     if mu <= 0:
         raise ValueError(f"strong convexity constant must be positive, got {mu}")
     if not 0.0 < target_rho < 1.0:
         raise ValueError(f"target contraction must be in (0, 1), got {target_rho}")
-    base = (1.0 - 1.0 / gamma) ** 2
-    c = 4.0 * (base + 4.0 / (eta * (m + 1) * m * mu)) / (base * target_rho)
-    s = max(1, math.ceil(math.sqrt(c) - 2.0))
-    while restart_rho(gamma, eta, m, mu, s) > target_rho:
-        s += 1
-    while s > 1 and restart_rho(gamma, eta, m, mu, s - 1) <= target_rho:
-        s -= 1
-    return s
+
+    def meets(s: int) -> bool:
+        try:
+            return restart_rho(gamma, eta, m, mu, s) <= target_rho
+        except OverflowError:  # (s + 2)**2 beyond the float range
+            raise ValueError(f"no stage count per restart reaches contraction "
+                             f"{target_rho} at strong convexity {mu}") from None
+
+    lo, hi = 0, 1  # restart_rho(lo) > target_rho unless lo == 0
+    while not meets(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +468,23 @@ def warm_start_schedule(gamma: float, m0: int, n_warm: int) -> list[int]:
         raise ValueError(f"warm-up stage count must be nonnegative, got {n_warm}")
     out = []
     prev = m0
-    for _ in range(n_warm):
-        prev = math.ceil(math.sqrt(gamma * (prev + 1) * prev))
+    for u in range(1, n_warm + 1):
+        try:
+            prev = math.ceil(math.sqrt(gamma * (prev + 1) * prev))
+        except OverflowError:  # an infinite root, or m0 beyond the float range
+            raise ValueError(f"warm-up stage {u} of {n_warm}: its loop length "
+                             "does not fit a float") from None
         out.append(prev)
     return out
 
 
 def warm_final_loop_length(gamma: float, m_last: int) -> int:
     """Inner loop length of the momentum phase following the warm-up."""
-    return math.ceil(math.sqrt((m_last + 1) * m_last) / (1.0 - 1.0 / gamma))
+    try:
+        return math.ceil(math.sqrt((m_last + 1) * m_last) / (1.0 - 1.0 / gamma))
+    except OverflowError:
+        raise ValueError("the momentum loop after the warm-up: its loop length "
+                         "does not fit a float") from None
 
 
 def default_warm_start(

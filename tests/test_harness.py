@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,7 +15,7 @@ from dasvrda import (
     save_libsvm,
 )
 from dasvrda import harness
-from dasvrda.cli import _build_parser, main
+from dasvrda.cli import _build_parser, _config, main
 from dasvrda.harness import (
     ALGORITHMS,
     _warm_start,
@@ -600,6 +602,70 @@ def test_cli_algo_choices_are_the_registry():
     run = _build_parser()._subparsers._group_actions[0].choices["run"]
     algo = next(action for action in run._actions if action.dest == "algo")
     assert list(algo.choices) == list(ALGORITHMS)
+
+
+def _subparser(name):
+    return _build_parser()._subparsers._group_actions[0].choices[name]
+
+
+def test_cli_run_options_are_run_config_fields():
+    # Each dest of `erm run` is the field of the same name ...
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    dests = {action.dest for action in _subparser("run")._actions} - {"help"}
+    # ... and every field has its option.
+    assert dests == fields
+
+
+def test_cli_config_of_a_minimal_run_takes_run_config_defaults():
+    spec = "lasso:n=40,d=10,seed=1"
+    args = _build_parser().parse_args(
+        ["run", "--synthetic", spec, "--budget", "5", "--trace", "t"])
+    assert _config(args) == RunConfig(synthetic=parse_synthetic(spec), budget=5,
+                                      trace_path="t")
+
+
+@pytest.mark.parametrize("source", [["--synthetic", "lasso:n=40,d=10,seed=1"],
+                                    ["--data", "train.svm", "--dim", "7"]])
+def test_cli_ref_data_options_build_the_run_data_fields(source):
+    data = source + ["--normalize", "l2-rows", "--loss", "logistic",
+                     "--l1", "1e-3", "--l2", "1e-2"]
+    parser = _build_parser()
+    ref = _config(parser.parse_args(["ref", *data, "--out", "r.json"]))
+    run = _config(parser.parse_args(["run", *data, "--budget", "5",
+                                     "--trace", "t"]))
+    assert ref == dataclasses.replace(run, budget=None, trace_path=None)
+    assert ref.normalize is True and ref.loss == "logistic"
+    assert (ref.l1, ref.l2) == (1e-3, 1e-2)
+    if source[0] == "--data":
+        assert (ref.data_path, ref.dim, ref.synthetic) == ("train.svm", 7, None)
+    else:
+        assert ref.synthetic == parse_synthetic(source[1])
+
+
+def test_cli_derived_restart_interval_at_tiny_l2(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    argv = ["run", "--synthetic", "lasso:n=100,d=10", "--l1", "1e-3",
+            "--algo", "dasvrda-sc", "--budget", "1000", "--trace", str(trace)]
+    assert main([*argv, "--l2", "1e-100"]) == 0
+    header, _ = read_trace(str(trace))
+    assert header["stages"] > 10**40
+    trace.unlink()
+    # Infinite contraction factor at every stage count.
+    assert main([*argv, "--l2", "1e-310"]) == 2
+    assert "no stage count per restart" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("option", [["--warm-stages", "2000"],
+                                    ["--warm-m0", str(10**400)]])
+def test_cli_rejects_a_warm_up_beyond_the_float_range(tmp_path, capsys, option):
+    trace = tmp_path / "t.csv"
+    code = main(["run", "--synthetic", "lasso:n=100,d=10", "--l1", "1e-3",
+                 "--algo", "dasvrda-warm", *option, "--budget", "1000",
+                 "--trace", str(trace)])
+    assert code == 2
+    assert "does not fit a float" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_cli_run_success(tmp_path, capsys):

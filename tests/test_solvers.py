@@ -361,6 +361,30 @@ def test_choose_restart_length_is_minimal():
         choose_S_for_rho(4.0, 1e-2, 30, 0.05, 1.5)
 
 
+@pytest.mark.parametrize("m, b", [(1, 1), (100, 1), (5000, 71)])
+def test_choose_restart_length_is_minimal_at_tiny_strong_convexity(m, b):
+    # Stage counts far beyond an int64, found by bisection; minimal in the
+    # floating-point factor itself.
+    gamma = gamma_star(m, b)
+    eta = eta_default(gamma, m, b, 1.0)
+    for mu in (1e-3, 1e-45, 1e-100, 1e-200, 1e-300):
+        for rho in (0.1, 0.5, 0.9):
+            s = choose_S_for_rho(gamma, eta, m, mu, rho)
+            assert restart_rho(gamma, eta, m, mu, s) <= rho
+            assert s == 1 or restart_rho(gamma, eta, m, mu, s - 1) > rho
+    assert choose_S_for_rho(gamma, eta, m, 1e-300, 0.5) > 2**300
+
+
+def test_choose_restart_length_rejects_an_unreachable_target():
+    # 4 / (eta (m + 1) m mu) overflows: the factor is infinite at every
+    # stage count.
+    gamma = gamma_star(100, 1)
+    eta = eta_default(gamma, 100, 1, 1.0)
+    assert restart_rho(gamma, eta, 100, 1e-310, 10**150) == math.inf
+    with pytest.raises(ValueError, match="no stage count per restart"):
+        choose_S_for_rho(gamma, eta, 100, 1e-310, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Adaptive restarting.
 
@@ -466,6 +490,18 @@ def test_warm_schedule_growth():
         warm_start_schedule(4.0, 0, 2)
     with pytest.raises(ValueError):
         warm_start_schedule(4.0, 2, -1)
+
+
+def test_warm_schedule_rejects_lengths_beyond_the_float_range():
+    # The lengths double from 1, so stage u squares a length near 2**(u-1):
+    # the square leaves the float range near u = 512.
+    assert len(warm_start_schedule(4.0, 1, 500)) == 500
+    with pytest.raises(ValueError, match="warm-up stage 51[0-9] of 2000"):
+        warm_start_schedule(4.0, 1, 2000)
+    with pytest.raises(ValueError, match="warm-up stage 1 of 1"):
+        warm_start_schedule(4.0, 10**400, 1)
+    with pytest.raises(ValueError, match="momentum loop"):
+        warm_final_loop_length(4.0, 10**200)
 
 
 def test_warm_final_loop_length():

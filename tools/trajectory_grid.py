@@ -1,4 +1,4 @@
-"""Trajectory grid: run 660 small configurations and compare two runs bitwise.
+"""Trajectory grid: run 672 small configurations and compare two runs bitwise.
 
 Usage, from the root of a checkout::
 
@@ -28,7 +28,11 @@ The 648 configurations stop before either adaptive restart test fires, so
 12 more run ``dasvrda-ar-f`` and ``dasvrda-ar-g`` over the three samplings
 and both engines on a fourth problem, a strongly convex dense lasso (n=120,
 d=20, l2 = 1e-2), at their default step and a budget of ``150 n``
-evaluations: each of them flags a restart.
+evaluations: each of them flags a restart.  The 648 configurations give
+``dasvrda-sc`` an explicit stage count, so 12 more leave it to be derived
+from ``l2`` (keys ending ``/stages=l2``): on the ridge-logistic problem and
+on the strongly convex lasso, over the three samplings and both engines,
+at their default step and a budget of ``150 n`` evaluations.
 
 Batch size 4, seed 0.  For each problem it writes a data digest: a
 SHA-256 of the generated CSR arrays, labels and ground truth, each tagged
@@ -123,6 +127,12 @@ def configs():
                        dict(restarts, algo=algo, sampling=sampling, lazy=lazy,
                             batch=BATCH, seed=0,
                             budget=150 * restarts["synthetic"].n))
+    for pname, pkw in (("logistic", grid["logistic"][0]), (RESTARTS, restarts)):
+        for sampling in SAMPLINGS:
+            for lazy in ("off", "on"):
+                yield (f"{pname}/dasvrda-sc/{sampling}/lazy={lazy}/budget/stages=l2",
+                       dict(pkw, algo="dasvrda-sc", sampling=sampling, lazy=lazy,
+                            batch=BATCH, seed=0, budget=150 * pkw["synthetic"].n))
 
 
 def restart_counts(results: dict) -> str:
