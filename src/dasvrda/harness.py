@@ -29,7 +29,6 @@ from .reference import load_reference, problem_fingerprint
 from .sampling import IidUniform, Partition, make_rng, smoothness_weighted
 from .solvers import (
     choose_S_for_rho,
-    default_warm_start,
     eta_default,
     gamma_star,
     one_stage_dasvrg,
@@ -42,7 +41,12 @@ from .solvers import (
 )
 from .trace import TraceRecord, write_trace
 
-SAMPLINGS = ("uniform", "weighted", "partition")
+#: The sampling scheme each ``--sampling`` name builds from ``(problem, b)``.
+SAMPLINGS: dict[str, Callable[[Problem, int], object]] = {
+    "uniform": lambda problem, b: IidUniform(problem.n),
+    "weighted": lambda problem, b: smoothness_weighted(problem),
+    "partition": lambda problem, b: Partition(problem.n, b),
+}
 LAZY_MODES = ("auto", "on", "off")
 LIPSCHITZ = ("mean", "max")
 DEFAULT_ALGORITHM = "dasvrda-ns"
@@ -102,11 +106,13 @@ class RunConfig:
 class ResolvedRun:
     problem: Problem
     config: RunConfig
-    m: int
+    m: Optional[int]
     gamma: Optional[float]
     eta: float
     stages: int
     restarts: int
+    #: ``(m0, n_warm)`` of a warm-started run, None for the others.
+    warm: Optional[tuple[int, int]]
     scheme: object
     use_lazy: bool
     ref_objective: Optional[float]
@@ -135,7 +141,8 @@ class Algorithm:
     """
 
     run: Callable[..., np.ndarray]
-    #: Default inner loop length is ``epoch_passes * n // batch``.
+    #: Default inner loop length is ``epoch_passes * n // batch``; 0: no
+    #: inner loop, so no epoch length.
     epoch_passes: int = 1
     #: None: tuned outer momentum ``gamma_star`` and the theory step
     #: ``eta_default`` for the loop length the momentum stages run.  A
@@ -149,26 +156,21 @@ class Algorithm:
     lazy: bool = False
     #: Takes a warm-up loop length and warm-up stage count.
     warm: bool = False
-    #: ``loop_length(config, problem, gamma, m)``: the inner loop length of
-    #: the momentum stages, which the default step and the trace header's
-    #: ``epoch_len`` use; None without one.
-    loop_length: Callable[..., Optional[int]] = lambda config, problem, gamma, m: m
 
 
 def _warm_start(config: RunConfig, problem: Problem, gamma: float,
                 m: int) -> tuple[int, int]:
-    """``(m0, n_warm)`` from the config, defaulting what it leaves open."""
-    m0, n_warm = config.warm_m0, config.warm_stages
-    if m0 is None and n_warm is None:
-        return default_warm_start(problem, gamma, m, config.batch)
-    m0 = 1 if m0 is None else m0
+    """``(m0, n_warm)`` from the config: ``m0 = 1`` and enough warm-up
+    stages to grow the loop length back to ``m``, where it leaves them open."""
+    m0 = 1 if config.warm_m0 is None else config.warm_m0
     if m0 < 1:
         raise ConfigError(f"warm-up loop length must be positive, got {m0}")
+    n_warm = config.warm_stages
     return m0, warm_stage_count(gamma, m0, m) if n_warm is None else n_warm
 
 
 def _warm(r, x0, rng, hooks):
-    m0, n_warm = _warm_start(r.config, r.problem, r.gamma, r.m)
+    m0, n_warm = r.warm
     return run_dasvrda_warm(r.problem, x0, r.gamma, m0, r.config.batch, n_warm,
                             r.stages, r.scheme, rng, eta=r.eta, **hooks)
 
@@ -187,10 +189,10 @@ def _adaptive(kind: str):
 ALGORITHMS: dict[str, Algorithm] = {
     "pg": Algorithm(
         lambda r, x0, rng, hooks: run_pg(r.problem, x0, r.eta, r.stages, **hooks),
-        step_divisor=1.0, averaged=True, loop_length=lambda *args: None),
+        epoch_passes=0, step_divisor=1.0, averaged=True),
     "apg": Algorithm(
         lambda r, x0, rng, hooks: run_apg(r.problem, x0, r.eta, r.stages, **hooks),
-        step_divisor=1.0, loop_length=lambda *args: None),
+        epoch_passes=0, step_divisor=1.0),
     "svrg": Algorithm(
         lambda r, x0, rng, hooks: run_svrg(
             r.problem, x0, r.eta, r.m, r.config.batch, r.scheme, rng, r.stages,
@@ -204,18 +206,26 @@ ALGORITHMS: dict[str, Algorithm] = {
         restarts=True, lazy=True),
     "dasvrda-ar-f": Algorithm(_adaptive("function"), lazy=True),
     "dasvrda-ar-g": Algorithm(_adaptive("gradient"), lazy=True),
-    "dasvrda-warm": Algorithm(
-        _warm, lazy=True, warm=True,
-        loop_length=lambda config, problem, gamma, m: warm_momentum_loop_length(
-            gamma, *_warm_start(config, problem, gamma, m))),
+    "dasvrda-warm": Algorithm(_warm, lazy=True, warm=True),
     "dasvrg": Algorithm(
         lambda r, x0, rng, hooks: _ns(r, x0, rng,
                                       dict(hooks, one_stage=one_stage_dasvrg))),
 }
 
 
-def _names_with(flag: str) -> str:
-    return ", ".join(name for name, algo in ALGORITHMS.items() if getattr(algo, flag))
+#: The settings that only some algorithms read: the ``RunConfig`` fields of
+#: one option group, and the test of an algorithm that reads them.  Setting
+#: one for any other algorithm is a configuration error.
+SCOPED_SETTINGS: tuple[tuple[tuple[str, ...], Callable[[Algorithm], bool]], ...] = (
+    (("gamma",), lambda algo: algo.step_divisor is None),
+    (("epoch_len",), lambda algo: algo.epoch_passes > 0),
+    (("restarts",), lambda algo: algo.restarts),
+    (("warm_m0", "warm_stages"), lambda algo: algo.warm),
+)
+
+
+def _names_with(test: Callable[[Algorithm], bool]) -> str:
+    return ", ".join(name for name, algo in ALGORITHMS.items() if test(algo))
 
 
 def parse_loss(text: str):
@@ -296,7 +306,8 @@ def load_problem(config: RunConfig) -> Problem:
 
 
 # Per-step cost model of the two inner-stage engines, in microseconds per
-# inner iteration.  The dense step pays a fixed overhead, every coordinate
+# inner iteration: the constants times the terms of ``engine_terms``.  The
+# dense step pays a fixed overhead, every coordinate
 # (prox and vector updates) and the batch's nonzeros ("entries"); the lazy
 # step pays a fixed overhead (a few dozen array operations), each column of
 # its block's union (its arrays' size, and its share of the block's
@@ -309,13 +320,24 @@ def load_problem(config: RunConfig) -> Problem:
 # dense constants, timed again on the csr form of the batch products, pick
 # the faster engine as often as refitted ones do (35 of 36 points), so they
 # were kept.
-DENSE_STEP_US = 42.5
-DENSE_COORD_US = 0.0184
-DENSE_ENTRY_US = 0.0100
-LAZY_STEP_US = 58.6
-LAZY_COORD_US = 0.0307
-LAZY_ENTRY_US = 0.0665
-SWEEP_COORD_US = 0.285
+#: Per step, per union column, per entry, per swept coordinate.
+LAZY_US = (58.6, 0.0307, 0.0665, 0.285)
+#: Per step, per coordinate, per entry.
+DENSE_US = (42.5, 0.0184, 0.0100)
+
+
+def engine_terms(d: int, entries: float, m: int) -> tuple[tuple, tuple]:
+    """The lazy and dense step's terms, in the order of ``LAZY_US`` and
+    ``DENSE_US``, from ``d``, a batch's expected entries and the loop length."""
+    # Expected distinct columns hit by the entries of a lazy block of
+    # batches, spread uniformly over the d columns.
+    union = -d * math.expm1(-BLOCK_STEPS * entries / d) if d else 0.0
+    return (1.0, union, entries, d / m), (1.0, d, entries)
+
+
+def modelled_us(constants: tuple[float, ...], terms: tuple[float, ...]) -> float:
+    """Modelled microseconds of one step: each constant times its term."""
+    return sum(c * t for c, t in zip(constants, terms))
 
 
 def choose_engine(
@@ -335,14 +357,10 @@ def choose_engine(
         return False, "auto: no elastic-net term -> dense"
     d = summary["d"]
     entries = config.batch * summary["nnz"] / summary["n"]
-    # Expected distinct columns hit by the entries of one batch and of a
-    # lazy block of batches, spread uniformly over the d columns.
+    # Expected distinct columns hit by the entries of one batch.
     touched = -d * math.expm1(-entries / d) if d else 0.0
-    union = -d * math.expm1(-BLOCK_STEPS * entries / d) if d else 0.0
-    lazy = (LAZY_STEP_US + LAZY_COORD_US * union + LAZY_ENTRY_US * entries
-            + SWEEP_COORD_US * d / m)
-    dense = DENSE_STEP_US + DENSE_COORD_US * d + DENSE_ENTRY_US * entries
-    use = lazy < dense
+    lazy, dense = engine_terms(d, entries, m)
+    use = modelled_us(LAZY_US, lazy) < modelled_us(DENSE_US, dense)
     return use, (f"auto: ~{touched:.0f} of d={d} coordinates per step -> "
                  f"{'lazy' if use else 'dense'}")
 
@@ -352,6 +370,11 @@ def resolve(config: RunConfig) -> ResolvedRun:
     algo = ALGORITHMS.get(config.algo)
     if algo is None:
         raise ConfigError(f"unknown algorithm {config.algo!r}")
+    for fields, reads in SCOPED_SETTINGS:
+        if not reads(algo) and any(getattr(config, f) is not None for f in fields):
+            flags = "/".join("--" + f.replace("_", "-") for f in fields)
+            verb = "apply" if len(fields) > 1 else "applies"
+            raise ConfigError(f"{flags} only {verb} to {_names_with(reads)}")
     if config.sampling not in SAMPLINGS:
         raise ConfigError(f"unknown sampling {config.sampling!r}")
     if config.lazy not in LAZY_MODES:
@@ -359,12 +382,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if config.lazy == "on" and not algo.lazy:
         raise ConfigError(
             f"--lazy on: {config.algo} cannot use the lazy stage; only "
-            f"{_names_with('lazy')} can"
-        )
-    if not algo.warm and (config.warm_m0 is not None
-                          or config.warm_stages is not None):
-        raise ConfigError(
-            f"--warm-m0/--warm-stages only apply to {_names_with('warm')}"
+            f"{_names_with(lambda algo: algo.lazy)} can"
         )
     if config.dim is not None and config.synthetic is not None:
         raise ConfigError("--dim only applies to --data")
@@ -383,15 +401,10 @@ def resolve(config: RunConfig) -> ResolvedRun:
         if m < 1:
             raise ConfigError(f"epoch length must be positive, got {m}")
     else:
-        m = max(1, (algo.epoch_passes * n) // b)
+        m = max(1, (algo.epoch_passes * n) // b) if algo.epoch_passes else None
 
     try:
-        if config.sampling == "uniform":
-            scheme = IidUniform(n)
-        elif config.sampling == "weighted":
-            scheme = smoothness_weighted(problem)
-        else:
-            scheme = Partition(n, b)
+        scheme = SAMPLINGS[config.sampling](problem, b)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -413,7 +426,10 @@ def resolve(config: RunConfig) -> ResolvedRun:
         elif not 1 < gamma < math.inf:
             raise ConfigError(
                 f"momentum parameter must be finite and exceed 1, got {gamma}")
-    loop = algo.loop_length(config, problem, gamma, m)
+    # The inner loop length of the momentum stages, which the default step
+    # and the trace header's ``epoch_len`` use.
+    warm = _warm_start(config, problem, gamma, m) if algo.warm else None
+    loop = warm_momentum_loop_length(gamma, *warm) if warm else m
     # Checked before a stage draws its batch plan, the longest loop's: 16
     # bytes per draw (its int64 index and row length) and per step (the
     # lazy engine's two prefix tables).
@@ -444,8 +460,6 @@ def resolve(config: RunConfig) -> ResolvedRun:
         if restarts is None:
             restarts = _UNBOUNDED if config.budget is not None else 1
     else:
-        if restarts is not None:
-            raise ConfigError(f"--restarts only applies to {_names_with('restarts')}")
         restarts = 1
         if stages is None:
             stages = _UNBOUNDED
@@ -477,6 +491,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
         eta=eta,
         stages=stages,
         restarts=restarts,
+        warm=warm,
         scheme=scheme,
         use_lazy=use_lazy,
         ref_objective=ref_objective,

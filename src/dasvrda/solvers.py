@@ -557,7 +557,7 @@ def run_dasvrda_warm(
     """
     _check_gamma(gamma)
     lengths = warm_start_schedule(gamma, m0, n_warm)
-    m_final = warm_momentum_loop_length(gamma, m0, n_warm)
+    m_final = warm_final_loop_length(gamma, lengths[-1] if lengths else m0)
     if eta is None:
         eta = eta_default(gamma, m_final, b, problem.mean_smoothness)
     if one_stage is None:

@@ -234,6 +234,37 @@ def test_resolve_rejects_bad_configs(overrides, fragment):
     assert fragment in str(err.value)
 
 
+MOMENTUM = ["dasvrda-ns", "dasvrda-sc", "dasvrda-ar-f", "dasvrda-ar-g",
+            "dasvrda-warm", "dasvrg"]
+#: Per group of settings that only some algorithms read: values to set,
+#: and the algorithms that read them, in registry order.
+SCOPED = {
+    ("gamma",): (dict(gamma=4.0), MOMENTUM),
+    ("epoch_len",): (dict(epoch_len=7), ["svrg", *MOMENTUM]),
+    ("restarts",): (dict(restarts=2), ["dasvrda-sc"]),
+    ("warm_m0", "warm_stages"): (dict(warm_m0=2, warm_stages=2), ["dasvrda-warm"]),
+}
+
+
+def test_scoped_settings_are_the_registry_table():
+    assert [fields for fields, _ in harness.SCOPED_SETTINGS] == list(SCOPED)
+
+
+@pytest.mark.parametrize("fields", list(SCOPED), ids="/".join)
+@pytest.mark.parametrize("algo", list(ALGORITHMS))
+def test_scoped_settings_are_accepted_exactly_by_their_readers(algo, fields):
+    values, readers = SCOPED[fields]
+    config = lasso_config(algo=algo, **values)
+    if algo in readers:
+        resolve(config)
+        return
+    with pytest.raises(ConfigError) as err:
+        resolve(config)
+    flags, _, names = str(err.value).partition(" only ")
+    assert flags == "/".join("--" + f.replace("_", "-") for f in fields)
+    assert names.split(" to ", 1)[1].split(", ") == readers
+
+
 def test_resolve_missing_data_file():
     with pytest.raises(ConfigError):
         resolve(lasso_config(synthetic=None, data_path="/no/such/file.txt"))
@@ -563,7 +594,23 @@ def test_epoch_length_check_covers_the_longest_stage_loop(monkeypatch, algo):
     with pytest.raises(ConfigError, match=f"epoch length 400 runs stages of {loop} "):
         resolve(config)
     # pg and apg draw no batches.
-    resolve(lasso_config(algo="pg", epoch_len=10**12))
+    with pytest.raises(ConfigError, match="--epoch-len only applies to svrg, "):
+        resolve(lasso_config(algo="pg", epoch_len=10**12))
+
+
+@pytest.mark.parametrize("option,message", [
+    (["--algo", "pg", "--gamma", "0.5"], "--gamma only applies to dasvrda-ns, "),
+    (["--algo", "svrg", "--gamma", "4"], "--gamma only applies to dasvrda-ns, "),
+    (["--algo", "apg", "--epoch-len", "7"], "--epoch-len only applies to svrg, "),
+])
+def test_cli_rejects_a_setting_the_algorithm_does_not_read(tmp_path, capsys,
+                                                           option, message):
+    trace = tmp_path / "t.csv"
+    code = main(["run", "--synthetic", "lasso:n=100,d=10,sparsity=5", "--l1",
+                 "1e-3", *option, "--budget", "1000", "--trace", str(trace)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not trace.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

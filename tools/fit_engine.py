@@ -14,8 +14,8 @@ plus (d, nonzeros per row) in {(500, 500), (500, 50), (2000, 200),
 (20000, 200)} x b in {16, 71, 400}.  It fits the per-step cost model of
 ``harness.choose_engine`` to them by relative least squares (nonnegative
 constants) and prints the fitted constants and, per point, the measured
-lazy/dense ratio and the engine ``choose_engine`` picks with the current
-and with the fitted constants.  ``--save`` keeps the timings, ``--load``
+lazy/dense ratio and the engine the model picks with the current and with
+the fitted constants.  ``--save`` keeps the timings, ``--load``
 refits saved ones without timing again.
 
 ``kernel`` times the two forms of ``problem.Rows`` on fully stored
@@ -51,7 +51,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 
 from dasvrda import harness, lazy, problem as problem_module  # noqa: E402
 from dasvrda import (  # noqa: E402
-    ElasticNet, IidUniform, Logistic, RunConfig, lazy_one_stage_accsvrda,
+    ElasticNet, IidUniform, Logistic, lazy_one_stage_accsvrda,
     make_anchor, make_dataset, make_problem, make_rng, one_stage_accsvrda,
     vr_gradient,
 )
@@ -63,8 +63,6 @@ GRID = ([(d, r, b) for d in (2000, 5000, 20000, 50000, 100000, 400000)
          for r in (5, 20) for b in (16, 71)]
         + [(d, r, b) for d, r in ((500, 500), (500, 50), (2000, 200), (20000, 200))
            for b in (16, 71, 400)])
-LAZY_NAMES = ("LAZY_STEP_US", "LAZY_COORD_US", "LAZY_ENTRY_US", "SWEEP_COORD_US")
-DENSE_NAMES = ("DENSE_STEP_US", "DENSE_COORD_US", "DENSE_ENTRY_US")
 
 
 def logistic_problem(n: int, d: int, r: int, seed: int = 0):
@@ -105,39 +103,25 @@ def time_point(d: int, r: int, b: int) -> dict:
             "lazy_us": 1e6 * (lazy_s - anchor_s) / m}
 
 
-def terms(point: dict) -> tuple[list[float], list[float]]:
-    """Multipliers of the lazy and dense constants, as ``choose_engine``
-    forms them from d, the batch's expected entries and m."""
-    d, m = point["d"], point["m"]
-    entries = point["b"] * point["row_nnz"]
-    union = -d * math.expm1(-lazy.BLOCK_STEPS * entries / d)
-    return [1.0, union, entries, d / m], [1.0, d, entries]
+def terms(point: dict) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The cost model's lazy and dense terms at a grid point."""
+    return harness.engine_terms(point["d"], point["b"] * point["row_nnz"],
+                                point["m"])
 
 
-def fit(points: list[dict], which: str) -> list[float]:
+def fit(points: list[dict], which: str) -> tuple[float, ...]:
     """Nonnegative constants minimizing the relative squared error."""
     rows = np.array([terms(p)[0 if which == "lazy" else 1] for p in points])
     times = np.array([p[f"{which}_us"] for p in points])
     coef, _ = nnls(rows / times[:, None], np.ones(len(points)))
-    return [float(c) for c in coef]
+    return tuple(float(c) for c in coef)
 
 
-def picks(points: list[dict], constants: dict) -> list[bool]:
-    """Engine ``harness.choose_engine`` picks per point (True: lazy)."""
-    saved = {name: getattr(harness, name) for name in constants}
-    try:
-        for name, value in constants.items():
-            setattr(harness, name, value)
-        out = []
-        for p in points:
-            config = RunConfig(algo="dasvrda-ns", l1=1e-4, batch=p["b"])
-            summary = {"d": p["d"], "n": N, "nnz": N * p["row_nnz"]}
-            out.append(harness.choose_engine(
-                config, harness.ALGORITHMS["dasvrda-ns"], summary, p["m"])[0])
-        return out
-    finally:
-        for name, value in saved.items():
-            setattr(harness, name, value)
+def picks(points: list[dict], lazy_us: tuple, dense_us: tuple) -> list[bool]:
+    """Per point, whether the cost model picks lazy with these constants."""
+    return [harness.modelled_us(lazy_us, lazy_terms)
+            < harness.modelled_us(dense_us, dense_terms)
+            for lazy_terms, dense_terms in map(terms, points)]
 
 
 def engine(args) -> int:
@@ -154,10 +138,9 @@ def engine(args) -> int:
         if args.save:
             with open(args.save, "w") as handle:
                 json.dump(points, handle, indent=1)
-    fitted = dict(zip(LAZY_NAMES, fit(points, "lazy")))
-    fitted.update(zip(DENSE_NAMES, fit(points, "dense")))
-    current = {name: getattr(harness, name) for name in fitted}
-    before, after = picks(points, current), picks(points, fitted)
+    fitted = (fit(points, "lazy"), fit(points, "dense"))
+    current = (harness.LAZY_US, harness.DENSE_US)
+    before, after = picks(points, *current), picks(points, *fitted)
     right = {"current": 0, "fitted": 0}
     print("    d  nnz/row    b  lazy/dense  current  fitted")
     for p, old, new in zip(points, before, after):
@@ -170,8 +153,8 @@ def engine(args) -> int:
               f"   {'lazy ' if new else 'dense'}{'' if new == faster else '*':1s}")
     print(f"faster engine picked (* marks a miss): current constants "
           f"{right['current']}/{len(points)}, fitted {right['fitted']}/{len(points)}")
-    for name in LAZY_NAMES + DENSE_NAMES:
-        print(f"{name} = {fitted[name]:.3g}    # now {current[name]:.3g}")
+    for name, new, now in zip(("LAZY_US", "DENSE_US"), fitted, current):
+        print(f"{name} = ({', '.join(f'{c:.3g}' for c in new)})    # now {now}")
     return 0
 
 

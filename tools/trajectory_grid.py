@@ -1,4 +1,4 @@
-"""Trajectory grid: run 672 small configurations and compare two runs bitwise.
+"""Trajectory grid: run 750 small configurations and compare two runs bitwise.
 
 Usage, from the root of a checkout::
 
@@ -32,7 +32,11 @@ evaluations: each of them flags a restart.  The 648 configurations give
 ``dasvrda-sc`` an explicit stage count, so 12 more leave it to be derived
 from ``l2`` (keys ending ``/stages=l2``): on the ridge-logistic problem and
 on the strongly convex lasso, over the three samplings and both engines,
-at their default step and a budget of ``150 n`` evaluations.
+at their default step and a budget of ``150 n`` evaluations.  No other
+configuration sets ``epoch_len`` or ``gamma``, so 78 more, of 3 stages on
+the ridge-logistic problem over the three samplings and both engines, set
+``epoch_len = 7`` for each algorithm with an inner loop (42, keys ending
+``/epoch_len=7``) or ``gamma = 4`` for each with outer momentum (36).
 
 Batch size 4, seed 0.  For each problem it writes a data digest: a
 SHA-256 of the generated CSR arrays, labels and ground truth, each tagged
@@ -70,6 +74,9 @@ BATCH = 4
 #: The problem of the adaptive configurations, and their algorithms.
 RESTARTS = "restarts"
 ADAPTIVE = ("dasvrda-ar-f", "dasvrda-ar-g")
+#: Explicit settings, each with the algorithms that read it: those with an
+#: inner loop, and those with outer momentum.
+EXPLICIT = (("epoch_len", 7, ALGOS[2:]), ("gamma", 4.0, ALGOS[3:]))
 
 
 def problems(SyntheticSpec):
@@ -133,6 +140,15 @@ def configs():
                 yield (f"{pname}/dasvrda-sc/{sampling}/lazy={lazy}/budget/stages=l2",
                        dict(pkw, algo="dasvrda-sc", sampling=sampling, lazy=lazy,
                             batch=BATCH, seed=0, budget=150 * pkw["synthetic"].n))
+    for name, value, algos in EXPLICIT:
+        for algo in algos:
+            for sampling in SAMPLINGS:
+                for lazy in ("off", "on" if ALGORITHMS[algo].lazy else "auto"):
+                    yield (f"logistic/{algo}/{sampling}/lazy={lazy}/stages/"
+                           f"{name}={value:g}",
+                           dict(grid["logistic"][0], algo=algo, sampling=sampling,
+                                lazy=lazy, batch=BATCH, seed=0, stages=3,
+                                **{name: value}))
 
 
 def restart_counts(results: dict) -> str:
