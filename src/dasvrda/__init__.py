@@ -15,7 +15,6 @@ from .problem import (
     Dataset,
     ElasticNet,
     Problem,
-    dataset_summary,
     full_gradient,
     make_dataset,
     make_problem,
@@ -35,9 +34,9 @@ from .sampling import (
 )
 from .baselines import one_stage_pg, one_stage_svrg, run_apg, run_pg, run_svrg
 from .solvers import (
+    FunctionRestart,
     OuterState,
     choose_S_for_rho,
-    default_warm_start,
     eta_default,
     gamma_star,
     one_stage_accsvrda,

@@ -89,27 +89,35 @@ def run_apg(
     eta: float,
     n_stages: int,
     *,
+    restart: Optional[Callable[[np.ndarray], bool]] = None,
     on_stage: Optional[StageHook] = None,
     budget: Optional[int] = None,
 ) -> np.ndarray:
     """Accelerated proximal gradient with momentum weights (s+1)/2.
 
     The lookahead point is ``x_s + ((theta_{s-1}-1)/theta_s) (x_s - x_{s-1})``
-    with ``theta_0 = 0``; returns the last iterate.
+    with ``theta_0 = 0``; returns the last iterate.  When ``restart(x_s)``
+    fires, the history collapses onto ``x_s``, ``s`` rewinds and the stage
+    is flagged.
     """
     ledger = Ledger(budget, on_stage)
     x = np.asarray(x0, dtype=np.float64).copy()
     x_prev = x.copy()
     theta_prev = 0.0
-    for s in range(1, n_stages + 1):
+    s = 0
+    for _ in range(n_stages):
         if not ledger.affords(problem.n):
             break
+        s += 1
         theta = (s + 1) / 2.0
         y = x + ((theta_prev - 1.0) / theta) * (x - x_prev)
         x_prev = x
         x = one_stage_pg(problem, y, eta)
         theta_prev = theta
-        ledger.charge(x, problem.n)
+        fired = restart is not None and restart(x)
+        if fired:
+            x_prev, theta_prev, s = x, 0.0, 0
+        ledger.charge(x, problem.n, fired)
     return x
 
 

@@ -23,8 +23,7 @@ from .data_io import (SyntheticSpec, generate_synthetic, load_libsvm, normalize_
                       physical_memory)
 from .lazy import BLOCK_STEPS, lazy_one_stage_accsvrda
 from .losses import Logistic, SmoothedHinge, Squared
-from .problem import (ElasticNet, Problem, dataset_summary, make_problem, objective,
-                      products_form)
+from .problem import ElasticNet, Problem, make_problem, objective, products_form
 from .reference import load_reference, problem_fingerprint
 from .sampling import IidUniform, Partition, make_rng, smoothness_weighted
 from .solvers import (
@@ -113,6 +112,7 @@ class ResolvedRun:
     restarts: int
     #: ``(m0, n_warm)`` of a warm-started run, None for the others.
     warm: Optional[tuple[int, int]]
+    #: None for an algorithm that draws no batches.
     scheme: object
     use_lazy: bool
     ref_objective: Optional[float]
@@ -158,8 +158,7 @@ class Algorithm:
     warm: bool = False
 
 
-def _warm_start(config: RunConfig, problem: Problem, gamma: float,
-                m: int) -> tuple[int, int]:
+def _warm_start(config: RunConfig, gamma: float, m: int) -> tuple[int, int]:
     """``(m0, n_warm)`` from the config: ``m0 = 1`` and enough warm-up
     stages to grow the loop length back to ``m``, where it leaves them open."""
     m0 = 1 if config.warm_m0 is None else config.warm_m0
@@ -341,7 +340,7 @@ def modelled_us(constants: tuple[float, ...], terms: tuple[float, ...]) -> float
 
 
 def choose_engine(
-    config: RunConfig, algo: Algorithm, summary: dict, m: int
+    config: RunConfig, algo: Algorithm, problem: Problem, m: int
 ) -> tuple[bool, str]:
     """Whether the inner stages run on the lazy engine, and why.
 
@@ -355,8 +354,8 @@ def choose_engine(
         return False, f"auto: {config.algo} has no lazy stage -> dense"
     if config.l1 == 0 and config.l2 == 0:
         return False, "auto: no elastic-net term -> dense"
-    d = summary["d"]
-    entries = config.batch * summary["nnz"] / summary["n"]
+    d = problem.d
+    entries = config.batch * problem.data.features.nnz / problem.n
     # Expected distinct columns hit by the entries of one batch.
     touched = -d * math.expm1(-entries / d) if d else 0.0
     lazy, dense = engine_terms(d, entries, m)
@@ -403,10 +402,12 @@ def resolve(config: RunConfig) -> ResolvedRun:
     else:
         m = max(1, (algo.epoch_passes * n) // b) if algo.epoch_passes else None
 
-    try:
-        scheme = SAMPLINGS[config.sampling](problem, b)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    scheme = None
+    if algo.epoch_passes:   # an algorithm that draws batches
+        try:
+            scheme = SAMPLINGS[config.sampling](problem, b)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     lipschitz = config.lipschitz
     if lipschitz is None:
@@ -428,7 +429,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
                 f"momentum parameter must be finite and exceed 1, got {gamma}")
     # The inner loop length of the momentum stages, which the default step
     # and the trace header's ``epoch_len`` use.
-    warm = _warm_start(config, problem, gamma, m) if algo.warm else None
+    warm = _warm_start(config, gamma, m) if algo.warm else None
     loop = warm_momentum_loop_length(gamma, *warm) if warm else m
     # Checked before a stage draws its batch plan, the longest loop's: 16
     # bytes per draw (its int64 index and row length) and per step (the
@@ -468,8 +469,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if restarts < 1:
         raise ConfigError(f"restart count must be positive, got {restarts}")
 
-    summary = dataset_summary(problem.data)
-    use_lazy, lazy_reason = choose_engine(config, algo, summary, m)
+    use_lazy, lazy_reason = choose_engine(config, algo, problem, m)
 
     ref_objective = None
     if config.ref_path is not None:
@@ -507,15 +507,15 @@ def resolve(config: RunConfig) -> ResolvedRun:
         "normalize": config.normalize,
         "n": n,
         "d": problem.d,
-        "nnz": summary["nnz"],
+        "nnz": int(problem.data.features.nnz),
         "batch": b,
         "epoch_len": loop,
         "gamma": gamma,
         "eta": eta,
         "stages": None if stages == _UNBOUNDED else stages,
         "restarts": restarts if algo.restarts and restarts != _UNBOUNDED else None,
-        "warm_m0": config.warm_m0,
-        "warm_stages": config.warm_stages,
+        "warm_m0": warm[0] if warm else None,
+        "warm_stages": warm[1] if warm else None,
         "sampling": config.sampling,
         "lipschitz": lipschitz,
         "lazy": use_lazy,

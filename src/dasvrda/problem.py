@@ -105,19 +105,6 @@ def make_dataset(features, labels) -> Dataset:
     return Dataset(mat, y)
 
 
-def dataset_summary(data: Dataset) -> dict:
-    """Basic shape/sparsity statistics, e.g. for run logs."""
-    nnz = data.features.nnz
-    row_nnz = np.diff(data.features.indptr)
-    return {
-        "n": data.n,
-        "d": data.d,
-        "nnz": int(nnz),
-        "density": nnz / float(max(1, data.n * data.d)),
-        "max_row_nnz": int(row_nnz.max()) if data.n else 0,
-    }
-
-
 @dataclass
 class Problem:
     """Dataset + loss + elastic net, with cached smoothness constants."""

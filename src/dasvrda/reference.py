@@ -2,10 +2,11 @@
 
 Benchmarks report ``P(x) - P(x_ref)``, so the reference has to be
 meaningfully more accurate than anything the benchmarked solvers reach.
-The workhorse is accelerated proximal gradient with objective-based
-momentum restarts (fast also when the problem is effectively strongly
-convex), stopped when the best objective stalls in relative terms, then
-polished with plain proximal gradient steps, which are monotone.
+The workhorse is :func:`~dasvrda.baselines.run_apg` with the function
+restart test :class:`~dasvrda.solvers.FunctionRestart` (fast also when
+the problem is effectively strongly convex), stopped when the best
+objective stalls in relative terms, then polished with plain proximal
+gradient steps, which are monotone.
 References are cached by a content fingerprint of the problem so sweeps
 and repeated runs do not recompute them.
 """
@@ -21,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import one_stage_pg
-from .problem import Problem, full_gradient, objective, prox_elastic_net
+from .baselines import one_stage_pg, run_apg
+from .problem import Problem, full_gradient, objective
+from .solvers import FunctionRestart
 
 
 @dataclass
@@ -51,17 +53,26 @@ def problem_fingerprint(problem: Problem) -> str:
     return h.hexdigest()
 
 
+#: Stages over which the best objective must move by more than the
+#: tolerance (relative) for the solve to go on.
+STALL_WINDOW = 100
+#: Most proximal gradient steps of the final polish.
+POLISH_STEPS = 200
+
+
+class _Stalled(Exception):
+    pass
+
+
 def compute_reference(
     problem: Problem,
     tolerance: float,
     *,
     max_stages: int = 400_000,
-    stall_window: int = 100,
-    polish_steps: int = 200,
     cache_path: str | None = None,
 ) -> Reference:
     """Solve to the point where the best objective moves by less than
-    ``tolerance`` (relative) over ``stall_window`` stages.
+    ``tolerance`` (relative) over ``STALL_WINDOW`` stages.
 
     ``converged=False`` means the stage budget ran out first; the returned
     point is still the best one seen.  With ``cache_path`` the result is
@@ -101,35 +112,25 @@ def compute_reference(
     # The averaged loss term is smooth with constant at most the mean of
     # the per-example constants, so 1/mean is a safe step size.
     eta = 1.0 / problem.mean_smoothness
-    best_x = x.copy()
-    best_p = p
-    x_prev = x.copy()
-    theta_prev = 0.0
-    s_local = 0
-    mark = best_p
-    converged = False
-    for stage in range(1, max_stages + 1):
-        s_local += 1
-        theta = (s_local + 1) / 2.0
-        y = x + ((theta_prev - 1.0) / theta) * (x - x_prev)
-        x_prev = x
-        x = prox_elastic_net(y - eta * full_gradient(problem, y), eta, problem.reg)
-        theta_prev = theta
-        p_new = objective(problem, x)
-        if p_new > p:
-            theta_prev = 0.0
-            s_local = 0
-            x_prev = x.copy()
-        p = p_new
+    best_x, best_p, mark = x, p, p
+    restart = FunctionRestart(problem, x)
+
+    def track(stage: int, x: np.ndarray, evals: int, restarted: bool) -> None:
+        nonlocal best_x, best_p, mark
+        p = restart.value   # the objective at ``x``
         if p < best_p:
-            best_p = p
-            best_x = x.copy()
-        if stage % stall_window == 0:
+            best_x, best_p = x, p
+        if stage % STALL_WINDOW == 0:
             if mark - best_p <= tolerance * max(1.0, abs(best_p)):
-                converged = True
-                break
+                raise _Stalled
             mark = best_p
-    for _ in range(polish_steps):
+
+    try:
+        run_apg(problem, x, eta, max_stages, restart=restart, on_stage=track)
+        converged = False
+    except _Stalled:
+        converged = True
+    for _ in range(POLISH_STEPS):
         x_new = one_stage_pg(problem, best_x, eta)
         p_new = objective(problem, x_new)
         if p_new < best_p:

@@ -400,6 +400,22 @@ def choose_S_for_rho(
 # Adaptive restarting.
 
 
+class FunctionRestart:
+    """The function restart test of O'Donoghue & Candes (2015): called with
+    each new iterate, it fires when ``P(x_new) > P(x_prev)``, starting from
+    ``P(x0)``.  ``value`` is the objective of the latest iterate."""
+
+    def __init__(self, problem: Problem, x0: np.ndarray) -> None:
+        self.problem = problem
+        self.value = objective(problem, x0)
+
+    def __call__(self, x_new: np.ndarray) -> bool:
+        p_new = objective(self.problem, x_new)
+        fired = p_new > self.value
+        self.value = p_new
+        return fired
+
+
 def run_dasvrda_adaptive(
     problem: Problem,
     x0: np.ndarray,
@@ -433,15 +449,11 @@ def run_dasvrda_adaptive(
         eta = eta_default(gamma, m, b, problem.mean_smoothness)
     extra_cost = 0
     if kind == "function":
-        p_prev = objective(problem, x0)
+        fires = FunctionRestart(problem, x0)
         extra_cost = problem.n
 
         def restart(state, s, y, x_new, z_new):
-            nonlocal p_prev
-            p_new = objective(problem, x_new)
-            fired = p_new > p_prev
-            p_prev = p_new
-            return fired
+            return fires(x_new)
     else:
         def restart(state, s, y, x_new, z_new):
             trial = OuterState(x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new)
@@ -485,38 +497,6 @@ def warm_final_loop_length(gamma: float, m_last: int) -> int:
     except OverflowError:
         raise ValueError("the momentum loop after the warm-up: its loop length "
                          "does not fit a float") from None
-
-
-def default_warm_start(
-    problem: Problem,
-    gamma: float,
-    m: int,
-    b: int,
-    *,
-    gap_estimate: Optional[float] = None,
-    dist_sq_estimate: Optional[float] = None,
-) -> tuple[int, int]:
-    """Default ``(m0, n_warm)`` for :func:`run_dasvrda_warm`.
-
-    With estimates of the initial objective gap and the squared distance to
-    the minimizer, ``m0`` balances the two terms of the stage bound;
-    without them it falls back to the most conservative start, ``m0 = 1``.
-    Always clipped into ``[1, m]``, with enough warm-up stages to grow the
-    loop length back to ``m``.
-    """
-    if gap_estimate is not None and dist_sq_estimate is not None:
-        if gap_estimate <= 0 or dist_sq_estimate < 0:
-            raise ValueError("estimates must be positive gap, nonnegative distance")
-        lbar = problem.mean_smoothness
-        raw = math.ceil(
-            math.sqrt(
-                (1.0 + gamma * (m + 1) / b) * lbar * dist_sq_estimate / gap_estimate
-            )
-        )
-        m0 = min(max(1, raw), m)
-    else:
-        m0 = 1
-    return m0, warm_stage_count(gamma, m0, m)
 
 
 def warm_stage_count(gamma: float, m0: int, m: int) -> int:

@@ -161,3 +161,63 @@ def test_budget_limits_stages():
              on_stage=lambda s, x, e, r: stages.append((s, e)))
     assert [s for s, _ in stages] == [1, 2]
     assert all(e == cost for _, e in stages)
+
+
+def test_apg_restart_test_that_never_fires_changes_nothing():
+    rng = np.random.default_rng(9)
+    problem = quadratic_problem(rng, l1=1e-3, l2=1e-4)
+    eta = 1.0 / problem.mean_smoothness
+    x0 = rng.standard_normal(problem.d)
+    plain, tested = [], []
+    out = run_apg(problem, x0, eta, 12,
+                  on_stage=lambda s, x, e, r: plain.append((s, x, e, r)))
+    got = run_apg(problem, x0, eta, 12, restart=lambda x: False,
+                  on_stage=lambda s, x, e, r: tested.append((s, x, e, r)))
+    assert np.array_equal(got, out)
+    assert len(tested) == len(plain) == 12
+    for (s, x, e, r), (s2, x2, e2, r2) in zip(plain, tested):
+        assert (s, e, r) == (s2, e2, r2) == (s, problem.n, False)
+        assert np.array_equal(x, x2)
+
+
+def test_apg_restart_every_stage_is_pg():
+    """A test that always fires keeps the lookahead at ``x``, so each stage
+    is one proximal gradient step, bit for bit."""
+    rng = np.random.default_rng(10)
+    problem = quadratic_problem(rng, l1=1e-2, l2=1e-3)
+    eta = 0.9 / problem.mean_smoothness
+    x0 = rng.standard_normal(problem.d)
+    seen = []
+    run_apg(problem, x0, eta, 8, restart=lambda x: True,
+            on_stage=lambda s, x, e, r: seen.append((x, r)))
+    x = x0
+    for got, restarted in seen:
+        x = one_stage_pg(problem, x, eta)
+        assert np.array_equal(got, x)
+        assert restarted
+    assert len(seen) == 8
+
+
+def test_apg_restart_flags_the_fired_stages_and_rewinds():
+    rng = np.random.default_rng(11)
+    problem = quadratic_problem(rng, n=60, d=12, cond=1e2, l1=1e-3)
+    eta = 1.0 / problem.mean_smoothness
+    x0 = np.zeros(problem.d)
+    iterates = []
+    fire_at = {3, 7}
+
+    def restart(x):
+        iterates.append(x)
+        return len(iterates) in fire_at
+
+    seen = []
+    run_apg(problem, x0, eta, 10, restart=restart,
+            on_stage=lambda s, x, e, r: seen.append((s, r)))
+    assert seen == [(s, s in fire_at) for s in range(1, 11)]
+    # The stage after a restart starts its momentum afresh from the restart
+    # point: its lookahead is that point, and the one after it is the same
+    # as the second stage of a fresh run from there.
+    for s in fire_at:
+        fresh = run_apg(problem, iterates[s - 1], eta, 2)
+        assert np.array_equal(iterates[s], one_stage_pg(problem, iterates[s - 1], eta))
+        assert np.array_equal(iterates[s + 1], fresh)

@@ -18,7 +18,6 @@ from dasvrda import harness
 from dasvrda.cli import _build_parser, _config, main
 from dasvrda.harness import (
     ALGORITHMS,
-    _warm_start,
     parse_loss,
     parse_synthetic,
     resolve,
@@ -433,7 +432,7 @@ def test_warm_default_step_is_the_runners(overrides):
     config = lasso_config(algo="dasvrda-warm", stages=3, **overrides)
     run = resolve(config)
     prob = run.problem
-    m0, n_warm = _warm_start(config, prob, run.gamma, run.m)
+    m0, n_warm = run.warm
     assert run.eta == eta_default(run.gamma, run.header["epoch_len"],
                                   config.batch, prob.mean_smoothness)
     x = run_dasvrda_warm(prob, np.zeros(prob.d), run.gamma, m0, config.batch,
@@ -753,3 +752,34 @@ def test_cli_normalize_option(tmp_path):
     assert code == 0
     header, _ = read_trace(trace)
     assert header["normalize"] is True
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(warm_m0=2),
+                                       dict(warm_m0=2, warm_stages=1)])
+def test_warm_header_records_the_warm_up_that_ran(overrides):
+    run = resolve(lasso_config(algo="dasvrda-warm", **overrides))
+    assert (run.header["warm_m0"], run.header["warm_stages"]) == run.warm
+    assert run.warm[0] == overrides.get("warm_m0", 1)
+    if "warm_stages" in overrides:
+        assert run.warm[1] == overrides["warm_stages"]
+    plain = resolve(lasso_config())
+    assert plain.warm is None
+    assert plain.header["warm_m0"] is plain.header["warm_stages"] is None
+
+
+def test_partition_batch_checked_only_for_algorithms_that_draw_batches():
+    spec = SyntheticSpec(kind="lasso", n=100, d=20, sparsity=5, seed=0)
+    for algo in ("pg", "apg"):
+        config = lasso_config(algo=algo, synthetic=spec, batch=3,
+                              sampling="partition", stages=2)
+        run = resolve(config)
+        assert run.scheme is None
+        # The step still follows --sampling: partition takes the max.
+        assert run.header["lipschitz"] == "max"
+        assert run.eta == 1.0 / run.problem.max_smoothness
+        assert len(run_experiment(config).records) == 3
+    for algo in ("svrg", "dasvrda-ns", "dasvrda-warm"):
+        with pytest.raises(ConfigError, match=r"partition sampling needs the "
+                           r"batch size to divide n \(n=100, b=3\)"):
+            resolve(lasso_config(algo=algo, synthetic=spec, batch=3,
+                                 sampling="partition"))

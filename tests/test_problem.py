@@ -19,7 +19,6 @@ from dasvrda import (
 from dasvrda.problem import (
     BLAS_ABOVE_ENTRIES,
     SMOOTHNESS_FLOOR,
-    dataset_summary,
     full_pass,
     margins,
     row_norms_sq,
@@ -181,19 +180,6 @@ def test_dimension_mismatch_rejected():
         full_gradient(problem, np.zeros(2))
     with pytest.raises(ValueError):
         make_dataset(mat, np.array([1.0, -1.0]))
-
-
-def test_dataset_summary():
-    mat = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]))
-    data = make_dataset(mat, np.array([1.0, -1.0]))
-    info = dataset_summary(data)
-    assert info == {
-        "n": 2,
-        "d": 3,
-        "nnz": 2,
-        "density": pytest.approx(2 / 6),
-        "max_row_nnz": 2,
-    }
 
 
 def test_row_norms_match_scipy_row_sums_bitwise():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 
 from dasvrda import (
     ElasticNet,
+    Logistic,
     Squared,
     SyntheticSpec,
     compute_reference,
@@ -17,6 +19,7 @@ from dasvrda import (
     objective,
     save_reference,
 )
+from dasvrda import reference
 from dasvrda.reference import problem_fingerprint
 
 
@@ -55,9 +58,47 @@ def test_reference_certifies_zero_solution():
 
 def test_reference_budget_exhaustion_flagged():
     problem = lasso_problem(l1=1e-4)
-    ref = compute_reference(problem, 1e-14, max_stages=99, stall_window=100)
+    ref = compute_reference(problem, 1e-14, max_stages=99)
     assert not ref.converged
     assert np.isfinite(ref.objective)
+
+
+def logistic_problem():
+    data, _ = generate_synthetic(SyntheticSpec(kind="ridge-logistic", n=80, d=40,
+                                               density=0.1, seed=1))
+    return make_problem(data, Logistic(), ElasticNet(1e-3, 1e-3))
+
+
+# Each problem's products take the csr form (at most 6000 stored entries,
+# or not every entry stored), so the pinned bits do not follow the BLAS
+# build.  The first two stop on the stall rule, the third on max_stages.
+@pytest.mark.parametrize("make, tolerance, max_stages, pinned", [
+    (lambda: lasso_problem(l1=0.05), 1e-13, 400_000,
+     ("0x1.2043381527be2p-2", True, "ec92bb58ac5b6428")),
+    (logistic_problem, 1e-13, 400_000,
+     ("0x1.26fb3c8d52318p-2", True, "7869846f58bcade8")),
+    (lambda: lasso_problem(l1=1e-4), 1e-14, 99,
+     ("0x1.2e33e56999676p-8", False, "1752d18feb51e180")),
+])
+def test_reference_bits_are_pinned(monkeypatch, make, tolerance, max_stages,
+                                   pinned):
+    """Objective, flag and point of restarted APG's reference, pinned to the
+    bits of its own loop before it became ``run_apg``; each run restarts."""
+    flags = []
+    run_apg = reference.run_apg
+
+    def counted(*args, on_stage, **kwargs):
+        def hook(stage, x, evals, restarted):
+            flags.append(restarted)
+            on_stage(stage, x, evals, restarted)
+        return run_apg(*args, on_stage=hook, **kwargs)
+
+    monkeypatch.setattr(reference, "run_apg", counted)
+    ref = compute_reference(make(), tolerance, max_stages=max_stages)
+    digest = hashlib.sha256(np.ascontiguousarray(ref.x).tobytes()).hexdigest()
+    assert (ref.objective.hex(), ref.converged, digest[:16]) == pinned
+    assert any(flags)
+    assert (len(flags) == max_stages) == (not ref.converged)
 
 
 def test_reference_beats_everything_nearby():

@@ -12,7 +12,6 @@ from dasvrda import (
     Partition,
     Squared,
     choose_S_for_rho,
-    default_warm_start,
     eta_default,
     gamma_star,
     make_dataset,
@@ -507,24 +506,6 @@ def test_warm_schedule_rejects_lengths_beyond_the_float_range():
 def test_warm_final_loop_length():
     assert warm_final_loop_length(4.0, 5) == math.ceil(math.sqrt(30.0) / 0.75)
     assert warm_final_loop_length(3.0, 1) == math.ceil(math.sqrt(2.0) * 1.5)
-
-
-def test_default_warm_start_fallback_and_estimates():
-    problem = small_problem(19)
-    m0, n_warm = default_warm_start(problem, 4.0, 16, 2)
-    assert m0 == 1
-    assert n_warm == math.ceil(math.log(16.0) / math.log(2.0))
-
-    # A huge distance-to-gap ratio pushes the balanced start above m, where
-    # it is clipped and no warm-up stages remain.
-    m0, n_warm = default_warm_start(
-        problem, 4.0, 16, 2, gap_estimate=1e-8, dist_sq_estimate=1e6
-    )
-    assert m0 == 16 and n_warm == 0
-
-    with pytest.raises(ValueError):
-        default_warm_start(problem, 4.0, 16, 2, gap_estimate=0.0,
-                           dist_sq_estimate=1.0)
 
 
 def test_warm_runner_without_warm_stages_matches_plain_outer_loop():
