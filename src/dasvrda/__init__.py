@@ -67,7 +67,7 @@ from .data_io import (
     normalize_rows,
     save_libsvm,
 )
-from .reference import Reference, compute_reference, load_reference, save_reference
+from .reference import Reference, compute_reference, read_reference, save_reference
 from .trace import TraceRecord, read_trace, write_trace
 from .harness import (
     ConfigError,

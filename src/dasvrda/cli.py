@@ -1,9 +1,9 @@
 """``erm`` command line: run one benchmark solver, or build a reference
 solution file.
 
-Exit codes: 0 on success, 2 on a configuration error, 3 when a reference
-computation stopped on its stage budget before converging (the file is
-still written, flagged unconverged).
+Exit codes: 0 on success, 2 on a configuration error or an unwritable
+output, 3 when a reference computation stopped on its stage budget before
+converging (the file is still written, flagged unconverged).
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    output = args.trace_path if args.command == "run" else args.out
     try:  # a bad --synthetic spec is a ValueError too
         config = _config(args)
         if args.command == "run":
@@ -122,9 +123,7 @@ def main(argv: list[str] | None = None) -> int:
 
         # args.command == "ref"
         problem = load_problem(config)
-        reference = compute_reference(
-            problem, args.tol, max_stages=args.max_stages
-        )
+        reference = compute_reference(problem, args.tol, max_stages=args.max_stages)
         save_reference(reference, problem, args.out)
         print(
             f"reference objective {reference.objective!r} "
@@ -132,6 +131,9 @@ def main(argv: list[str] | None = None) -> int:
             f"-> {args.out}"
         )
         return 0 if reference.converged else 3
+    except OSError as exc:  # a failed read is a ConfigError, so a write failed
+        print(f"error: cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

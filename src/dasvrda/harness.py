@@ -24,7 +24,7 @@ from .data_io import (SyntheticSpec, generate_synthetic, load_libsvm, normalize_
 from .lazy import BLOCK_STEPS, lazy_one_stage_accsvrda
 from .losses import Logistic, SmoothedHinge, Squared
 from .problem import ElasticNet, Problem, make_problem, objective, products_form
-from .reference import load_reference, problem_fingerprint
+from .reference import read_reference
 from .sampling import IidUniform, Partition, make_rng, smoothness_weighted
 from .solvers import (
     choose_S_for_rho,
@@ -232,19 +232,15 @@ def parse_loss(text: str):
         return Squared()
     if text == "logistic":
         return Logistic()
-    if text.startswith("smoothed-hinge"):
-        _, _, tail = text.partition(":")
-        if not tail:
-            raise ConfigError("smoothed-hinge needs a width, e.g. smoothed-hinge:0.5")
-        try:
-            nu = float(tail)
-        except ValueError:
-            raise ConfigError(f"bad smoothed-hinge width {tail!r}") from None
-        try:
-            return SmoothedHinge(nu)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown loss {text!r}")
+    name, _, tail = text.partition(":")
+    if name != "smoothed-hinge":
+        raise ConfigError(f"unknown loss {text!r}")
+    if not tail:
+        raise ConfigError("smoothed-hinge needs a width, e.g. smoothed-hinge:0.5")
+    try:
+        return SmoothedHinge(float(tail))
+    except ValueError as exc:
+        raise ConfigError(f"bad smoothed-hinge width {tail!r}: {exc}") from None
 
 
 def parse_synthetic(text: str) -> SyntheticSpec:
@@ -346,7 +342,7 @@ def choose_engine(
 
     ``auto`` picks the engine whose modelled step is cheaper, from ``d``,
     the batch size, the mean row nonzeros and the loop length ``m``; the
-    reason is built from those inputs only, so it repeats exactly.
+    reason gives both modelled steps, so it repeats exactly.
     """
     if config.lazy != "auto":
         return config.lazy == "on", config.lazy
@@ -354,14 +350,12 @@ def choose_engine(
         return False, f"auto: {config.algo} has no lazy stage -> dense"
     if config.l1 == 0 and config.l2 == 0:
         return False, "auto: no elastic-net term -> dense"
-    d = problem.d
     entries = config.batch * problem.data.features.nnz / problem.n
-    # Expected distinct columns hit by the entries of one batch.
-    touched = -d * math.expm1(-entries / d) if d else 0.0
-    lazy, dense = engine_terms(d, entries, m)
-    use = modelled_us(LAZY_US, lazy) < modelled_us(DENSE_US, dense)
-    return use, (f"auto: ~{touched:.0f} of d={d} coordinates per step -> "
-                 f"{'lazy' if use else 'dense'}")
+    lazy, dense = engine_terms(problem.d, entries, m)
+    lazy_us, dense_us = modelled_us(LAZY_US, lazy), modelled_us(DENSE_US, dense)
+    use = lazy_us < dense_us
+    return use, (f"auto: modelled {lazy_us:.0f} us lazy, {dense_us:.0f} us dense "
+                 f"per step -> {'lazy' if use else 'dense'}")
 
 
 def resolve(config: RunConfig) -> ResolvedRun:
@@ -473,15 +467,10 @@ def resolve(config: RunConfig) -> ResolvedRun:
 
     ref_objective = None
     if config.ref_path is not None:
-        payload = load_reference(config.ref_path)
-        if payload is None:
-            raise ConfigError(f"cannot read reference file {config.ref_path}")
-        if payload["fingerprint"] != problem_fingerprint(problem):
-            raise ConfigError(
-                f"reference {config.ref_path} was computed for a different "
-                "problem"
-            )
-        ref_objective = float(payload["objective"])
+        try:
+            ref_objective = read_reference(config.ref_path, problem).objective
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     run = ResolvedRun(
         problem=problem,
@@ -561,17 +550,9 @@ def run_experiment(config: RunConfig) -> RunResult:
         else:
             measured = point
         p = objective(problem, measured)
-        records.append(
-            TraceRecord(
-                stage=stage,
-                evals=evals_total,
-                evals_over_n=evals_total / n,
-                objective=p,
-                gap=None if ref is None else p - ref,
-                seconds=time.perf_counter() - t0,
-                restarted=restarted,
-            )
-        )
+        records.append(TraceRecord(
+            stage, evals_total, evals_total / n, p, None if ref is None else p - ref,
+            time.perf_counter() - t0, restarted))
         if not np.isfinite(p):
             diverged = True
             raise _Diverged

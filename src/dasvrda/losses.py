@@ -72,8 +72,9 @@ class SmoothedHinge:
     classification = True
 
     def __post_init__(self) -> None:
-        if not self.nu > 0:
-            raise ValueError(f"smoothing width must be positive, got {self.nu}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"smoothing width must be finite and positive, "
+                             f"got {self.nu}")
 
     @property
     def curvature(self) -> float:

@@ -283,11 +283,14 @@ def take_rows(mat: sp.csr_matrix, idx: Optional[np.ndarray] = None) -> Rows:
 
 def products_form(mat: sp.csr_matrix) -> str:
     """The form of a full pass's products over ``mat`` and why, as the
-    trace header's ``products`` reports it."""
+    trace header's ``products`` reports it: the dense form has more than
+    :data:`BLAS_ABOVE_ENTRIES` entries; the csr form has at most that many,
+    or more without every entry stored."""
     n, d = mat.shape
-    limit = "<=" if mat.nnz <= BLAS_ABOVE_ENTRIES else ">"
-    return (f"{take_rows(mat).form}: {mat.nnz} of {n}x{d} entries stored, "
-            f"{limit} {BLAS_ABOVE_ENTRIES}")
+    form = take_rows(mat).form
+    why = (f"<= {BLAS_ABOVE_ENTRIES}" if mat.nnz <= BLAS_ABOVE_ENTRIES
+           else f"> {BLAS_ABOVE_ENTRIES}" + (" but not all" if form == "csr" else ""))
+    return f"{form}: {mat.nnz} of {n}x{d} entries stored, {why}"
 
 
 def _check_point(problem: Problem, x: np.ndarray) -> np.ndarray:

@@ -77,24 +77,19 @@ def compute_reference(
     ``converged=False`` means the stage budget ran out first; the returned
     point is still the best one seen.  With ``cache_path`` the result is
     reused if the file holds a reference for the same problem at the same
-    or tighter tolerance.
+    or tighter tolerance, converged, with its point.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
-    if cache_path is not None and os.path.exists(cache_path):
-        cached = load_reference(cache_path)
-        if (
-            cached is not None
-            and cached["fingerprint"] == problem_fingerprint(problem)
-            and cached["tolerance"] <= tolerance
-            and cached["converged"]
-        ):
-            return Reference(
-                x=np.asarray(cached["x"], dtype=np.float64),
-                objective=float(cached["objective"]),
-                converged=True,
-                tolerance=float(cached["tolerance"]),
-            )
+    if max_stages < 1:
+        raise ValueError(f"max_stages must be at least 1, got {max_stages}")
+    try:
+        cached = None if cache_path is None else read_reference(cache_path, problem)
+    except ValueError:
+        cached = None
+    if (cached is not None and cached.converged and cached.tolerance <= tolerance
+            and cached.x.shape == (problem.d,)):
+        return cached
 
     x = np.zeros(problem.d)
     p = objective(problem, x)
@@ -158,13 +153,30 @@ def save_reference(ref: Reference, problem: Problem, path: str) -> None:
     os.replace(tmp, path)
 
 
-def load_reference(path: str) -> dict | None:
-    """Raw cached payload, or None if unreadable."""
+def read_reference(path: str, problem: Problem) -> Reference:
+    """The reference in the file at ``path``, which must have been computed
+    for ``problem``.  ``x`` may be empty: a file that only carries the
+    objective.  Raises a ``ValueError`` that names the file for anything
+    else."""
     try:
         with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or "fingerprint" not in payload:
-        return None
-    return payload
+            # Every number a float: an integer beyond the float range is inf.
+            payload = json.load(handle, parse_int=float)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read reference file {path}: {exc}") from None
+    if (not isinstance(payload, dict)
+            or payload.get("fingerprint") != problem_fingerprint(problem)):
+        raise ValueError(f"reference file {path} was computed for a different "
+                         "problem (its fingerprint differs or is missing)")
+    tolerance, objective, converged, x = (
+        payload.get(key) for key in ("tolerance", "objective", "converged", "x"))
+    if not (isinstance(objective, float) and math.isfinite(objective)
+            and isinstance(converged, bool)
+            and isinstance(tolerance, float) and 0 < tolerance < math.inf
+            and isinstance(x, list) and len(x) in (0, problem.d)
+            and all(isinstance(value, float) for value in x)):
+        raise ValueError(
+            f"reference file {path} needs a finite objective, true or false "
+            f"converged, a finite positive tolerance, and an empty x or one "
+            f"of d={problem.d} numbers")
+    return Reference(np.array(x), objective, converged, tolerance)

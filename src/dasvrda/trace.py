@@ -3,6 +3,7 @@
 A trace starts with one ``#``-prefixed line holding the fully resolved run
 configuration as JSON (sorted keys, so identical configurations produce
 identical headers), followed by a CSV header and one row per stage.  The
+columns are the fields of :class:`TraceRecord`, in order.  The
 ``seconds`` column is wall-clock and is the only field expected to differ
 between reruns of the same seed.
 """
@@ -11,22 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional
-
-TRACE_COLUMNS = (
-    "stage",
-    "evals",
-    "evals_over_n",
-    "objective",
-    "gap",
-    "seconds",
-    "restarted",
-)
+from dataclasses import dataclass, fields
+from typing import Iterable, Optional, get_type_hints
 
 
 @dataclass
 class TraceRecord:
+    """One trace row; each field is the column of its name."""
+
     stage: int
     evals: int
     evals_over_n: float
@@ -36,15 +29,21 @@ class TraceRecord:
     restarted: bool
 
     def row(self) -> list[str]:
-        return [
-            str(self.stage),
-            str(self.evals),
-            repr(float(self.evals_over_n)),
-            repr(float(self.objective)),
-            "" if self.gap is None else repr(float(self.gap)),
-            repr(float(self.seconds)),
-            str(int(self.restarted)),
-        ]
+        return [write(getattr(self, name)) for name, write, _ in _COLUMNS]
+
+
+#: Writer and reader of a column's text, by the type of its field.
+_CODEC_OF_TYPE = {
+    int: (str, int),
+    float: (lambda value: repr(float(value)), float),
+    Optional[float]: (lambda value: "" if value is None else repr(float(value)),
+                      lambda text: None if text == "" else float(text)),
+    bool: (lambda value: str(int(value)), lambda text: {"0": False, "1": True}[text]),
+}
+_TYPES = get_type_hints(TraceRecord)
+#: Each column's name, writer and reader.
+_COLUMNS = [(f.name, *_CODEC_OF_TYPE[_TYPES[f.name]]) for f in fields(TraceRecord)]
+TRACE_COLUMNS = tuple(name for name, _, _ in _COLUMNS)
 
 
 def write_trace(path: str, config: dict, records: Iterable[TraceRecord]) -> None:
@@ -57,26 +56,27 @@ def write_trace(path: str, config: dict, records: Iterable[TraceRecord]) -> None
 
 
 def read_trace(path: str) -> tuple[dict, list[TraceRecord]]:
+    """Header and records of a trace file; a ``ValueError`` that names the
+    file and the line for anything else."""
     with open(path, newline="") as handle:
         first = handle.readline()
-        if not first.startswith("#"):
-            raise ValueError(f"{path}: missing JSON header line")
-        config = json.loads(first[1:])
+        try:
+            config = json.loads(first[1:]) if first.startswith("#") else None
+        except ValueError:
+            config = None
+        if not isinstance(config, dict):
+            raise ValueError(f"{path}, line 1: expected '#' and a JSON object")
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != TRACE_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {header}")
+            raise ValueError(f"{path}, line 2: unexpected columns {header}")
         records = []
         for row in reader:
-            records.append(
-                TraceRecord(
-                    stage=int(row[0]),
-                    evals=int(row[1]),
-                    evals_over_n=float(row[2]),
-                    objective=float(row[3]),
-                    gap=None if row[4] == "" else float(row[4]),
-                    seconds=float(row[5]),
-                    restarted=bool(int(row[6])),
-                )
-            )
+            try:
+                values = [read(text) for (_, _, read), text
+                          in zip(_COLUMNS, row, strict=True)]
+            except (KeyError, ValueError):
+                raise ValueError(f"{path}, line {reader.line_num + 1}: bad row "
+                                 f"{row}") from None
+            records.append(TraceRecord(*values))
     return config, records

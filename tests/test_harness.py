@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ def test_parse_loss():
         parse_loss("smoothed-hinge:zero")
     with pytest.raises(ConfigError):
         parse_loss("smoothed-hinge:-1")
+
+
+@pytest.mark.parametrize("text", ["smoothed-hinge:inf", "smoothed-hinge:nan",
+                                  "smoothed-hinge:", "smoothed-hingeX:0.5"])
+def test_parse_loss_rejects_a_width_or_name_it_cannot_use(text):
+    with pytest.raises(ConfigError):
+        parse_loss(text)
 
 
 def test_parse_synthetic():
@@ -162,8 +170,9 @@ def test_resolve_lazy_rule(tmp_path):
 
 def test_header_records_engine_reason(tmp_path):
     cases = [
-        (highd_config(tmp_path), "auto: ~20 of d=100000 coordinates per step -> lazy"),
-        (lasso_config(), "auto: ~13 of d=20 coordinates per step -> dense"),
+        (highd_config(tmp_path),
+         "auto: modelled 635 us lazy, 1883 us dense per step -> lazy"),
+        (lasso_config(), "auto: modelled 61 us lazy, 43 us dense per step -> dense"),
         (highd_config(tmp_path, l1=0.0), "auto: no elastic-net term -> dense"),
         (highd_config(tmp_path, algo="apg"), "auto: apg has no lazy stage -> dense"),
         (lasso_config(lazy="off"), "off"),
@@ -192,7 +201,8 @@ def test_header_names_the_form_of_the_full_pass():
     assert header(n=200, d=50) == "dense: 10000 of 200x50 entries stored, > 6000"
     assert header(n=200, d=50) == header(n=200, d=50)
     text = header(n=400, d=50, density=0.5)
-    assert text.startswith("csr: ") and text.endswith(" of 400x50 entries stored, > 6000")
+    assert text.startswith("csr: ")
+    assert text.endswith(" of 400x50 entries stored, > 6000 but not all")
 
 
 @pytest.mark.parametrize(
@@ -365,6 +375,64 @@ def test_reference_fingerprint_mismatch_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="different"):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("changes", [dict(objective=...), dict(objective=None),
+                                     dict(objective=[0.25]),
+                                     dict(objective=float("nan")), dict(x=[])])
+def test_cli_checks_the_reference_file(tmp_path, capsys, changes):
+    # ``"x": []`` is a file that only carries the objective, and is taken.
+    spec = "lasso:n=60,d=20,sparsity=5,seed=0"
+    ref_path, trace = tmp_path / "ref.json", tmp_path / "t.csv"
+    assert main(["ref", "--synthetic", spec, "--l1", "1e-3", "--out",
+                 str(ref_path)]) == 0
+    payload = dict(json.loads(ref_path.read_text()), **changes)
+    ref_path.write_text(json.dumps({k: v for k, v in payload.items() if v is not ...}))
+    capsys.readouterr()
+    code = main(["run", "--synthetic", spec, "--l1", "1e-3", "--stages", "2",
+                 "--budget", "1000", "--trace", str(trace), "--ref", str(ref_path)])
+    if "x" in changes:
+        assert code == 0
+        _, records = read_trace(str(trace))
+        assert [r.gap for r in records] == [r.objective - payload["objective"]
+                                            for r in records]
+    else:
+        assert code == 2
+        assert f"error: reference file {ref_path} " in capsys.readouterr().err
+        assert not trace.exists()
+
+
+def test_cli_rejects_an_infinite_smoothed_hinge_width(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    code = main(["run", "--synthetic", "ridge-logistic:n=40,d=10", "--loss",
+                 "smoothed-hinge:inf", "--l1", "1e-3", "--budget", "400",
+                 "--trace", str(trace)])
+    assert code == 2
+    assert "smoothing width must be finite" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("max_stages", ["0", "-3"])
+def test_cli_ref_needs_a_stage(tmp_path, capsys, max_stages):
+    out = tmp_path / "ref.json"
+    code = main(["ref", "--synthetic", "lasso:n=40,d=10", "--l1", "1e-3",
+                 "--max-stages", max_stages, "--out", str(out)])
+    assert code == 2
+    assert "max_stages must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--budget", "400", "--trace"],
+    ["ref", "--out"],
+])
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, command):
+    path = str(tmp_path / "missing" / "out")
+    code = main([command[0], "--synthetic", "lasso:n=40,d=10", "--l1", "1e-3",
+                 *command[1:], path])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
 def test_pg_and_svrg_traces_report_running_average(tmp_path):

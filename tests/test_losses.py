@@ -174,3 +174,9 @@ def test_smoothness_constant_is_tight_curvature_bound():
             - loss_derivative(loss, attained_at - h, 1.0)
         ) / (2 * h)
         assert at == pytest.approx(const, rel=1e-4)
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, math.inf, math.nan])
+def test_smoothed_hinge_width_must_be_finite_and_positive(nu):
+    with pytest.raises(ValueError, match="finite and positive"):
+        SmoothedHinge(nu)

@@ -13,10 +13,10 @@ from dasvrda import (
     compute_reference,
     full_gradient,
     generate_synthetic,
-    load_reference,
     make_dataset,
     make_problem,
     objective,
+    read_reference,
     save_reference,
 )
 from dasvrda import reference
@@ -115,10 +115,7 @@ def test_reference_cache_round_trip(tmp_path):
     problem = lasso_problem(l1=0.03)
     path = str(tmp_path / "ref.json")
     ref = compute_reference(problem, 1e-12, cache_path=path)
-    payload = load_reference(path)
-    assert payload is not None
-    assert payload["fingerprint"] == problem_fingerprint(problem)
-    assert payload["objective"] == ref.objective
+    assert read_reference(path, problem).objective == ref.objective
     cached = compute_reference(problem, 1e-10, cache_path=path)
     assert np.array_equal(cached.x, ref.x)
     assert cached.tolerance == 1e-12  # the cached, tighter run is reused
@@ -149,14 +146,18 @@ def test_fingerprint_sensitivity():
 
 
 def test_load_reference_rejects_garbage(tmp_path):
+    problem = lasso_problem()
     missing = tmp_path / "missing.json"
-    assert load_reference(str(missing)) is None
+    with pytest.raises(ValueError, match="missing.json"):
+        read_reference(str(missing), problem)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    assert load_reference(str(bad)) is None
+    with pytest.raises(ValueError, match="bad.json"):
+        read_reference(str(bad), problem)
     wrong = tmp_path / "wrong.json"
     wrong.write_text(json.dumps(["list"]))
-    assert load_reference(str(wrong)) is None
+    with pytest.raises(ValueError, match="wrong.json"):
+        read_reference(str(wrong), problem)
 
 
 def test_save_reference_is_atomic_and_readable(tmp_path):
@@ -166,6 +167,66 @@ def test_save_reference_is_atomic_and_readable(tmp_path):
     save_reference(ref, problem, str(path))
     assert path.exists()
     assert not (tmp_path / "out.json.tmp").exists()
-    payload = load_reference(str(path))
-    assert payload["converged"] is True
-    assert np.allclose(payload["x"], ref.x)
+    stored = read_reference(str(path), problem)
+    assert stored.converged is True
+    assert np.allclose(stored.x, ref.x)
+
+
+def _reference_file(path, problem, **changes):
+    """A reference file for ``problem`` with keys replaced (a value of
+    ``...`` drops the key)."""
+    payload = {"fingerprint": problem_fingerprint(problem), "tolerance": 1e-12,
+               "objective": 0.25, "converged": True, "x": [0.0] * problem.d}
+    payload.update(changes)
+    path.write_text(json.dumps({k: v for k, v in payload.items() if v is not ...}))
+    return str(path)
+
+
+@pytest.mark.parametrize("changes,fragment", [
+    (dict(fingerprint="0" * 64), "computed for a different problem"),
+    (dict(fingerprint=...), "computed for a different problem"),
+    *((change, "needs a finite objective, true or false converged, a finite "
+       "positive tolerance, and an empty x or one of d=20 numbers")
+      for change in (dict(objective=...), dict(tolerance=..., x=...),
+                     dict(objective=None), dict(objective=[0.25]),
+                     dict(objective=float("nan")), dict(objective=True),
+                     dict(objective=10**400), dict(converged=1),
+                     dict(tolerance=0), dict(tolerance="1e-12"),
+                     dict(x=[[0.0]]), dict(x=[0.0, 1.0]), dict(x=[0.0] * 19 + [None]),
+                     dict(x="abc"))),
+])
+def test_read_reference_rejects_a_malformed_file(tmp_path, changes, fragment):
+    problem = lasso_problem()
+    path = _reference_file(tmp_path / "ref.json", problem, **changes)
+    with pytest.raises(ValueError, match=fragment) as info:
+        read_reference(path, problem)
+    assert path in str(info.value)
+
+
+def test_read_reference_takes_a_file_without_a_point(tmp_path):
+    # The form of a file that only carries the objective, ``"x": []``.
+    problem = lasso_problem()
+    ref = read_reference(_reference_file(tmp_path / "r.json", problem, x=[],
+                                         tolerance=1), problem)
+    assert (ref.objective, ref.converged, ref.tolerance) == (0.25, True, 1.0)
+    assert ref.x.shape == (0,)
+
+
+@pytest.mark.parametrize("changes", [dict(x=[]), dict(tolerance=...),
+                                     dict(converged=False), dict(tolerance=1e-9)])
+def test_reference_cache_is_recomputed_unless_it_holds_the_answer(tmp_path,
+                                                                 changes):
+    problem = lasso_problem()
+    path = _reference_file(tmp_path / "ref.json", problem, **changes)
+    ref = compute_reference(problem, 1e-12, cache_path=path)
+    assert ref.x.shape == (problem.d,) and ref.objective != 0.25
+    assert read_reference(path, problem).objective == ref.objective
+    # A file that holds the answer is taken as it stands.
+    _reference_file(tmp_path / "ref.json", problem)
+    assert compute_reference(problem, 1e-12, cache_path=path).objective == 0.25
+
+
+@pytest.mark.parametrize("max_stages", [0, -3])
+def test_reference_needs_a_stage(max_stages):
+    with pytest.raises(ValueError, match="max_stages must be at least 1"):
+        compute_reference(lasso_problem(), 1e-12, max_stages=max_stages)
