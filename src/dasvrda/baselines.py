@@ -29,7 +29,11 @@ import numpy as np
 # sees every prox.
 from . import problem as problem_module
 from .problem import Problem, full_gradient
-from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor, vr_gradient
+# ``vr_gradient`` stays a name of this module for the per-layer tracer
+# (``perfbench/tracer.py``), which wraps it here; the stage takes the
+# estimator's parts through :mod:`~dasvrda.stage_loop`.
+from .sampling import SamplingScheme, draw_batch, make_anchor, vr_gradient  # noqa: F401
+from .stage_loop import SVRG, run_stage
 
 StageHook = Callable[[int, np.ndarray, int, bool], None]
 
@@ -142,16 +146,10 @@ def one_stage_svrg(
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
     anchor = make_anchor(problem, x_anchor)
-    x = anchor.x.copy()
-    total = np.zeros_like(x)
-    plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
-    for k in range(1, m + 1):
-        g = vr_gradient(problem, anchor, scheme, x, plan.rows(k - 1))
-        x = problem_module.prox_elastic_net(x - eta * g, eta, problem.reg)
-        total += x
-        if on_iterate is not None:
-            on_iterate(k, {"x": x.copy(), "g": g.copy()})
-    return total / m
+    idx = draw_batch(scheme, rng, b, m)
+    _, total = run_stage(SVRG, problem, anchor, scheme, idx, anchor.x, eta, on_iterate)
+    total /= m
+    return total
 
 
 def run_svrg(

@@ -59,6 +59,9 @@ def load_libsvm(
                 raise ValueError(
                     f"{path}: line {lineno}: bad label {tokens[0]!r}"
                 ) from None
+            if not math.isfinite(label):
+                raise ValueError(
+                    f"{path}: line {lineno}: non-finite label {tokens[0]!r}")
             prev_index = 0
             for token in tokens[1:]:
                 try:
@@ -185,6 +188,8 @@ class SyntheticSpec:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
         if self.noise < 0:
             raise ValueError(f"noise level must be nonnegative, got {self.noise}")
+        if self.seed < 0:
+            raise ValueError(f"synthetic seed must be nonnegative, got {self.seed}")
         if not 0 <= self.sparsity <= self.d:
             raise ValueError(
                 f"sparsity must be in [0, d], got {self.sparsity} with d={self.d}"

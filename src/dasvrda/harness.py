@@ -38,6 +38,7 @@ from .solvers import (
     warm_momentum_loop_length,
     warm_stage_count,
 )
+from .stage_loop import noting
 from .trace import TraceRecord, write_trace
 
 #: The sampling scheme each ``--sampling`` name builds from ``(problem, b)``.
@@ -53,9 +54,11 @@ DEFAULT_ALGORITHM = "dasvrda-ns"
 #: Many stages; practical runs are stopped by the evaluation budget.
 _UNBOUNDED = 10**9
 
-#: Float64 ``d``-vectors a run holds at once, with headroom (tracemalloc
-#: peaks at 20 for ``dasvrda-warm`` on the dense engine, 9 for ``pg``).
-D_VECTORS = 24
+#: Float64 ``d``-vectors a run holds at once: the largest tracemalloc peak
+#: of a run, 18.1 (``dasvrda-sc`` on the dense engine's numpy skeleton;
+#: 16.1 on its compiled loop and on the lazy engine, 9 for ``pg``; every
+#: algorithm at d = 200000 with 20 nonzeros per row), plus 2 of headroom.
+D_VECTORS = 20
 
 #: Per-restart contraction of the expected gap that the stage count of a
 #: restarted algorithm targets when it is derived from ``l2``.
@@ -383,6 +386,8 @@ def resolve(config: RunConfig) -> ResolvedRun:
         raise ConfigError("need a budget or an explicit stage count")
     if config.budget is not None and config.budget < 1:
         raise ConfigError(f"budget must be positive, got {config.budget}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
 
     problem = load_problem(config)
     n, b = problem.n, config.batch
@@ -560,11 +565,15 @@ def run_experiment(config: RunConfig) -> RunResult:
     hooks = dict(on_stage=record, budget=cfg.budget)
     if run.use_lazy:
         hooks["one_stage"] = lazy_one_stage_accsvrda
-    try:
-        record(0, x0, 0, False)
-        x = algo.run(run, x0, rng, hooks)
-    except _Diverged:
-        x = x0
+    with noting() as loops:
+        try:
+            record(0, x0, 0, False)
+            x = algo.run(run, x0, rng, hooks)
+        except _Diverged:
+            x = x0
+    # Set from the stages that ran, so it says what this machine ran.
+    run.header["loop"] = "; ".join(sorted(loops)) or (
+        "none: lazy engine" if run.use_lazy else "none: no dense stage ran")
 
     if cfg.trace_path is not None:
         write_trace(cfg.trace_path, run.header, records)

@@ -24,7 +24,8 @@ reproducible, independent substreams (for parallel workers or sweep cells).
 entries a block of steps at a time; :func:`vr_gradient` is the
 variance-reduced estimator over one batch, computed by the
 :class:`~dasvrda.problem.Rows` products that :func:`~dasvrda.problem.full_pass`
-also uses.
+also uses, and :func:`batch_gradient` the same from parts a stage gathers
+once.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .losses import LossKind
 from .problem import Problem, Rows, dense_view, full_pass, row_entries, take_rows
 
 #: Most stored entries a :class:`BatchPlan` gathers at once (a block of
@@ -280,13 +282,33 @@ def vr_gradient(
     """
     rows = idx if isinstance(idx, Rows) else take_rows(problem.data.features, idx)
     idx = rows.idx
-    b = rows.count
-    dy = problem.loss.derivatives(rows.dot(y), problem.data.labels[idx])
+    w = None if scheme.weights is None else scheme.weights[idx]
     dx = anchor.derivs[idx]
-    if scheme.weights is not None:
-        wi = scheme.weights[idx]
-        dy = wi * dy
-        dx = wi * dx
-    batch_y = rows.tdot(dy / b)
-    batch_x = rows.tdot(dx / b)
-    return batch_y + (anchor.grad - batch_x)
+    if w is not None:
+        dx = w * dx
+    return batch_gradient(problem.loss, anchor.grad, rows, y,
+                          problem.data.labels[idx], w, dx / rows.count)
+
+
+def batch_gradient(
+    loss: LossKind,
+    grad: np.ndarray,
+    rows: Rows,
+    y: np.ndarray,
+    labels: np.ndarray,
+    weights: Optional[np.ndarray],
+    anchor_terms: np.ndarray,
+) -> np.ndarray:
+    """:func:`vr_gradient` at ``y`` from its batch's parts: the rows, their
+    labels, their importance weights (None when all are one) and their
+    anchor terms ``weights * anchor.derivs[idx] / b``, with the anchor's
+    gradient ``grad``.  A stage gathers the parts of all its batches at
+    once."""
+    dy = loss.derivatives(rows.dot(y), labels)
+    if weights is not None:
+        dy *= weights
+    dy /= rows.count
+    g = rows.tdot(dy)
+    batch_x = rows.tdot(anchor_terms)
+    g += np.subtract(grad, batch_x, out=batch_x)
+    return g

@@ -30,36 +30,19 @@ from typing import Callable, Optional
 
 import numpy as np
 
-# ``prox_elastic_net`` is looked up on its module at each call, so that a
-# wrapper installed there (the per-layer tracer, ``perfbench/tracer.py``)
-# sees every prox.
-from . import problem as problem_module
 from .problem import Problem, objective
 from .baselines import InnerHook, Ledger, StageHook
-from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor, vr_gradient
+# ``vr_gradient`` stays a name of this module for the per-layer tracer
+# (``perfbench/tracer.py``), which wraps it here; the stages take the
+# estimator's parts through :mod:`~dasvrda.stage_loop`.
+from .sampling import SamplingScheme, draw_batch, make_anchor, vr_gradient  # noqa: F401
+# The inner weights live with the stages' steps; this module still names
+# them, for the lazy engine and the package's API.
+from .stage_loop import ACC, DASVRG, run_stage, theta_inner, theta_pair  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
 # Momentum schedules.
-
-
-def theta_inner(k: int) -> float:
-    """Inner momentum weight: ``(k+1)/2`` for ``k >= 0``, zero for ``k = -1``."""
-    if k < 0:
-        return 0.0
-    return (k + 1) / 2.0
-
-
-def theta_pair(k: int) -> float:
-    """Product of consecutive inner weights, ``theta_k * theta_{k-1}``.
-
-    Equals ``k (k+1) / 4`` for ``k >= 1`` and zero otherwise; computed
-    directly from ``k`` so lazy updates can evaluate it for arbitrary gaps
-    without accumulating rounding error.
-    """
-    if k < 1:
-        return 0.0
-    return k * (k + 1) / 4.0
 
 
 def theta_outer(gamma: float, s: int) -> float:
@@ -140,26 +123,8 @@ def one_stage_accsvrda(
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
     anchor = make_anchor(problem, x_anchor)
-    x = np.asarray(y_start, dtype=np.float64).copy()
-    z = x.copy()
-    z0 = x.copy()
-    g_bar = np.zeros_like(x)
-    plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
-    for k in range(1, m + 1):
-        inv = 1.0 / theta_inner(k)
-        y = (1.0 - inv) * x + inv * z
-        g = vr_gradient(problem, anchor, scheme, y, plan.rows(k - 1))
-        g_bar = (1.0 - inv) * g_bar + inv * g
-        step = eta * theta_pair(k)
-        z = problem_module.prox_elastic_net(z0 - step * g_bar, step, problem.reg)
-        x = (1.0 - inv) * x + inv * z
-        if on_iterate is not None:
-            on_iterate(
-                k,
-                {"x": x.copy(), "z": z.copy(), "y": y.copy(), "g": g.copy(),
-                 "g_bar": g_bar.copy()},
-            )
-    return x, z
+    idx = draw_batch(scheme, rng, b, m)
+    return run_stage(ACC, problem, anchor, scheme, idx, y_start, eta, on_iterate)
 
 
 def one_stage_dasvrg(
@@ -187,19 +152,8 @@ def one_stage_dasvrg(
     if m < 1:
         raise ValueError(f"need at least one inner iteration, got m={m}")
     anchor = make_anchor(problem, x_anchor)
-    x = np.asarray(y_start, dtype=np.float64).copy()
-    z = x.copy()
-    plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
-    for k in range(1, m + 1):
-        inv = 1.0 / theta_inner(k)
-        y = (1.0 - inv) * x + inv * z
-        g = vr_gradient(problem, anchor, scheme, y, plan.rows(k - 1))
-        step = eta * theta_inner(k - 1)
-        z = problem_module.prox_elastic_net(z - step * g, step, problem.reg)
-        x = (1.0 - inv) * x + inv * z
-        if on_iterate is not None:
-            on_iterate(k, {"x": x.copy(), "z": z.copy(), "y": y.copy(), "g": g.copy()})
-    return x, z
+    idx = draw_batch(scheme, rng, b, m)
+    return run_stage(DASVRG, problem, anchor, scheme, idx, y_start, eta, on_iterate)
 
 
 OneStageFn = Callable[..., tuple[np.ndarray, np.ndarray]]

@@ -66,6 +66,8 @@ def test_binary_label_mapping(tmp_path):
         ("1 2:1 2:3\n", "line 1: index 2 not increasing"),
         ("1 3:1 2:3\n", "line 1: index 2 not increasing"),
         ("1 1:nan\n", "line 1: non-finite value"),
+        ("nan 1:1\n", "data.txt: line 1: non-finite label 'nan'"),
+        ("1 1:1\ninf 1:1\n", "data.txt: line 2: non-finite label 'inf'"),
         ("1 1:1\n1 oops\n", "line 2: bad feature"),
         ("1 1:1 3000000000:2\n", "line 1: index 3000000000 is above"),
     ],

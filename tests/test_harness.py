@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dasvrda import (
     run_experiment,
     save_libsvm,
 )
-from dasvrda import harness
+from dasvrda import harness, stage_loop
 from dasvrda.cli import _build_parser, _config, main
 from dasvrda.harness import (
     ALGORITHMS,
@@ -234,6 +235,7 @@ def test_header_names_the_form_of_the_full_pass():
         (dict(eta=float("inf")), "step size must be finite"),
         (dict(gamma=float("nan")), "momentum parameter must be finite"),
         (dict(gamma=float("inf")), "momentum parameter must be finite"),
+        (dict(seed=-1), "seed must be nonnegative, got -1"),
     ],
 )
 def test_resolve_rejects_bad_configs(overrides, fragment):
@@ -634,6 +636,35 @@ def test_d_check_runs_before_the_synthetic_draw(monkeypatch):
         resolve(lasso_config())
 
 
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "skeleton"])
+def test_a_dense_run_peaks_below_d_vectors(tmp_path, monkeypatch, compiled):
+    # d = 200000 with 20 nonzeros per row, on the dense engine; dasvrda-sc
+    # peaks highest of the algorithms.
+    d, n = 200_000, 200
+    rng = np.random.default_rng(0)
+    with open(tmp_path / "wide.svm", "w") as handle:
+        for _ in range(n):
+            cols = np.sort(rng.choice(d, 20, replace=False)) + 1
+            fields = " ".join(f"{c}:{float(v)!r}"
+                              for c, v in zip(cols, rng.standard_normal(20)))
+            handle.write(f"{rng.choice((-1, 1))} {fields}\n")
+    monkeypatch.setattr(stage_loop, "COMPILED", compiled)
+    config = RunConfig(algo="dasvrda-sc", loss="logistic", l1=1e-4, l2=1e-4,
+                       data_path=str(tmp_path / "wide.svm"), dim=d, batch=8,
+                       lazy="off", budget=12 * n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) > 3
+    assert (result.header["loop"] == "compiled") == (
+        compiled and not isinstance(stage_loop._loop(), str))
+    assert peak < 8 * harness.D_VECTORS * d
+
+
 def test_cli_rejects_an_epoch_length_beyond_physical_memory(tmp_path, capsys):
     # 10**12 steps of one draw: the stage's draws alone are 8 TB.
     trace = tmp_path / "t.csv"
@@ -720,6 +751,18 @@ def test_cli_algo_choices_are_the_registry():
 
 def _subparser(name):
     return _build_parser()._subparsers._group_actions[0].choices[name]
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--seed", "-1"], "error: seed must be nonnegative, got -1"),
+    (["--synthetic", "lasso:n=40,d=10,seed=-1"],
+     "error: synthetic seed must be nonnegative, got -1"),
+])
+def test_cli_names_the_setting_of_a_negative_seed(tmp_path, capsys, extra, message):
+    args = ["run", "--synthetic", "lasso:n=40,d=10,seed=1", "--budget", "100",
+            "--trace", str(tmp_path / "t.csv"), *extra]
+    assert main(args) == 2
+    assert capsys.readouterr().err.strip() == message
 
 
 def test_cli_run_options_are_run_config_fields():

@@ -44,7 +44,8 @@ Batch size 4, seed 0.  For each problem it writes a data digest: a
 SHA-256 of the generated CSR arrays, labels and ground truth, each tagged
 with its name, dtype and shape.  For each configuration it writes, per
 trace row, the objective (as an exact hex float), the cumulative
-``evals`` charged and the ``restarted`` flag; every trace header key; the
+``evals`` charged and the ``restarted`` flag; every trace header key but
+``loop``, which names the path this machine ran the dense stages on; the
 returned ``x``; and two digests, one of the header and one of the
 trajectory (the rows and ``x``).  So a moved restart flag or a moved
 charge shows, not only a moved objective, and a changed header shows
@@ -220,7 +221,10 @@ def record(result) -> dict:
     objectives = [float(r.objective).hex() for r in result.records]
     evals = [int(r.evals) for r in result.records]
     restarted = [bool(r.restarted) for r in result.records]
-    header = json.loads(json.dumps(result.header, sort_keys=True, default=str))
+    # ``loop`` says which path this machine ran the dense stages on, not
+    # what they computed.
+    header = json.loads(json.dumps({k: v for k, v in result.header.items()
+                                    if k != "loop"}, sort_keys=True, default=str))
     x = [float(v).hex() for v in np.asarray(result.x, dtype=np.float64)]
     return {"header_digest": digest(header),
             "trajectory": digest([objectives, evals, restarted, x]),
