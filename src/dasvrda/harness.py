@@ -60,6 +60,12 @@ _UNBOUNDED = 10**9
 #: algorithm at d = 200000 with 20 nonzeros per row), plus 2 of headroom.
 D_VECTORS = 20
 
+#: Bytes a stage holds at once per draw of its batches, counted once more
+#: per step: the largest tracemalloc peak per draw, 40 (weighted draws, on
+#: either engine and path; 24 for uniform ones), plus 8 of headroom.  At
+#: batch 1 the lazy engine peaks at 64 bytes per step, below the 96 counted.
+DRAW_BYTES = 48
+
 #: Per-restart contraction of the expected gap that the stage count of a
 #: restarted algorithm targets when it is derived from ``l2``.
 TARGET_RHO = 0.5
@@ -430,13 +436,11 @@ def resolve(config: RunConfig) -> ResolvedRun:
     # and the trace header's ``epoch_len`` use.
     warm = _warm_start(config, gamma, m) if algo.warm else None
     loop = warm_momentum_loop_length(gamma, *warm) if warm else m
-    # Checked before a stage draws its batch plan, the longest loop's: 16
-    # bytes per draw (its int64 index and row length) and per step (the
-    # lazy engine's two prefix tables).
-    need, have = 16 * (loop or 0) * (b + 1), physical_memory()
+    # Checked before a stage draws its batches, for the longest loop.
+    need, have = DRAW_BYTES * (loop or 0) * (b + 1), physical_memory()
     if have is not None and need > have:
         raise ConfigError(f"epoch length {m} runs stages of {loop} steps of "
-                          f"batch {b}, whose batch plan needs {need} bytes, "
+                          f"batch {b}, whose draws need {need} bytes, "
                           f"above {have} bytes of physical memory")
     if eta is None:
         if algo.step_divisor is None:

@@ -33,12 +33,12 @@ forms.
 The stage driver (:func:`lazy_one_stage_accsvrda`) reproduces the dense
 :func:`~dasvrda.solvers.one_stage_accsvrda` trajectory to rounding noise.
 It runs the steps in blocks of up to :data:`BLOCK_STEPS` consecutive
-steps, within one gather block of the stage's
-:class:`~dasvrda.sampling.BatchPlan`, and stays lazy across blocks:
+steps, and stays lazy across blocks:
 
-* opening a block costs one ``np.unique`` over its entries, giving the
-  union ``U`` of its columns, and one :func:`catch_up` of ``U`` to the
-  iteration before the block;
+* opening a block costs one :func:`~dasvrda.problem.row_entries` of its
+  rows, one ``np.unique`` over their entries, giving the union ``U`` of
+  their columns, and one :func:`catch_up` of ``U`` to the iteration
+  before the block;
 * each step then runs the plain dense recurrence on ``U`` alone, its batch
   products the csr form of :class:`~dasvrda.problem.Rows` over ``U`` (the
   block's entries, their columns numbered by position in ``U``), a fixed
@@ -71,8 +71,8 @@ import numpy as np
 # ``prox_elastic_net`` is bound here by name, so a wrapper installed on
 # its module (the per-layer tracer's dense prox span) does not count the
 # lazy engine's calls.
-from .problem import ElasticNet, Problem, Rows, prox_elastic_net
-from .sampling import BatchPlan, SamplingScheme, draw_batch, make_anchor
+from .problem import ElasticNet, Problem, Rows, prox_elastic_net, row_entries
+from .sampling import SamplingScheme, draw_batch, make_anchor
 from .solvers import theta_pair
 
 #: Coordinates per chunk of the final sweep: large enough to amortize the
@@ -86,6 +86,11 @@ SWEEP_CHUNK = 4096
 #: d = 100000 the step time is flat from 4 to 16; ``python
 #: tools/fit_engine.py block`` measures it again.
 BLOCK_STEPS = 8
+
+#: Most stored entries a block of :class:`LazyStage` gathers, unless it is
+#: one step: a few megabytes of temporaries however many entries a step's
+#: rows hold, as :data:`SWEEP_CHUNK` bounds the sweep.
+BLOCK_ENTRIES = 1 << 16
 
 
 def lazy_z(
@@ -247,7 +252,7 @@ class _Block:
     """Consecutive steps run on the union ``cols`` of their columns.
 
     ``ptr``, ``pos`` and ``val`` are the steps' rows as CSR arrays, as
-    :meth:`~dasvrda.sampling.BatchPlan.steps` gives them, with each entry's
+    :func:`~dasvrda.problem.row_entries` gathers them, with each entry's
     column as its position in ``cols``.  The block runs iterations
     ``start + 1`` to ``stop``; ``x``, ``z`` and ``g_sum`` are the state of
     ``cols`` at the stage's current iteration.
@@ -276,8 +281,9 @@ class LazyStage:
     opens at its first step and writes its columns back at its last.
     ``touched`` counts coordinate updates for complexity accounting: the
     distinct columns each step's batch hits, plus the final sweep.  The
-    constructor makes the anchor's full pass and draws all ``m`` batches,
-    so ``rng`` advances then, by as much as the dense stage advances it.
+    constructor makes the anchor's full pass and draws all ``m`` batches
+    into ``idx`` (``m x b``), so ``rng`` advances then, by as much as the
+    dense stage advances it.
     """
 
     def __init__(
@@ -314,7 +320,7 @@ class LazyStage:
         self.k = 0
         self.tables = build_prefix_tables(m + 1, self.eta, self.reg.l2)
         self.weights = scheme.weights
-        self.plan = BatchPlan(problem.data.features, draw_batch(scheme, rng, b, m))
+        self.idx = draw_batch(scheme, rng, b, m)
         self._labels = problem.data.labels
         self._block: _Block | None = None
         self.touched = 0
@@ -329,12 +335,16 @@ class LazyStage:
         )
 
     def _open_block(self) -> None:
-        """Catch the next block's columns up to the current iteration."""
-        k = self.k
-        stop, ptr, col, val = self.plan.steps(k, BLOCK_STEPS)
+        """Gather the next block's rows (see :data:`BLOCK_ENTRIES`) and
+        catch their columns up to the current iteration."""
+        k, b = self.k, self.idx.shape[1]
+        mat, idx = self.problem.data.features, self.idx[k:k + BLOCK_STEPS]
+        ends = np.cumsum((mat.indptr[idx + 1] - mat.indptr[idx]).sum(axis=1))
+        stop = k + max(1, int(np.searchsorted(ends, BLOCK_ENTRIES, side="right")))
+        ptr, col, val = row_entries(mat, idx[:stop - k].ravel())
         cols, pos = np.unique(col, return_inverse=True)
         # Distinct columns per step: distinct (step, column) pairs.
-        step = np.repeat(np.arange(stop - k), np.diff(ptr[::self.plan.b]))
+        step = np.repeat(np.arange(stop - k), np.diff(ptr[::b]))
         self.touched += int(np.count_nonzero(np.bincount(step * cols.size + pos)))
         z0, tg, g_sum, k_last = (self.z0[cols], self.tilde_grad[cols],
                                  self.g_sum[cols], self.k_last[cols])
@@ -353,7 +363,7 @@ class LazyStage:
         k = self.k + 1
         # This step's rows over the block's columns.
         j = k - block.start
-        idx = self.plan.idx[k - 1]
+        idx = self.idx[k - 1]
         b = idx.size
         rows = Rows(idx, b, block.cols.size, block.ptr[(j - 1) * b:j * b + 1],
                     block.pos, block.val)

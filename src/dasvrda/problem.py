@@ -40,10 +40,10 @@ SMOOTHNESS_FLOOR = 1e-12
 #: :class:`Rows` even when the matrix stores every entry; above it, such a
 #: block takes BLAS on a dense view.  On one thread of a 2-vCPU x86-64 VM
 #: (``python tools/fit_engine.py kernel``, d = 50), BLAS is faster per
-#: planned minibatch step from about 1000 entries and per full pass from
-#: about 6000, but the limit stays where it was placed against an older
-#: form: lowering it would move small fully stored problems' trajectories
-#: at rounding level.
+#: minibatch step (its gather included) from 500 entries, the fewest
+#: measured, and per full pass from about 6000, but the limit stays where
+#: it was placed against an older form: lowering it would move small fully
+#: stored problems' trajectories at rounding level.
 BLAS_ABOVE_ENTRIES = 6000
 
 

@@ -20,12 +20,11 @@ generator state as ``m`` calls without it.  All randomness flows through a
 ``numpy.random.Generator`` from :func:`make_rng`; its ``spawn`` gives
 reproducible, independent substreams (for parallel workers or sweep cells).
 
-:class:`BatchPlan` holds a stage's batches and gathers their rows' stored
-entries a block of steps at a time; :func:`vr_gradient` is the
-variance-reduced estimator over one batch, computed by the
-:class:`~dasvrda.problem.Rows` products that :func:`~dasvrda.problem.full_pass`
-also uses, and :func:`batch_gradient` the same from parts a stage gathers
-once.
+:func:`vr_gradient` is the variance-reduced estimator over one batch,
+computed by the :class:`~dasvrda.problem.Rows` products that
+:func:`~dasvrda.problem.full_pass` also uses, on the batch's rows as
+:func:`~dasvrda.problem.take_rows` gathers them, and :func:`batch_gradient`
+the same from parts a stage gathers once.
 """
 
 from __future__ import annotations
@@ -36,13 +35,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .losses import LossKind
-from .problem import Problem, Rows, dense_view, full_pass, row_entries, take_rows
-
-#: Most stored entries a :class:`BatchPlan` gathers at once (a block of
-#: consecutive steps, or one larger step): a few megabytes of temporaries
-#: whatever the stage length, as :data:`~dasvrda.lazy.SWEEP_CHUNK` bounds
-#: the lazy sweep.
-PLAN_BLOCK_ENTRIES = 1 << 16
+from .problem import Problem, Rows, full_pass, take_rows
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -83,7 +76,8 @@ class IidWeighted:
 
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=np.float64).ravel()
-        if q.size < 1 or np.any(q <= 0):
+        # Written so that NaN fails it.
+        if q.size < 1 or not np.all(q > 0):
             raise ValueError("sampling probabilities must be positive")
         if abs(float(q.sum()) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {q.sum()}, expected 1")
@@ -168,66 +162,6 @@ def draw_batch(
     return scheme.draw(rng, b, m)
 
 
-class BatchPlan:
-    """The minibatches of one stage and their rows, step by step.
-
-    ``idx`` is the ``(m, b)`` array of a stage's draws (see
-    :func:`draw_batch`).  :meth:`rows` gives step ``k``'s rows as
-    :class:`~dasvrda.problem.Rows`, and :meth:`steps` gives consecutive
-    steps' rows as one set of CSR arrays.  Their stored entries are
-    gathered (:func:`~dasvrda.problem.row_entries`) for a block of
-    consecutive steps at once, at most :data:`PLAN_BLOCK_ENTRIES` of them
-    (or one step that has more).  Every step holds ``b`` rows, so on a
-    matrix that stores every entry every step has ``b * d`` entries, and
-    :func:`~dasvrda.problem.dense_view` picks one form for the whole plan:
-    :meth:`rows` then gives the dense form, while :meth:`steps` still
-    gathers.
-    """
-
-    def __init__(self, features, idx: np.ndarray) -> None:
-        self.features = features
-        self.idx = idx
-        self.b = idx.shape[1]
-        self.d = features.shape[1]
-        self.dense = dense_view(features, self.b)
-        lens = features.indptr[idx + 1] - features.indptr[idx]
-        self.ends = np.cumsum(lens.sum(axis=1))
-        self.lo = self.hi = 0
-
-    def _block(self, k: int) -> np.ndarray:
-        """The row pointer of ``k``'s gather block, from step ``k`` on,
-        gathering the block of steps starting at ``k`` if need be."""
-        if not self.lo <= k < self.hi:
-            base = self.ends[k - 1] if k else 0
-            hi = int(np.searchsorted(self.ends, base + PLAN_BLOCK_ENTRIES,
-                                     side="right"))
-            hi = max(hi, k + 1)
-            self.ptr, self.col, self.val = row_entries(self.features,
-                                                       self.idx[k:hi].ravel())
-            self.lo, self.hi = k, hi
-        return self.ptr[(k - self.lo) * self.b:]
-
-    def rows(self, k: int) -> Rows:
-        """Rows of step ``k`` (from 0)."""
-        idx = self.idx[k]
-        if self.dense is not None:
-            return Rows(idx, self.b, self.d, dense=self.dense[idx])
-        ptr = self._block(k)[:self.b + 1]
-        return Rows(idx, self.b, self.d, ptr, self.col, self.val)
-
-    def steps(self, k: int, count: int) -> tuple[int, np.ndarray, np.ndarray,
-                                                  np.ndarray]:
-        """Up to ``count`` consecutive steps from ``k``, as many as ``k``'s
-        gather block holds, as CSR arrays of their ``b`` rows each: the
-        step they end before, their row pointer (from 0), and their
-        entries' columns and values."""
-        ptr = self._block(k)
-        stop = min(k + count, self.hi)
-        ptr = ptr[:(stop - k) * self.b + 1]
-        part = slice(ptr[0], ptr[-1])
-        return stop, ptr - ptr[0], self.col[part], self.val[part]
-
-
 @dataclass
 class StageAnchor:
     """Snapshot point of one variance-reduction stage.
@@ -262,26 +196,24 @@ def vr_gradient(
     anchor: StageAnchor,
     scheme: SamplingScheme,
     y: np.ndarray,
-    idx: Union[np.ndarray, Rows],
+    idx: np.ndarray,
 ) -> np.ndarray:
-    """Unbiased estimate of the averaged-loss gradient at ``y``.
+    """Unbiased estimate of the averaged-loss gradient at ``y`` over the
+    batch of example indices ``idx``.
 
-    ``idx`` holds the batch's example indices, or its rows as
-    :meth:`BatchPlan.rows` gives them.  Computed as
-    ``B(y) + (anchor.grad - B(anchor.x))`` where ``B`` is the weighted
-    minibatch gradient on the batch; keeping that association means the
-    two anchor terms cancel exactly whenever the minibatch gradient
-    coincides with the full gradient (e.g. partition sampling with
-    ``b == n``), so the estimate degrades into the deterministic gradient
-    with no rounding noise.  ``B`` takes the products of
+    Computed as ``B(y) + (anchor.grad - B(anchor.x))`` where ``B`` is the
+    weighted minibatch gradient on the batch; keeping that association
+    means the two anchor terms cancel exactly whenever the minibatch
+    gradient coincides with the full gradient (e.g. partition sampling
+    with ``b == n``), so the estimate degrades into the deterministic
+    gradient with no rounding noise.  ``B`` takes the products of
     :class:`~dasvrda.problem.Rows`, as :func:`~dasvrda.problem.full_pass`
     does, so that coincidence is bitwise: a batch of all ``n`` rows in
     order takes the form of the full pass, both being above
     :data:`~dasvrda.problem.BLAS_ABOVE_ENTRIES` entries or both below, and
     the csr form's loops do not depend on where the arrays sit.
     """
-    rows = idx if isinstance(idx, Rows) else take_rows(problem.data.features, idx)
-    idx = rows.idx
+    rows = take_rows(problem.data.features, idx)
     w = None if scheme.weights is None else scheme.weights[idx]
     dx = anchor.derivs[idx]
     if w is not None:

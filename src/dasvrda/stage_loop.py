@@ -12,10 +12,11 @@ and anchor terms ``w * anchor.derivs / b`` are gathered once; then
   reading each step's rows straight from the design matrix's CSR arrays
   with the arithmetic of the csr form of :class:`~dasvrda.problem.Rows`;
 * the numpy skeleton (:func:`_skeleton`) runs the same steps with numpy
-  calls and in-place buffers.  It runs wherever the loop cannot: a batch
-  of the BLAS dense form (:func:`~dasvrda.problem.dense_view`), an
-  ``on_iterate`` hook, no C compiler, a failed build, or :data:`COMPILED`
-  off.  It is also the loop's test oracle.
+  calls, in-place buffers and :func:`~dasvrda.problem.take_rows`.  It runs
+  wherever the loop cannot: a batch of the BLAS dense form
+  (:func:`~dasvrda.problem.dense_view`), an ``on_iterate`` hook, no C
+  compiler, a failed build, or :data:`COMPILED` off.  It is also the
+  loop's test oracle.
 
 The loop is compiled on first use, never at import: the system ``cc``
 builds ``stage_loop.c`` with :data:`CFLAGS` into
@@ -45,8 +46,8 @@ import numpy as np
 # sees every prox of the skeleton.
 from . import problem as problem_module
 from .losses import Logistic, SmoothedHinge, Squared
-from .problem import Problem, dense_view
-from .sampling import BatchPlan, SamplingScheme, StageAnchor, batch_gradient
+from .problem import Problem, dense_view, take_rows
+from .sampling import SamplingScheme, StageAnchor, batch_gradient
 
 #: Stage kinds, numbered as in ``stage_loop.c``.
 ACC, DASVRG, SVRG = 0, 1, 2
@@ -225,7 +226,9 @@ def run_stage(
     b``, from :func:`~dasvrda.sampling.draw_batch`), from ``start``, at the
     gradient anchor ``anchor``.  Returns ``(x, z)``: the last primal and
     dual points, or for :data:`SVRG` the last iterate and the sum of all
-    of them."""
+    of them.  A negative ``eta`` raises on both paths."""
+    if eta < 0:
+        raise ValueError(f"step size must be nonnegative, got eta={eta}")
     m, b = idx.shape
     lab = problem.data.labels[idx]
     w = None if scheme.weights is None else scheme.weights[idx]
@@ -241,14 +244,14 @@ def run_stage(
     if _notes is not None:
         _notes.add(loop if isinstance(loop, str) else "compiled")
     if isinstance(loop, str):
-        _skeleton(kind, problem, anchor, BatchPlan(problem.data.features, idx), lab,
-                  w, dxb, eta, x, z, z0, g_bar, on_iterate)
+        _skeleton(kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar,
+                  on_iterate)
     else:
         _compiled(loop, kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar)
     return x, z
 
 
-def _skeleton(kind, problem, anchor, plan, lab, w, dxb, eta, x, z, z0, g_bar,
+def _skeleton(kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar,
               on_iterate):
     """The steps in numpy, each operation of the compiled loop in its
     order, updating ``x``, ``z`` and ``g_bar`` in place."""
@@ -261,8 +264,9 @@ def _skeleton(kind, problem, anchor, plan, lab, w, dxb, eta, x, z, z0, g_bar,
             np.multiply(x, keep, out=y)
             y += np.multiply(z, inv, out=tmp)
             point = y
-        g = batch_gradient(problem.loss, anchor.grad, plan.rows(k - 1), point,
-                           lab[k - 1], None if w is None else w[k - 1], dxb[k - 1])
+        rows = take_rows(problem.data.features, idx[k - 1])
+        g = batch_gradient(problem.loss, anchor.grad, rows, point, lab[k - 1],
+                           None if w is None else w[k - 1], dxb[k - 1])
         if kind == ACC:
             g_bar *= keep
             g_bar += np.multiply(g, inv, out=tmp)

@@ -27,7 +27,9 @@ from dasvrda.harness import (
 from dasvrda.losses import Logistic, SmoothedHinge, Squared
 from dasvrda.problem import ElasticNet, make_problem
 from dasvrda.sampling import make_rng
-from dasvrda.solvers import eta_default, gamma_star, run_dasvrda_warm
+from dasvrda.lazy import lazy_one_stage_accsvrda
+from dasvrda.solvers import (eta_default, gamma_star, one_stage_accsvrda,
+                             run_dasvrda_warm)
 
 
 def lasso_config(**overrides):
@@ -685,7 +687,7 @@ def test_epoch_length_check_covers_the_longest_stage_loop(monkeypatch, algo):
     config = lasso_config(algo=algo, batch=3, epoch_len=400)
     loop = resolve(config).header["epoch_len"]
     assert loop == 400 or algo == "dasvrda-warm" and loop > 400
-    need = 16 * loop * (3 + 1)
+    need = harness.DRAW_BYTES * loop * (3 + 1)
     monkeypatch.setattr(harness, "physical_memory", lambda: need)
     resolve(config)
     monkeypatch.setattr(harness, "physical_memory", lambda: need - 1)
@@ -694,6 +696,30 @@ def test_epoch_length_check_covers_the_longest_stage_loop(monkeypatch, algo):
     # pg and apg draw no batches.
     with pytest.raises(ConfigError, match="--epoch-len only applies to svrg, "):
         resolve(lasso_config(algo="pg", epoch_len=10**12))
+
+
+@pytest.mark.parametrize("sampling", ["uniform", "weighted"])
+@pytest.mark.parametrize("engine", ["compiled", "skeleton", "lazy"])
+def test_epoch_length_check_covers_a_stage_peak(monkeypatch, engine, sampling):
+    # At d = 20 the draws dominate a stage's tracemalloc peak; the check
+    # must count at least that many bytes.
+    m, b = 2000, 20
+    config = lasso_config(batch=b, epoch_len=m, sampling=sampling)
+    run = resolve(config)
+    stage = lazy_one_stage_accsvrda if engine == "lazy" else one_stage_accsvrda
+    x = np.zeros(run.problem.d)
+    monkeypatch.setattr(stage_loop, "COMPILED", engine == "compiled")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        stage(run.problem, x, x, run.eta, m, b, run.scheme, make_rng(0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak > 8 * m * b   # the draws alone
+    monkeypatch.setattr(harness, "physical_memory", lambda: peak - 1)
+    with pytest.raises(ConfigError, match="physical memory"):
+        resolve(config)
 
 
 @pytest.mark.parametrize("option,message", [

@@ -22,7 +22,6 @@ from dasvrda import (
     smoothness_weighted,
 )
 from dasvrda import lazy as lazy_module
-from dasvrda import sampling as sampling_module
 from dasvrda.lazy import branch_runs, catch_up
 from dasvrda.problem import take_rows
 from dasvrda.solvers import theta_pair
@@ -481,11 +480,11 @@ def test_snapshot_mid_block_leaves_the_final_bits():
     assert watched.touched == plain.touched
 
 
-@pytest.mark.parametrize("plan_entries,m", [(40, 27), (1, 19), (1 << 16, 30)])
-def test_blocks_cut_at_plan_blocks_match_dense(monkeypatch, plan_entries, m):
-    # Gather blocks of a few steps (or of one) cut the lazy blocks short,
-    # and m is not a multiple of the block length.
-    monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", plan_entries)
+@pytest.mark.parametrize("cap,m", [(40, 27), (1, 19), (1 << 16, 30)])
+def test_blocks_cut_at_the_entry_cap_match_dense(monkeypatch, cap, m):
+    # An entry cap of a few steps (or of less than one) cuts the blocks
+    # short, and m is not a multiple of the block length.
+    monkeypatch.setattr(lazy_module, "BLOCK_ENTRIES", cap)
     problem = sparse_problem(seed=3, n=50, d=60, density=0.08, loss="logistic")
     scheme = smoothness_weighted(problem)
     eta = 0.4 / problem.max_smoothness
@@ -498,16 +497,35 @@ def test_blocks_cut_at_plan_blocks_match_dense(monkeypatch, plan_entries, m):
         problem, y0, anchor, eta, m, b, scheme, make_rng(8),
         on_iterate=lambda k, info: dense.__setitem__(k, (info["x"], info["z"])),
     )
+    blocks = []
+    open_block = LazyStage._open_block
+
+    def opened(stage):
+        open_block(stage)
+        blocks.append(stage._block)
+
+    monkeypatch.setattr(LazyStage, "_open_block", opened)
     stage = LazyStage(problem, y0, anchor, eta, m, b, scheme, make_rng(8))
     for k in range(1, m + 1):
         stage.step()
-        block = stage._block
-        if block is not None:
-            assert stage.plan.lo <= block.start and block.stop <= stage.plan.hi
         for got, expect in zip(stage.snapshot(), dense[k]):
             assert np.max(np.abs(got - expect)) <= 1e-9
     for got, expect in zip(stage.finish(), dense[m]):
         assert np.max(np.abs(got - expect)) <= 1e-9
+    # Each block takes as many steps as both limits allow, and at least one.
+    indptr = problem.data.features.indptr
+    entries = (indptr[stage.idx + 1] - indptr[stage.idx]).sum(axis=1)
+    assert [bl.start for bl in blocks] == [0] + [bl.stop for bl in blocks[:-1]]
+    assert blocks[-1].stop == m
+    for block in blocks:
+        start, stop = block.start, block.stop
+        assert block.ptr[-1] == entries[start:stop].sum()
+        assert 1 <= stop - start <= lazy_module.BLOCK_STEPS
+        assert stop - start == 1 or block.ptr[-1] <= cap
+        if stop < min(start + lazy_module.BLOCK_STEPS, m):
+            assert entries[start:stop + 1].sum() > cap
+    cut = sum(bl.stop - bl.start < lazy_module.BLOCK_STEPS for bl in blocks[:-1])
+    assert (cut > 0) == (cap < 1 << 16)
 
 
 def test_lazy_and_dense_stages_agree_on_nan_coordinates():

@@ -18,11 +18,10 @@ from dasvrda import (
     vr_gradient,
 )
 from dasvrda import problem as problem_module
-from dasvrda import sampling as sampling_module
 from dasvrda.losses import Logistic
 from dasvrda.problem import Rows, row_entries, take_rows
 from dasvrda.baselines import one_stage_pg
-from dasvrda.sampling import BatchPlan
+from dasvrda.sampling import batch_gradient
 from dasvrda.solvers import one_stage_accsvrda
 
 
@@ -79,6 +78,10 @@ def test_weighted_scheme_validation():
         IidWeighted(np.array([0.5, 0.0, 0.5]))
     with pytest.raises(ValueError):
         IidWeighted(np.array([0.5, 0.4]))
+    # NaN compares False both ways: once accepted, every draw was index 0.
+    for q in ([np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.nan]):
+        with pytest.raises(ValueError, match="must be positive"):
+            IidWeighted(np.array(q))
 
 
 def test_weighted_scheme_equality():
@@ -305,7 +308,7 @@ def check_public_products(rows, sub, rng):
 
 
 @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
-def test_csr_form_matches_scipy_public_products_bitwise(monkeypatch, index_dtype):
+def test_csr_form_matches_scipy_public_products_bitwise(index_dtype):
     # The csr form runs scipy's private compiled loops; this holds them to
     # the public products, so a scipy whose loops moved fails here.
     mat = csr_problem().data.features.copy()
@@ -329,18 +332,15 @@ def test_csr_form_matches_scipy_public_products_bitwise(monkeypatch, index_dtype
     rows = take_rows(mat)
     assert rows.ptr is mat.indptr and rows.col is mat.indices and rows.val is mat.data
     check_public_products(rows, mat, rng)
-    # Steps of a plan: their pointers are slices of a gather block's pointer
-    # over the block's whole arrays.
-    monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", 60)
-    idx = draw_batch(IidUniform(n), make_rng(9), 5, 12)
-    plan = BatchPlan(mat, idx)
-    inner = 0
-    for k in range(idx.shape[0]):
-        rows = plan.rows(k)
-        assert rows.col is plan.col and rows.ptr.dtype == index_dtype
-        inner += rows.ptr[0] > 0
+    # Steps of a block, as the lazy stage takes them: their pointers are
+    # slices of the block's pointer over the block's whole arrays.
+    m, b = 4, 5
+    idx = draw_batch(IidUniform(n), make_rng(9), b, m)
+    ptr, col, val = row_entries(mat, idx.ravel())
+    for k in range(m):
+        rows = Rows(idx[k], b, mat.shape[1], ptr[k * b:(k + 1) * b + 1], col, val)
+        assert rows.ptr.dtype == index_dtype and (rows.ptr[0] > 0) == (k > 0)
         check_public_products(rows, mat[idx[k]], rng)
-    assert inner >= 2
     # The loops check no index or length, so their callers do.
     for bad in ([0, n], [-1, 0]):
         with pytest.raises(IndexError, match="out of range"):
@@ -354,8 +354,9 @@ def test_csr_form_matches_scipy_public_products_bitwise(monkeypatch, index_dtype
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("loss", [Squared(), Logistic()], ids=["squared", "logistic"])
 def test_kernel_matches_scipy_products_bitwise(loss, weighted):
-    # The estimator on the csr form, from the batch's indices or a plan's
-    # rows, against the same formula on scipy's public products.
+    # The estimator on the csr form, from the batch's indices or, as a
+    # stage gathers them, from its parts, against the same formula on
+    # scipy's public products.
     problem = csr_problem(loss)
     mat = problem.data.features
     scheme = smoothness_weighted(problem) if weighted else IidUniform(problem.n)
@@ -372,9 +373,10 @@ def test_kernel_matches_scipy_products_bitwise(loss, weighted):
         if weighted:
             dy, dx = scheme.weights[idx] * dy, scheme.weights[idx] * dx
         expect = sub.T @ (dy / b) + (anchor.grad - sub.T @ (dx / b))
-        planned = BatchPlan(mat, idx[None, :]).rows(0)
-        for got in (vr_gradient(problem, anchor, scheme, y, idx),
-                    vr_gradient(problem, anchor, scheme, y, planned)):
+        weights = scheme.weights[idx] if weighted else None
+        parts = batch_gradient(loss, anchor.grad, take_rows(mat, idx), y,
+                               problem.data.labels[idx], weights, dx / b)
+        for got in (vr_gradient(problem, anchor, scheme, y, idx), parts):
             same_bits(got, expect)
     # All rows in order: the full pass's products.
     n, d = mat.shape
@@ -398,70 +400,6 @@ def test_take_rows_switches_form_at_the_entry_limit(monkeypatch):
     monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", 0)
     sparse = csr_problem().data.features
     assert take_rows(sparse).form == take_rows(sparse, idx).form == "csr"
-
-
-def check_plan_rows(plan, mat, idx, rng):
-    """Each step of ``plan`` has the form, the arrays and the product bits
-    of :func:`take_rows` of its batch."""
-    for k in range(idx.shape[0]):
-        got, expect = plan.rows(k), take_rows(mat, idx[k])
-        assert got.form == expect.form
-        assert got.idx.tobytes() == idx[k].tobytes()
-        if got.form == "dense":
-            assert got.dense.tobytes() == expect.dense.tobytes()
-        else:
-            part = slice(got.ptr[0], got.ptr[-1])
-            for gathered, own in ((got.ptr - got.ptr[0], expect.ptr),
-                                  (got.col[part], expect.col),
-                                  (got.val[part], expect.val)):
-                same_bits(gathered, own)
-        y, v = rng.standard_normal(mat.shape[1]), rng.standard_normal(idx.shape[1])
-        same_bits(got.dot(y), expect.dot(y))
-        same_bits(got.tdot(v), expect.tdot(v))
-
-
-@pytest.mark.parametrize("limits", [(10**9, 1 << 16), (10**9, 25), (20, 60), (0, 1)])
-def test_batch_plan_rows_match_take_rows(monkeypatch, limits):
-    # Large and small gather blocks, and fully stored steps on either side
-    # of the BLAS limit.
-    blas_above, block = limits
-    monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", blas_above)
-    monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", block)
-    rng = np.random.default_rng(7)
-    m, b = 23, 5
-    for problem in (csr_problem(), stored_problem(n=40, d=6)):
-        mat = problem.data.features
-        idx = draw_batch(IidUniform(problem.n), make_rng(2), b, m)
-        plan = BatchPlan(mat, idx)
-        assert (plan.dense is not None) == (mat.nnz == 240 and b * 6 > blas_above)
-        check_plan_rows(plan, mat, idx, rng)
-
-
-@pytest.mark.parametrize("block", [1 << 16, 25, 1])
-def test_batch_plan_steps_are_the_rows_of_one_gather_block(monkeypatch, block):
-    monkeypatch.setattr(sampling_module, "PLAN_BLOCK_ENTRIES", block)
-    # On a fully stored matrix the plan's rows take BLAS, and its steps
-    # still gather the entries.
-    monkeypatch.setattr(problem_module, "BLAS_ABOVE_ENTRIES", 0)
-    m, b = 23, 5
-    for problem in (csr_problem(), stored_problem(n=40, d=6)):
-        mat = problem.data.features
-        idx = draw_batch(IidUniform(problem.n), make_rng(2), b, m)
-        plan = BatchPlan(mat, idx)
-        k = 0
-        while k < m:
-            stop, ptr, col, val = plan.steps(k, 4)
-            assert k < stop <= min(k + 4, m)
-            assert ptr.size == (stop - k) * b + 1 and ptr[0] == 0
-            assert ptr.dtype == col.dtype and ptr[-1] == col.size == val.size
-            assert stop == k + 1 or ptr[-1] <= block
-            for j in range(k, stop):
-                step = ptr[(j - k) * b:(j - k + 1) * b + 1]
-                rows = csr_rows(mat, idx[j])
-                same_bits(step - step[0], rows.ptr)
-                same_bits(col[step[0]:step[-1]], rows.col)
-                same_bits(val[step[0]:step[-1]], rows.val)
-            k = stop
 
 
 def stored_problem(loss=Squared(), n=200, d=50, missing=0, seed=4):
@@ -530,25 +468,10 @@ def test_full_batch_stage_is_a_prox_gradient_half_step_on_the_dense_form():
     rng = np.random.default_rng(99)
     eta = 0.4 / problem.max_smoothness
     x = rng.standard_normal(problem.d)
-    plan = BatchPlan(problem.data.features, draw_batch(Partition(n, n), make_rng(0), n, 1))
-    assert plan.rows(0).form == take_rows(problem.data.features).form == "dense"
+    mat = problem.data.features
+    idx = draw_batch(Partition(n, n), make_rng(0), n, 1)
+    assert take_rows(mat, idx[0]).form == take_rows(mat).form == "dense"
     x1, z1 = one_stage_accsvrda(problem, x, x, eta, 1, n, Partition(n, n), make_rng(0))
     pg = one_stage_pg(problem, x, eta * 0.5)
     assert np.array_equal(x1, pg)
     assert np.array_equal(z1, pg)
-
-
-def test_batch_plan_rows_match_take_rows_on_the_dense_form():
-    problem = stored_problem()
-    mat = problem.data.features
-    m, b = 6, 150   # 7500 entries per step
-    idx = draw_batch(IidUniform(problem.n), make_rng(3), b, m)
-    plan = BatchPlan(mat, idx)
-    assert plan.rows(0).form == "dense"
-    check_plan_rows(plan, mat, idx, np.random.default_rng(7))
-    # Its steps still gather the entries, as the lazy engine needs them.
-    stop, ptr, col, val = plan.steps(0, 1)
-    rows = csr_rows(mat, idx[0])
-    assert stop == 1
-    for got, expect in ((ptr, rows.ptr), (col, rows.col), (val, rows.val)):
-        same_bits(got, expect)

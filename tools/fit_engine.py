@@ -20,7 +20,7 @@ refits saved ones without timing again.
 
 ``kernel`` times the two forms of ``problem.Rows`` on fully stored
 matrices (d = 50) -- the csr form and BLAS on the dense view -- as
-``vr_gradient`` uses them on a batch plan (gather included) and as
+``vr_gradient`` uses them per batch (``take_rows`` gather included) and as
 ``full_pass`` uses them, over a range of entry counts, to place
 ``problem.BLAS_ABOVE_ENTRIES``.
 
@@ -56,7 +56,7 @@ from dasvrda import (  # noqa: E402
     vr_gradient,
 )
 from dasvrda.problem import full_pass  # noqa: E402
-from dasvrda.sampling import BatchPlan, draw_batch  # noqa: E402
+from dasvrda.sampling import draw_batch  # noqa: E402
 
 N = 4000
 GRID = ([(d, r, b) for d in (2000, 5000, 20000, 50000, 100000, 400000)
@@ -184,13 +184,12 @@ def kernel(args) -> int:
         m = 40
         idx = draw_batch(scheme, make_rng(0), b, m)
 
-        def planned():
-            plan = BatchPlan(problem.data.features, idx)
+        def steps():
             for k in range(m):
-                vr_gradient(problem, anchor, scheme, y, plan.rows(k))
+                vr_gradient(problem, anchor, scheme, y, idx[k])
 
         reps = max(3, min(50, 10**6 // entries))
-        step = {form: 1e6 * timed(form, planned, reps) / m for form in forms}
+        step = {form: 1e6 * timed(form, steps, reps) / m for form in forms}
         small = logistic_problem(b, d, d, seed=2)
         x = 0.1 * rng.standard_normal(d)
 
