@@ -69,10 +69,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      "(default mean; max under partition sampling)")
     run.add_argument("--lazy", choices=LAZY_MODES,
                      help="sparse just-in-time updates where the algorithm has "
-                     "a lazy stage (auto: with an elastic-net term, when a "
-                     "per-step cost model of d, batch size, mean row nonzeros "
-                     "and epoch length favours it; the trace header's "
-                     "lazy_reason says why)")
+                     "a lazy stage (auto: with an elastic-net term, when "
+                     "d > 6000 + 3 union + 12 d / epoch length, a lazy step's "
+                     "cost in dense coordinate updates from d, batch size and "
+                     "mean row nonzeros; the trace header's lazy_reason says "
+                     "why)")
     run.add_argument("--seed", type=int)
     run.add_argument("--budget", type=int, required=True,
                      help="component-gradient evaluation budget")

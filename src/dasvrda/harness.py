@@ -63,7 +63,8 @@ D_VECTORS = 20
 #: Bytes a stage holds at once per draw of its batches, counted once more
 #: per step: the largest tracemalloc peak per draw, 40 (weighted draws, on
 #: either engine and path; 24 for uniform ones), plus 8 of headroom.  At
-#: batch 1 the lazy engine peaks at 64 bytes per step, below the 96 counted.
+#: batch 1 the lazy engine peaks at 56 bytes per step (weighted draws; 25
+#: for uniform ones), below the 96 counted.
 DRAW_BYTES = 48
 
 #: Per-restart contraction of the expected gap that the stage count of a
@@ -309,39 +310,30 @@ def load_problem(config: RunConfig) -> Problem:
         raise ConfigError(str(exc)) from None
 
 
-# Per-step cost model of the two inner-stage engines, in microseconds per
-# inner iteration: the constants times the terms of ``engine_terms``.  The
-# dense step pays a fixed overhead, every coordinate
-# (prox and vector updates) and the batch's nonzeros ("entries"); the lazy
-# step pays a fixed overhead (a few dozen array operations), each column of
-# its block's union (its arrays' size, and its share of the block's
-# catch-up), the entries, and its share of the final O(d) sweep.  Fitted by
-# relative least squares to one-stage timings of both engines on 36
-# logistic problems with n=4000: d from 500 to 400000, 5 to 500 nonzeros
-# per row, b in {16, 71, 400}, m = n/b (one thread of a 2-vCPU x86-64 VM,
-# numpy 2.4; ``python tools/fit_engine.py engine`` repeats it).  The lazy
-# constants are from the refit after the lazy stage moved to blocks; the
-# dense constants, timed again on the csr form of the batch products, pick
-# the faster engine as often as refitted ones do (35 of 36 points), so they
-# were kept.
-#: Per step, per union column, per entry, per swept coordinate.
-LAZY_US = (58.6, 0.0307, 0.0665, 0.285)
-#: Per step, per coordinate, per entry.
-DENSE_US = (42.5, 0.0184, 0.0100)
+# The rule of ``--lazy auto``: the lazy engine runs iff a lazy step costs
+# fewer dense coordinate updates than the ``d`` of a dense step.  It pays a
+# fixed overhead (a few dozen array operations), a cost per column of its
+# block's expected union (its arrays, its share of the block's catch-up)
+# and a cost per coordinate of its share of the stage's final O(d) sweep,
+# which sends short loops to the dense engine.  Placed on one-stage timings
+# of both engines at 55 points (``tests/engine_timings.json``; one thread
+# of a 2-vCPU x86-64 VM): every pick is the faster engine or at most 1.2x
+# slower in six of seven runs (the other read 1.201 at d = 400000, m = 16).
+# Each constant alone keeps that anywhere in [3200, 7600], [1.6, 3.25] or
+# [9.75, 13.75]; ``python tools/fit_engine.py engine`` checks it again.
+#: A lazy step's cost in dense coordinate updates: fixed, per union column,
+#: per swept coordinate.
+LAZY_STEP = (6000.0, 3.0, 12.0)
 
 
-def engine_terms(d: int, entries: float, m: int) -> tuple[tuple, tuple]:
-    """The lazy and dense step's terms, in the order of ``LAZY_US`` and
-    ``DENSE_US``, from ``d``, a batch's expected entries and the loop length."""
+def lazy_step_cost(d: int, entries: float, loop: int) -> float:
+    """A lazy step's cost in dense coordinate updates (a dense step costs
+    ``d``), from ``d``, a batch's expected entries and the loop length."""
     # Expected distinct columns hit by the entries of a lazy block of
     # batches, spread uniformly over the d columns.
     union = -d * math.expm1(-BLOCK_STEPS * entries / d) if d else 0.0
-    return (1.0, union, entries, d / m), (1.0, d, entries)
-
-
-def modelled_us(constants: tuple[float, ...], terms: tuple[float, ...]) -> float:
-    """Modelled microseconds of one step: each constant times its term."""
-    return sum(c * t for c, t in zip(constants, terms))
+    fixed, per_column, per_swept = LAZY_STEP
+    return fixed + per_column * union + per_swept * d / loop
 
 
 def choose_engine(
@@ -349,9 +341,9 @@ def choose_engine(
 ) -> tuple[bool, str]:
     """Whether the inner stages run on the lazy engine, and why.
 
-    ``auto`` picks the engine whose modelled step is cheaper, from ``d``,
-    the batch size, the mean row nonzeros and the loop length ``m``; the
-    reason gives both modelled steps, so it repeats exactly.
+    ``auto`` runs it iff :func:`lazy_step_cost`, from ``d``, the batch
+    size, the mean row nonzeros and the loop length ``m`` the stages run,
+    is below ``d``; the reason gives the cost, so it repeats exactly.
     """
     if config.lazy != "auto":
         return config.lazy == "on", config.lazy
@@ -359,12 +351,11 @@ def choose_engine(
         return False, f"auto: {config.algo} has no lazy stage -> dense"
     if config.l1 == 0 and config.l2 == 0:
         return False, "auto: no elastic-net term -> dense"
-    entries = config.batch * problem.data.features.nnz / problem.n
-    lazy, dense = engine_terms(problem.d, entries, m)
-    lazy_us, dense_us = modelled_us(LAZY_US, lazy), modelled_us(DENSE_US, dense)
-    use = lazy_us < dense_us
-    return use, (f"auto: modelled {lazy_us:.0f} us lazy, {dense_us:.0f} us dense "
-                 f"per step -> {'lazy' if use else 'dense'}")
+    d = problem.d
+    cost = lazy_step_cost(d, config.batch * problem.data.features.nnz / problem.n, m)
+    use = cost < d
+    return use, (f"auto: a lazy step costs {cost:.0f} dense coordinate updates, "
+                 f"d={d} -> {'lazy' if use else 'dense'}")
 
 
 def resolve(config: RunConfig) -> ResolvedRun:
@@ -432,8 +423,8 @@ def resolve(config: RunConfig) -> ResolvedRun:
         elif not 1 < gamma < math.inf:
             raise ConfigError(
                 f"momentum parameter must be finite and exceed 1, got {gamma}")
-    # The inner loop length of the momentum stages, which the default step
-    # and the trace header's ``epoch_len`` use.
+    # The inner loop length of the momentum stages, which the default step,
+    # the engine choice and the trace header's ``epoch_len`` use.
     warm = _warm_start(config, gamma, m) if algo.warm else None
     loop = warm_momentum_loop_length(gamma, *warm) if warm else m
     # Checked before a stage draws its batches, for the longest loop.
@@ -472,7 +463,7 @@ def resolve(config: RunConfig) -> ResolvedRun:
     if restarts < 1:
         raise ConfigError(f"restart count must be positive, got {restarts}")
 
-    use_lazy, lazy_reason = choose_engine(config, algo, problem, m)
+    use_lazy, lazy_reason = choose_engine(config, algo, problem, loop)
 
     ref_objective = None
     if config.ref_path is not None:

@@ -131,13 +131,19 @@ class PrefixTables:
 
 
 def build_prefix_tables(kmax: int, eta: float, l2: float) -> PrefixTables:
-    """Tables covering interval sums up to index ``kmax`` inclusive."""
-    ks = np.arange(kmax + 1, dtype=np.float64)
-    th2 = np.where(ks >= 2.0, (ks - 1.0) / 2.0, 0.0)          # theta_{k'-2}
-    pair_prev = np.where(ks >= 2.0, (ks - 1.0) * ks / 4.0, 0.0)  # theta_{k'-1} theta_{k'-2}
-    denom = 1.0 + eta * l2 * pair_prev
-    term = th2 / denom
-    return PrefixTables(s=np.cumsum(term), s_quad=np.cumsum(pair_prev * term))
+    """Tables covering interval sums up to index ``kmax`` inclusive, built
+    in place: three arrays of ``kmax + 1`` entries, two of them the tables."""
+    pair = np.arange(kmax + 1, dtype=np.float64)   # k'
+    th2 = pair - 1.0
+    pair *= th2
+    pair /= 4.0                                    # theta_{k'-1} theta_{k'-2}
+    th2 /= 2.0                                     # theta_{k'-2}
+    pair[:2] = th2[:2] = 0.0
+    denom = pair * (eta * l2)
+    denom += 1.0
+    th2 /= denom                                   # the terms of s
+    pair *= th2                                    # the terms of s_quad
+    return PrefixTables(s=np.cumsum(th2, out=th2), s_quad=np.cumsum(pair, out=pair))
 
 
 def _theta_pairs(k: np.ndarray) -> np.ndarray:
@@ -299,8 +305,8 @@ class LazyStage:
     ) -> None:
         if m < 1:
             raise ValueError(f"need at least one inner iteration, got m={m}")
-        if eta <= 0:
-            raise ValueError(f"step size must be positive, got eta={eta}")
+        if eta < 0:
+            raise ValueError(f"step size must be nonnegative, got eta={eta}")
         self.problem = problem
         self.eta = float(eta)
         self.m = m

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -140,16 +141,17 @@ def test_resolve_sc_stage_count_from_l2():
         resolve(lasso_config(algo="dasvrda-sc", stages=None, budget=1000))
 
 
-def highd_config(tmp_path, **overrides):
-    """An svmlight problem with n=200, d=100000 and 5 nonzeros per row."""
+def highd_config(tmp_path, d=100_000, k=5, **overrides):
+    """An svmlight problem with n=200, ``d`` columns and ``k`` nonzeros per
+    row."""
     rng = np.random.default_rng(0)
-    n, d, k = 200, 100_000, 5
+    n = 200
     cols = np.stack([np.sort(rng.choice(d, k, replace=False)) for _ in range(n)])
     feats = sp.csr_matrix(
         (rng.standard_normal(n * k), cols.ravel(), np.arange(0, n * k + 1, k)),
         shape=(n, d),
     )
-    path = str(tmp_path / "highd.svm")
+    path = str(tmp_path / f"highd-{d}-{k}.svm")
     save_libsvm(make_dataset(feats, rng.standard_normal(n)), path)
     base = dict(data_path=path, synthetic=None, dim=d, batch=4, stages=1)
     base.update(overrides)
@@ -157,8 +159,9 @@ def highd_config(tmp_path, **overrides):
 
 
 def test_resolve_lazy_rule(tmp_path):
-    # The cost model weighs a dense step (every coordinate) against a lazy
-    # step (a fixed overhead plus the coordinates a batch touches).
+    # Lazy iff d > 6000 + 3 union + 12 d / loop (harness.LAZY_STEP): a lazy
+    # step's fixed cost, its block's column union, its share of the sweep.
+    assert harness.LAZY_STEP == (6000.0, 3.0, 12.0)
     assert not resolve(lasso_config()).use_lazy            # d=20, dense data
     small_sparse = SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0)
     assert not resolve(lasso_config(synthetic=small_sparse)).use_lazy
@@ -169,13 +172,48 @@ def test_resolve_lazy_rule(tmp_path):
     assert resolve(lasso_config(lazy="on")).use_lazy
     with pytest.raises(ConfigError, match="svrg cannot use the lazy stage"):
         resolve(lasso_config(algo="svrg", lazy="on", synthetic=small_sparse))
+    # The fixed cost: one entry per batch and a long loop add 24 to it.
+    tiny_step = dict(k=1, batch=1, epoch_len=10**6)
+    assert not resolve(highd_config(tmp_path, d=5999, **tiny_step)).use_lazy
+    assert resolve(highd_config(tmp_path, d=6100, **tiny_step)).use_lazy
+    # The union: d/union just under 3 d / (d - 6024) = 4.293 at b = 133.
+    wide = dict(d=20_000, epoch_len=10_000)
+    assert not resolve(highd_config(tmp_path, batch=133, **wide)).use_lazy  # 4.28
+    assert resolve(highd_config(tmp_path, batch=132, **wide)).use_lazy      # 4.31
+    # The sweep: 12 d / 4 alone is above d.
+    assert not resolve(highd_config(tmp_path, epoch_len=4)).use_lazy
+    # A warm start reads the momentum loop it runs, not the configured m:
+    # at m = 12 the sweep alone costs 100000, at its loop of 71, 16901.
+    assert not resolve(highd_config(tmp_path, epoch_len=12)).use_lazy
+    warm = resolve(highd_config(tmp_path, algo="dasvrda-warm", epoch_len=12))
+    assert warm.m == 12 and warm.header["epoch_len"] == 71 and warm.use_lazy
+    assert warm.header["lazy_reason"] == (
+        "auto: a lazy step costs 23381 dense coordinate updates, d=100000 -> lazy")
+
+
+TIMINGS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "engine_timings.json")
+
+
+def test_auto_engine_rule_holds_on_committed_timings():
+    # One-stage timings of both engines, from `tools/fit_engine.py engine
+    # --save`: at each point the rule picks the faster engine, or one at
+    # most 1.2x slower.  Times nothing.
+    with open(TIMINGS) as handle:
+        points = json.load(handle)
+    assert len(points) == 55
+    for p in points:
+        lazy = harness.lazy_step_cost(p["d"], p["b"] * p["row_nnz"], p["m"]) < p["d"]
+        picked = p["lazy_us"] if lazy else p["dense_us"]
+        assert picked <= 1.2 * min(p["lazy_us"], p["dense_us"]), p
 
 
 def test_header_records_engine_reason(tmp_path):
     cases = [
         (highd_config(tmp_path),
-         "auto: modelled 635 us lazy, 1883 us dense per step -> lazy"),
-        (lasso_config(), "auto: modelled 61 us lazy, 43 us dense per step -> dense"),
+         "auto: a lazy step costs 30480 dense coordinate updates, d=100000 -> lazy"),
+        (lasso_config(),
+         "auto: a lazy step costs 6064 dense coordinate updates, d=20 -> dense"),
         (highd_config(tmp_path, l1=0.0), "auto: no elastic-net term -> dense"),
         (highd_config(tmp_path, algo="apg"), "auto: apg has no lazy stage -> dense"),
         (lasso_config(lazy="off"), "off"),

@@ -25,6 +25,7 @@ from dasvrda import (
     make_anchor,
     make_dataset,
     make_problem,
+    lazy_one_stage_accsvrda,
     make_rng,
     one_stage_accsvrda,
     one_stage_dasvrg,
@@ -250,6 +251,27 @@ def test_both_paths_reject_a_negative_step(compiled_loop, kind, compiled):
     problem = sparse_problem(Logistic())
     with pytest.raises(ValueError, match="step size must be nonnegative"):
         stage(kind, problem, IidUniform(problem.n), -0.5, compiled)
+
+
+@pytest.mark.parametrize("reg", ["l1l2", "l1", "l2"])
+def test_the_lazy_stage_takes_the_dense_stages_step_rule(reg):
+    # A negative step raises the dense stages' error; a zero step gives the
+    # dense stage's output, with no warning.
+    problem = sparse_problem(Logistic(), *REGS[reg])
+    rng = np.random.default_rng(1)
+    start, anchor = rng.standard_normal((2, problem.d))
+    scheme = IidUniform(problem.n)
+    with pytest.raises(ValueError, match="step size must be nonnegative"):
+        lazy_one_stage_accsvrda(problem, start, anchor, -0.5, 40, 4, scheme,
+                                make_rng(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lazy = lazy_one_stage_accsvrda(problem, start, anchor, 0.0, 40, 4, scheme,
+                                       make_rng(0))
+        dense = one_stage_accsvrda(problem, start, anchor, 0.0, 40, 4, scheme,
+                                   make_rng(0))
+    for a, b in zip(lazy, dense):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
 
 def test_hooks_and_the_blas_form_run_the_skeleton(compiled_loop):
