@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lazy", choices=LAZY_MODES,
                      help="sparse just-in-time updates where the algorithm has "
                      "a lazy stage (auto: with an elastic-net term, when "
-                     "d > 6000 + 3 union + 12 d / epoch length, a lazy step's "
+                     "d > 800 + 1.25 union + 3 d / epoch length, a lazy step's "
                      "cost in dense coordinate updates from d, batch size and "
                      "mean row nonzeros; the trace header's lazy_reason says "
                      "why)")

@@ -56,8 +56,9 @@ _UNBOUNDED = 10**9
 
 #: Float64 ``d``-vectors a run holds at once: the largest tracemalloc peak
 #: of a run, 18.1 (``dasvrda-sc`` on the dense engine's numpy skeleton;
-#: 16.1 on its compiled loop and on the lazy engine, 9 for ``pg``; every
-#: algorithm at d = 200000 with 20 nonzeros per row), plus 2 of headroom.
+#: 16.1 on its compiled loop and on either path of the lazy engine, 9 for
+#: ``pg``; every algorithm at d = 200000 with 20 nonzeros per row), plus 2
+#: of headroom.
 D_VECTORS = 20
 
 #: Bytes a stage holds at once per draw of its batches, counted once more
@@ -312,18 +313,19 @@ def load_problem(config: RunConfig) -> Problem:
 
 # The rule of ``--lazy auto``: the lazy engine runs iff a lazy step costs
 # fewer dense coordinate updates than the ``d`` of a dense step.  It pays a
-# fixed overhead (a few dozen array operations), a cost per column of its
-# block's expected union (its arrays, its share of the block's catch-up)
-# and a cost per coordinate of its share of the stage's final O(d) sweep,
-# which sends short loops to the dense engine.  Placed on one-stage timings
-# of both engines at 55 points (``tests/engine_timings.json``; one thread
-# of a 2-vCPU x86-64 VM): every pick is the faster engine or at most 1.2x
-# slower in six of seven runs (the other read 1.201 at d = 400000, m = 16).
-# Each constant alone keeps that anywhere in [3200, 7600], [1.6, 3.25] or
-# [9.75, 13.75]; ``python tools/fit_engine.py engine`` checks it again.
+# fixed overhead (the stage's setup, shared by its steps), a cost per
+# column of its block's expected union (the step's arithmetic on it, its
+# share of the block's catch-up) and a cost per coordinate of its share of
+# the stage's final O(d) sweep, which sends the shortest loops to the dense
+# engine.  Placed on one-stage timings of both engines, on the compiled
+# kernels, at 55 points (``tests/engine_timings.json``; one thread of a
+# 2-vCPU x86-64 VM): every pick is the faster engine or at most 1.07x
+# slower in three runs.  Each constant alone keeps every pick within 1.2x
+# anywhere in [200, 2000], [0.95, 1.8] or [0, 7.25];
+# ``python tools/fit_engine.py engine`` checks it again.
 #: A lazy step's cost in dense coordinate updates: fixed, per union column,
 #: per swept coordinate.
-LAZY_STEP = (6000.0, 3.0, 12.0)
+LAZY_STEP = (800.0, 1.25, 3.0)
 
 
 def lazy_step_cost(d: int, entries: float, loop: int) -> float:
@@ -567,8 +569,7 @@ def run_experiment(config: RunConfig) -> RunResult:
         except _Diverged:
             x = x0
     # Set from the stages that ran, so it says what this machine ran.
-    run.header["loop"] = "; ".join(sorted(loops)) or (
-        "none: lazy engine" if run.use_lazy else "none: no dense stage ran")
+    run.header["loop"] = "; ".join(sorted(loops)) or "none: no stage ran"
 
     if cfg.trace_path is not None:
         write_trace(cfg.trace_path, run.header, records)

@@ -1,0 +1,57 @@
+/* What both kernels of the compiled library share: index access of either
+ * width, the losses' derivatives and the elastic-net prox, each with the
+ * bits of its numpy statement.
+ *
+ *   - the logistic derivative takes expit(u) = 1 / (1 + exp(-u)), as
+ *     scipy.special.expit does;
+ *   - the prox is sign(v) * max(|v| - t, 0), then divided by 1 + t*l2 where
+ *     that is not 1, with numpy's sign (+0.0 at -0.0, NaN at NaN) and NaN
+ *     passed through the max as np.maximum passes it (fmax would drop it).
+ */
+
+#ifndef DASVRDA_KERNELS_H
+#define DASVRDA_KERNELS_H
+
+#include <math.h>
+#include <stdint.h>
+
+/* The losses; stage_loop.py uses the same numbers. */
+enum { SQUARED = 0, LOGISTIC = 1, SMOOTHED_HINGE = 2 };
+
+/* Entry i of an index array of either width. */
+static inline int64_t at(const void *a, int wide, int64_t i)
+{
+    return wide ? ((const int64_t *)a)[i] : (int64_t)((const int32_t *)a)[i];
+}
+
+/* d psi / dt at margin t, as losses.py's vectorized derivatives. */
+static inline double derivative(int loss, double nu, double t, double label)
+{
+    if (loss == SQUARED)
+        return t - label;
+    if (loss == LOGISTIC)
+        return -label * (1.0 / (1.0 + exp(-(-label * t))));
+    double z = label * t;
+    if (z >= 1.0)
+        return 0.0;
+    if (z <= 1.0 - nu)
+        return -label;
+    return -label * (1.0 - z) / nu;
+}
+
+/* problem.prox_elastic_net of one coordinate, at threshold scale * l1
+ * and shrink 1 + scale * l2. */
+static inline double prox(double v, double thresh, double shrink)
+{
+    double u = v;
+    if (thresh > 0) {
+        double sign = v > 0 ? 1.0 : v < 0 ? -1.0 : v == v ? 0.0 : v;
+        double r = fabs(v) - thresh;
+        u = sign * (r < 0.0 ? 0.0 : r);
+    }
+    if (shrink != 1.0)
+        u /= shrink;
+    return u;
+}
+
+#endif

@@ -48,18 +48,31 @@ steps, and stays lazy across blocks:
 * closing the block writes ``U``'s state back as its last touch.
 
 Why blocks: on sparse high-``d`` data a step's batch hits a few hundred
-columns, and on arrays that small each of the hundred-odd operations of a
-catch-up (and the ``np.unique``) costs its per-call overhead, not its
+columns, and on arrays that small each of the hundred-odd numpy operations
+of a catch-up (and the ``np.unique``) costs its per-call overhead, not its
 size.  A block pays that once for all its steps; its arrays grow to the
 union, at most :data:`BLOCK_STEPS` times a step's columns, where an
-operation still costs little more than its overhead.  A step therefore
-costs about 30 operations on ``|U|`` entries plus a share of one
-catch-up of ``|U|`` columns -- at ``d = 100000`` with 320 columns per
-step, about 190 us against 340 us for a catch-up per step -- against the
-dense stage's work proportional to ``d``;
-:func:`~dasvrda.harness.choose_engine` weighs the two.  There is no Python
-loop over rows, entries or coordinates, and the stage ends with one sweep
-that catches up every coordinate in chunks of :data:`SWEEP_CHUNK`.
+operation still costs little more than its overhead.  On numpy a step
+therefore costs about 30 operations on ``|U|`` entries plus a share of one
+catch-up of ``|U|`` columns, against the dense stage's work proportional
+to ``d``; :func:`~dasvrda.harness.choose_engine` weighs the two.  There is
+no Python loop over rows, entries or coordinates, and the stage ends with
+one sweep that catches up every coordinate in chunks of
+:data:`SWEEP_CHUNK`.
+
+The compiled path: :meth:`LazyStage.finish` runs a stage that has not
+stepped yet as one call of the library's lazy kernel (``lazy_stage.c``,
+loaded by :func:`~dasvrda.stage_loop.kernels`), which keeps these blocks,
+their catch-ups, their csr-order products and the sweep, expression by
+expression, and so the bits and ``touched`` of :meth:`LazyStage.step` and
+:meth:`LazyStage.snapshot`.  There the per-call overhead is gone and the
+blocks only keep the bits: a step costs its union's arithmetic and its
+share of one block's catch-up and of the sweep.  At ``d = 100000`` with
+20 nonzeros per row, batch 16 and 250 steps (the benchmark's
+highd-svmlight stage), a step costs about 85 us compiled against 270-340
+us on numpy, the stage's setup included and its anchor not (one thread of
+a 2-vCPU x86-64 VM).  The numpy methods run where the kernel cannot and
+are its test oracle.
 """
 
 from __future__ import annotations
@@ -71,6 +84,8 @@ import numpy as np
 # ``prox_elastic_net`` is bound here by name, so a wrapper installed on
 # its module (the per-layer tracer's dense prox span) does not count the
 # lazy engine's calls.
+from . import stage_loop
+from .losses import SmoothedHinge
 from .problem import ElasticNet, Problem, Rows, prox_elastic_net, row_entries
 from .sampling import SamplingScheme, draw_batch, make_anchor
 from .solvers import theta_pair
@@ -419,11 +434,60 @@ class LazyStage:
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Run any remaining iterations, then sweep every coordinate up to
-        the final iteration and return ``(x_m, z_m)``."""
+        the final iteration and return ``(x_m, z_m)``.  A stage that has
+        not stepped yet runs all of it in one call of the compiled kernel
+        where it can (:func:`~dasvrda.stage_loop.kernels`), with the bits
+        of :meth:`step` and :meth:`snapshot`."""
+        path = (stage_loop.kernels(self.problem) if self.k == 0
+                else "numpy: stage already stepped")
+        stage_loop.note(path)
+        if not isinstance(path, str):
+            return self._compiled(path.lazy)
         while self.k < self.m:
             self.step()
         x, z = self.snapshot()
         self.touched += self.problem.d
+        return x, z
+
+    def _compiled(self, fn) -> tuple[np.ndarray, np.ndarray]:
+        """All steps and the sweep in one call of the compiled kernel
+        ``fn``, after checking every array it reads or writes; leaves the
+        last-touch state as :meth:`step` would."""
+        problem, (m, b) = self.problem, self.idx.shape
+        stage_loop.check_rows(problem, self.idx)
+        mat, (n, d) = problem.data.features, (problem.n, problem.d)
+        vectors = [self.tilde_grad, self.z0, self.x_last, self.z_last, self.g_sum]
+        per_row = [self._labels, self.anchor_derivs] + (
+            [] if self.weights is None else [self.weights])
+        tables = [self.tables.s, self.tables.s_quad]
+        floats = vectors + per_row + tables
+        if (any(v.shape != (d,) for v in vectors) or any(r.shape != (n,) for r in per_row)
+                or any(t.shape != (m + 2,) for t in tables)
+                or any(a.dtype != np.float64 for a in floats)
+                or self.k_last.shape != (d,) or self.k_last.dtype != np.int64
+                or not all(a.flags.c_contiguous for a in floats + [self.k_last])):
+            raise ValueError("a stage array has the wrong shape, type or layout")
+        # A block's union: at most its entries, BLOCK_ENTRIES unless it is
+        # one step, and at most d.
+        row_max = int(np.diff(mat.indptr).max())
+        cap = min(d, max(min(BLOCK_ENTRIES, BLOCK_STEPS * b * row_max), b * row_max))
+        slot = np.full(d, -1, dtype=np.int64)
+        ints, union = np.empty((2, cap), dtype=np.int64), np.empty((7, cap))
+        x, z = np.empty(d), np.empty(d)
+        loss = problem.loss
+        nu = loss.nu if isinstance(loss, SmoothedHinge) else 0.0
+        ptr = stage_loop.pointer
+        # Every array stays referenced by a local name until the call returns.
+        self.touched += fn(
+            stage_loop.LOSSES[type(loss)], nu, m, b, d,
+            int(mat.indices.dtype == np.int64), ptr(mat.indptr), ptr(mat.indices),
+            ptr(mat.data), ptr(self.idx), ptr(self._labels), ptr(self.weights),
+            ptr(self.anchor_derivs), ptr(self.tilde_grad), ptr(self.z0), self.eta,
+            self.reg.l1, self.reg.l2, ptr(self.tables.s), ptr(self.tables.s_quad),
+            BLOCK_STEPS, BLOCK_ENTRIES, ptr(self.x_last), ptr(self.z_last),
+            ptr(self.g_sum), ptr(self.k_last), ptr(x), ptr(z), ptr(slot), cap,
+            ptr(ints[0]), ptr(ints[1]), ptr(union)) + d
+        self.k = m
         return x, z
 
 

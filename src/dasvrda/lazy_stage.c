@@ -1,0 +1,245 @@
+/* All m steps of one lazy inner stage, and its final sweep, in one call:
+ * the compiled path of lazy.py, whose LazyStage states the same
+ * arithmetic and is its test oracle.
+ *
+ * It keeps LazyStage's structure, and so its bits:
+ *
+ *   - the same blocks of up to block_steps steps, cut where their rows'
+ *     entries would pass block_entries (a block takes at least one step);
+ *   - a block opens with catch_up's closed form on the union of its
+ *     columns, to the iteration before its first step, and closes by
+ *     writing the union's state back as its last touch;
+ *   - each step runs the plain recurrence on the union, its products in
+ *     the csr form's order (rows in order, entries in stored order, sums
+ *     from +0.0), with 1/theta_k taken as 2.0/(k+1);
+ *   - the sweep is the closed form on every coordinate, to iteration m;
+ *   - every expression keeps numpy's association, and the build has
+ *     -ffp-contract=off and no fast-math.
+ *
+ * Each coordinate's arithmetic depends on its own state only, so the
+ * order of the union's columns (first seen here, sorted in LazyStage)
+ * moves no bit.  The caller checks every shape, type and index bound.
+ */
+
+#include "kernels.h"
+
+/* A block's columns sit anywhere in the d-vectors of the stage state, so
+ * its catch-up waits on memory unless it asks for them ahead. */
+#if defined(__GNUC__)
+#define PREFETCH(p) __builtin_prefetch(p)
+#else
+#define PREFETCH(p) ((void)0)
+#endif
+#define AHEAD 16
+
+/* theta_k theta_{k-1}, as solvers.theta_pair and lazy._theta_pairs. */
+static double theta_pair(int64_t k)
+{
+    return k < 1 ? 0.0 : (double)(k * (k + 1)) / 4.0;
+}
+
+/* lazy.lazy_z of one coordinate. */
+static double lazy_z(double z0, double g_sum, double tg, double eta, double l1,
+                     double l2, double tp_now, double tp_kj)
+{
+    double drift = g_sum + (tp_now - tp_kj) * tg;
+    double scale = eta * tp_now;
+    return prox(z0 - eta * drift, scale * l1, 1.0 + scale * l2);
+}
+
+/* z0 > a (x^2 - x) + c3 at the index x. */
+static int holds(double a, double c3, double z0, int64_t x)
+{
+    double xf = (double)x;
+    return z0 > a * (xf * xf - xf) + c3;
+}
+
+/* lazy.branch_runs of one entry: its run [*start, *stop) in [lo, hi]. */
+static inline void branch_run(double a, double c3, double z0, int64_t lo,
+                              int64_t hi, int64_t *start, int64_t *stop)
+{
+    *start = lo;
+    *stop = holds(a, c3, z0, lo) ? hi + 1 : lo;
+    double disc = a * a + 4.0 * a * (z0 - c3);
+    if (!(a != 0.0 && disc > 0.0))
+        return;
+    double root = 0.5 + sqrt(disc) / (2.0 * fabs(a));
+    int low = a > 0.0;
+    int64_t split = (int64_t)fmax(fmin(floor(root) + 1.0, (double)(hi + 1)),
+                                  (double)lo);
+    while (split > lo && holds(a, c3, z0, split - 1) != low)
+        split--;
+    while (split <= hi && holds(a, c3, z0, split) == low)
+        split++;
+    *start = low ? lo : split;
+    *stop = low ? split : hi + 1;
+}
+
+/* One nonzero branch's term of the primal catch-up, from the prefix
+ * tables s and q. */
+static double branch_term(int64_t start, int64_t stop, double base, double eta,
+                          double slope, const double *s, const double *q)
+{
+    if (stop <= start)
+        return 0.0;
+    double ds = s[stop - 1] - s[start - 1], dq = q[stop - 1] - q[start - 1];
+    return base * ds - eta * slope * dq;
+}
+
+/* lazy.catch_up of one coordinate last touched at kj < target: its
+ * (x, z) at iteration target. */
+static inline void catch_up(double x_last, double z0, double g_sum, double tg,
+                            int64_t kj, int64_t target, const double *s,
+                            const double *q, double eta, double l1, double l2,
+                            double *x, double *z)
+{
+    double tp_kj = theta_pair(kj), tp_now = theta_pair(target);
+    *z = lazy_z(z0, g_sum, tg, eta, l1, l2, tp_now, tp_kj);
+    double c1 = 0.25 * eta * tg, c2 = 0.25 * eta * l1;
+    double c3 = eta * (g_sum - tp_kj * tg);
+    int64_t sp, ep, sn, en;
+    branch_run(c1 + c2, c3, z0, kj + 2, target + 1, &sp, &ep);
+    branch_run(-(c1 - c2), -c3, -z0, kj + 2, target + 1, &sn, &en);
+    double base = z0 - c3;
+    double total = (0.0 + branch_term(sp, ep, base, eta, tg + l1, s, q))
+        + branch_term(sn, en, base, eta, tg - l1, s, q);
+    *x = (tp_kj * x_last + total) / tp_now;
+}
+
+/* Runs steps 1..m of a lazy stage on the rows idx (m x b) and then sweeps
+ * every coordinate to iteration m; returns the distinct (step, column)
+ * pairs its steps touched.
+ *
+ *   labels, derivs (the anchor's) and w (NULL: all one) have n entries;
+ *   tg (the anchor gradient) and z0 (the start) have d;
+ *   s and q are the prefix tables, m + 2 entries each;
+ *   x_last, z_last, g_sum and k_last (d each) are the last-touch state, in
+ *   and out; x and z (d each) receive the final point.
+ *
+ * Scratch: slot (d, every entry -1 on entry and on return) numbers the
+ * open block's columns; cols and stamp (cap each) and u (7 cap) hold the
+ * union's columns and state, cap at least any block's union. */
+int64_t dasvrda_lazy_stage(int loss, double nu, int64_t m, int64_t b, int64_t d,
+                           int wide, const void *indptr, const void *indices,
+                           const double *data, const int64_t *idx,
+                           const double *labels, const double *w,
+                           const double *derivs, const double *tg,
+                           const double *z0, double eta, double l1, double l2,
+                           const double *s, const double *q, int64_t block_steps,
+                           int64_t block_entries, double *x_last, double *z_last,
+                           double *g_sum, int64_t *k_last, double *x, double *z,
+                           int64_t *slot, int64_t cap, int64_t *cols,
+                           int64_t *stamp, double *u)
+{
+    double *ux = u, *uz = u + cap, *ug = u + 2 * cap, *uz0 = u + 3 * cap;
+    double *utg = u + 4 * cap, *up = u + 5 * cap, *ugp = u + 6 * cap;
+    int64_t touched = 0;
+    for (int64_t k = 0; k < m;) {
+        /* The block's steps: as many as fit under block_entries, at
+         * least one. */
+        int64_t steps = 0, entries = 0;
+        for (int64_t j = k; j < m && j < k + block_steps; j++) {
+            for (int64_t r = 0; r < b; r++) {
+                int64_t row = idx[j * b + r];
+                entries += at(indptr, wide, row + 1) - at(indptr, wide, row);
+            }
+            if (entries > block_entries)
+                break;
+            steps++;
+        }
+        if (steps == 0)
+            steps = 1;
+        int64_t stop = k + steps;
+        /* Its union, and the distinct columns of each step. */
+        int64_t n_cols = 0;
+        for (int64_t j = k; j < stop; j++) {
+            for (int64_t r = 0; r < b; r++) {
+                int64_t row = idx[j * b + r];
+                int64_t hi = at(indptr, wide, row + 1);
+                for (int64_t e = at(indptr, wide, row); e < hi; e++) {
+                    int64_t c = at(indices, wide, e);
+                    if (slot[c] < 0) {
+                        slot[c] = n_cols;
+                        cols[n_cols] = c;
+                        stamp[n_cols++] = -1;
+                    }
+                    if (stamp[slot[c]] != j) {
+                        stamp[slot[c]] = j;
+                        touched++;
+                    }
+                }
+            }
+        }
+        /* Caught up to iteration k, the gradient sum with it. */
+        double tp_k = theta_pair(k);
+        for (int64_t p = 0; p < n_cols; p++) {
+            int64_t c = cols[p];
+            if (p + AHEAD < n_cols) {
+                int64_t f = cols[p + AHEAD];
+                PREFETCH(x_last + f);
+                PREFETCH(z_last + f);
+                PREFETCH(g_sum + f);
+                PREFETCH(k_last + f);
+                PREFETCH(z0 + f);
+                PREFETCH(tg + f);
+            }
+            uz0[p] = z0[c];
+            utg[p] = tg[c];
+            if (k_last[c] < k) {
+                catch_up(x_last[c], z0[c], g_sum[c], tg[c], k_last[c], k, s, q, eta,
+                         l1, l2, &ux[p], &uz[p]);
+            } else {
+                ux[p] = x_last[c];
+                uz[p] = z_last[c];
+            }
+            ug[p] = g_sum[c] + (tp_k - theta_pair(k_last[c])) * tg[c];
+        }
+        for (k = k + 1; k <= stop; k++) {
+            double inv = 2.0 / (double)(k + 1), keep = 1.0 - inv;
+            for (int64_t p = 0; p < n_cols; p++) {
+                up[p] = keep * ux[p] + inv * uz[p];
+                ugp[p] = 0.0;
+            }
+            const int64_t *rows = idx + (k - 1) * b;
+            for (int64_t r = 0; r < b; r++) {
+                int64_t lo = at(indptr, wide, rows[r]);
+                int64_t hi = at(indptr, wide, rows[r] + 1);
+                double t = 0.0;
+                for (int64_t e = lo; e < hi; e++)
+                    t += data[e] * up[slot[at(indices, wide, e)]];
+                double delta = derivative(loss, nu, t, labels[rows[r]])
+                    - derivs[rows[r]];
+                if (w)
+                    delta = w[rows[r]] * delta;
+                delta = delta / (double)b;
+                for (int64_t e = lo; e < hi; e++)
+                    ugp[slot[at(indices, wide, e)]] += data[e] * delta;
+            }
+            double half_k = 0.5 * (double)k, tp = theta_pair(k);
+            for (int64_t p = 0; p < n_cols; p++) {
+                ug[p] += half_k * (ugp[p] + utg[p]);
+                uz[p] = lazy_z(uz0[p], ug[p], utg[p], eta, l1, l2, tp, tp);
+                ux[p] = keep * ux[p] + inv * uz[p];
+            }
+        }
+        k = stop;
+        for (int64_t p = 0; p < n_cols; p++) {
+            int64_t c = cols[p];
+            x_last[c] = ux[p];
+            z_last[c] = uz[p];
+            g_sum[c] = ug[p];
+            k_last[c] = stop;
+            slot[c] = -1;
+        }
+    }
+    for (int64_t c = 0; c < d; c++) {
+        if (k_last[c] < m) {
+            catch_up(x_last[c], z0[c], g_sum[c], tg[c], k_last[c], m, s, q, eta, l1,
+                     l2, &x[c], &z[c]);
+        } else {
+            x[c] = x_last[c];
+            z[c] = z_last[c];
+        }
+    }
+    return touched;
+}

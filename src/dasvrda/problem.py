@@ -27,8 +27,13 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 # The loops behind scipy's own CSR row gather and products; the tests hold
-# them to the public ones bit for bit, since the module is private.
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
+# them to the public ones bit for bit.  The module is private, so a scipy
+# without it runs the public gather and products instead, which call the
+# same loops.
+try:
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index
+except ImportError:
+    csc_matvec = csr_matvec = csr_row_index = None
 
 from .losses import LossKind
 
@@ -181,11 +186,15 @@ def row_entries(
     ends = np.cumsum(mat.indptr[idx + 1] - mat.indptr[idx])
     total = int(ends[-1]) if ends.size else 0
     itype = mat.indices.dtype if total <= np.iinfo(mat.indices.dtype).max else np.int64
+    ptr = np.concatenate(([0], ends)).astype(itype)
+    if csr_row_index is None:
+        rows = mat[idx]
+        return ptr, rows.indices.astype(itype), rows.data
     col, val = np.empty(total, dtype=itype), np.empty(total, dtype=mat.data.dtype)
     # The loop's index type is that of its row list, which its outputs share.
     csr_row_index(idx.size, idx.astype(itype), mat.indptr, mat.indices, mat.data,
                   col, val)
-    return np.concatenate(([0], ends)).astype(itype), col, val
+    return ptr, col, val
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,6 +242,8 @@ class Rows:
         # The compiled loop reads ``x`` at the stored columns unchecked.
         if x.shape != (self.d,):
             raise ValueError(f"vector has shape {x.shape}, expected ({self.d},)")
+        if csr_matvec is None:
+            return self._public() @ x
         out = np.zeros(self.count)
         csr_matvec(self.count, self.d, self.ptr, self.col, self.val, x, out)
         return out
@@ -242,9 +253,18 @@ class Rows:
             return v @ self.dense
         if v.shape != (self.count,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.count},)")
+        if csc_matvec is None:
+            return self._public().T @ v
         out = np.zeros(self.d)
         csc_matvec(self.d, self.count, self.ptr, self.col, self.val, v, out)
         return out
+
+    def _public(self) -> sp.csr_matrix:
+        """The rows as a scipy matrix, for its public products: its own
+        pointer from zero over its own entries."""
+        lo, hi = self.ptr[0], self.ptr[-1]
+        return sp.csr_matrix((self.val[lo:hi], self.col[lo:hi], self.ptr - lo),
+                             shape=(self.count, self.d))
 
 
 def dense_view(mat: sp.csr_matrix, count: int) -> Optional[np.ndarray]:

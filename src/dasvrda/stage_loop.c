@@ -10,58 +10,17 @@
  *     rows in order and entries in stored order, each output starting from
  *     +0.0, as scipy's csr_matvec and csc_matvec do;
  *   - the gradient estimate keeps the association B(p) + (grad - B(anchor));
- *   - the logistic derivative takes expit(u) = 1 / (1 + exp(-u)), as
- *     scipy.special.expit does;
- *   - the prox is sign(v) * max(|v| - t, 0), then divided by 1 + t*l2 where
- *     that is not 1, with numpy's sign (+0.0 at -0.0, NaN at NaN) and NaN
- *     passed through the max as np.maximum passes it (fmax would drop it).
+ *   - the derivatives and the prox are kernels.h's.
  *
  * The caller checks every shape, type and index bound first.
  */
 
-#include <math.h>
-#include <stdint.h>
 #include <string.h>
 
-/* Stage kinds and losses; stage_loop.py uses the same numbers. */
+#include "kernels.h"
+
+/* Stage kinds; stage_loop.py uses the same numbers. */
 enum { ACC = 0, DASVRG = 1, SVRG = 2 };
-enum { SQUARED = 0, LOGISTIC = 1, SMOOTHED_HINGE = 2 };
-
-/* Entry i of an index array of either width. */
-static inline int64_t at(const void *a, int wide, int64_t i)
-{
-    return wide ? ((const int64_t *)a)[i] : (int64_t)((const int32_t *)a)[i];
-}
-
-/* d psi / dt at margin t, as losses.py's vectorized derivatives. */
-static double derivative(int loss, double nu, double t, double label)
-{
-    if (loss == SQUARED)
-        return t - label;
-    if (loss == LOGISTIC)
-        return -label * (1.0 / (1.0 + exp(-(-label * t))));
-    double z = label * t;
-    if (z >= 1.0)
-        return 0.0;
-    if (z <= 1.0 - nu)
-        return -label;
-    return -label * (1.0 - z) / nu;
-}
-
-/* problem.prox_elastic_net of one coordinate, at threshold scale * l1
- * and shrink 1 + scale * l2. */
-static double prox(double v, double thresh, double shrink)
-{
-    double u = v;
-    if (thresh > 0) {
-        double sign = v > 0 ? 1.0 : v < 0 ? -1.0 : v == v ? 0.0 : v;
-        double r = fabs(v) - thresh;
-        u = sign * (r < 0.0 ? 0.0 : r);
-    }
-    if (shrink != 1.0)
-        u /= shrink;
-    return u;
-}
 
 /* g = A[rows].T @ (psi'(A[rows] @ p) w / b) + (grad - A[rows].T @ dxb),
  * written to by; bx and t are scratch. */

@@ -1,5 +1,5 @@
-"""The inner steps of the dense stages, on one of two paths with the same
-bits.
+"""The compiled library of the inner stages, and the dense stages' steps
+on one of two paths with the same bits.
 
 :func:`run_stage` runs all ``m`` steps of
 :func:`~dasvrda.solvers.one_stage_accsvrda`,
@@ -18,14 +18,17 @@ and anchor terms ``w * anchor.derivs / b`` are gathered once; then
   compiler, a failed build, or :data:`COMPILED` off.  It is also the
   loop's test oracle.
 
-The loop is compiled on first use, never at import: the system ``cc``
-builds ``stage_loop.c`` with :data:`CFLAGS` into
-``$XDG_CACHE_HOME/dasvrda`` (default ``~/.cache/dasvrda``), under a name
-keyed by the hash of the source and the flags, and ``ctypes`` loads it.
-The build writes a name of its own and renames it into place, so two
-processes may build at once.  Any failure leaves the skeleton to run, and
-:func:`noting` collects the path each stage took and why, which the trace
-header reports as ``loop``.
+The lazy engine's :class:`~dasvrda.lazy.LazyStage` takes the library's
+other kernel (``lazy_stage.c``) the same way, through :func:`kernels`.
+
+The library is compiled on first use, never at import: the system ``cc``
+builds every C source of the package (:func:`sources`) with :data:`CFLAGS`
+into ``$XDG_CACHE_HOME/dasvrda`` (default ``~/.cache/dasvrda``), under a
+name keyed by the hash of the sources and the flags, and ``ctypes`` loads
+it.  The build writes a name of its own and renames it into place, so two
+processes may build at once.  Any failure leaves the numpy paths to run,
+and :func:`noting` collects the path each stage took and why, which the
+trace header reports as ``loop``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import os
 import signal
 import subprocess
 import tempfile
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -51,18 +55,19 @@ from .sampling import SamplingScheme, StageAnchor, batch_gradient
 
 #: Stage kinds, numbered as in ``stage_loop.c``.
 ACC, DASVRG, SVRG = 0, 1, 2
-#: The compiled loop's number of each loss.
+#: The compiled kernels' number of each loss, as in ``kernels.h``.
 LOSSES = {Squared: 0, Logistic: 1, SmoothedHinge: 2}
 
-SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "stage_loop.c")
-#: The C compiler that builds the loop.
+#: The directory of the library's C sources.
+HERE = os.path.dirname(os.path.abspath(__file__))
+#: The C compiler that builds the library.
 CC = "cc"
-#: No fused multiply-adds and no fast-math: the loop keeps numpy's bits.
+#: No fused multiply-adds and no fast-math: the kernels keep numpy's bits.
 CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 #: Seconds the build may take before it is killed.
 BUILD_TIMEOUT = 120.0
-#: Whether stages may take the compiled loop; off, every stage runs the
-#: skeleton.
+#: Whether stages may take the compiled kernels; off, every stage runs
+#: numpy.
 COMPILED = True
 
 _INT = (np.dtype(np.int32), np.dtype(np.int64))
@@ -88,33 +93,51 @@ def theta_pair(k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Building and loading the compiled loop.
+# Building and loading the compiled library.
+
+
+@dataclass(frozen=True)
+class Kernels:
+    """The loaded library's kernels, their argument types declared."""
+
+    dense: Callable
+    lazy: Callable
+
+
+def sources() -> list[str]:
+    """The library's C sources and headers, by file name in :data:`HERE`."""
+    return sorted(f for f in os.listdir(HERE) if f.endswith((".c", ".h")))
 
 
 def cache_dir() -> str:
-    """Where built loops are kept: ``$XDG_CACHE_HOME/dasvrda``, by default
-    ``~/.cache/dasvrda``."""
+    """Where built libraries are kept: ``$XDG_CACHE_HOME/dasvrda``, by
+    default ``~/.cache/dasvrda``."""
     root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache")
     return os.path.join(root, "dasvrda")
 
 
-def _declare(lib: ctypes.CDLL) -> Callable:
-    fn = lib.dasvrda_dense_stage
-    i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = ([ctypes.c_int, ctypes.c_int, dbl, i64, i64, i64, ctypes.c_int]
-                   + [ptr] * 8 + [dbl] * 3 + [ptr] * 8)
-    fn.restype = None
-    return fn
+def _declare(lib: ctypes.CDLL) -> Kernels:
+    i64, dbl, ptr, int_ = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
+    dense, lazy = lib.dasvrda_dense_stage, lib.dasvrda_lazy_stage
+    dense.argtypes = ([int_, int_, dbl, i64, i64, i64, int_] + [ptr] * 8 + [dbl] * 3
+                      + [ptr] * 8)
+    dense.restype = None
+    lazy.argtypes = ([int_, dbl, i64, i64, i64, int_] + [ptr] * 9 + [dbl] * 3
+                     + [ptr] * 2 + [i64] * 2 + [ptr] * 7 + [i64] + [ptr] * 3)
+    lazy.restype = i64
+    return Kernels(dense, lazy)
 
 
-def _build() -> Union[Callable, str]:
-    """The loaded loop, built first if the cache lacks it, or why not."""
-    with open(SOURCE, "rb") as handle:
-        source = handle.read()
-    key = hashlib.sha256(source + " ".join(CFLAGS).encode()).hexdigest()[:16]
+def _build() -> Union[Kernels, str]:
+    """The loaded library, built first if the cache lacks it, or why not."""
+    names = sources()
+    key = hashlib.sha256(" ".join(CFLAGS).encode())
+    for name in names:
+        with open(os.path.join(HERE, name), "rb") as handle:
+            key.update(name.encode() + b"\0" + handle.read())
     directory = cache_dir()
-    lib = os.path.join(directory, f"stage_loop-{key}.so")
+    lib = os.path.join(directory, f"kernels-{key.hexdigest()[:16]}.so")
     if not os.path.isfile(lib):
         try:
             os.makedirs(directory, exist_ok=True)
@@ -123,7 +146,8 @@ def _build() -> Union[Callable, str]:
         except OSError:
             return "numpy: cache directory not writable"
         try:
-            why = _compile(source, tmp)
+            why = _compile([os.path.join(HERE, f) for f in names if f.endswith(".c")],
+                           tmp)
             if why is None:
                 os.replace(tmp, lib)
         finally:
@@ -134,34 +158,34 @@ def _build() -> Union[Callable, str]:
     try:
         return _declare(ctypes.CDLL(lib))
     except (OSError, AttributeError):
-        return "numpy: cannot load the compiled loop"
+        return "numpy: cannot load the compiled library"
 
 
-def _compile(source: bytes, out: str) -> Optional[str]:
-    """Compile ``source`` into the shared library ``out``; why not, if it
-    fails.  The compiler runs in a session of its own, which a timeout
-    kills whole, and is always waited for."""
-    cmd = [CC, *CFLAGS, "-o", out, "-x", "c", "-", "-lm"]
+def _compile(paths: list[str], out: str) -> Optional[str]:
+    """Compile the C files ``paths`` into the shared library ``out``; why
+    not, if it fails.  The compiler runs in a session of its own, which a
+    timeout kills whole, and is always waited for."""
+    cmd = [CC, *CFLAGS, "-o", out, *paths, "-lm"]
     try:
-        proc = subprocess.Popen(cmd, stdin=subprocess.PIPE, stdout=subprocess.DEVNULL,
+        proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL, start_new_session=True)
     except OSError:
         return "numpy: no C compiler"
     with proc:
         try:
-            proc.communicate(source, timeout=BUILD_TIMEOUT)
+            proc.wait(timeout=BUILD_TIMEOUT)
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
+            proc.wait()
             return "numpy: C build timed out"
     return None if proc.returncode == 0 else "numpy: C build failed"
 
 
-#: The loaded loop, or why it is not loaded; None until first needed.
-_loaded: Union[Callable, str, None] = None
+#: The loaded library, or why it is not loaded; None until first needed.
+_loaded: Union[Kernels, str, None] = None
 
 
-def _loop() -> Union[Callable, str]:
+def _library() -> Union[Kernels, str]:
     global _loaded
     if _loaded is None:
         _loaded = _build()
@@ -191,21 +215,58 @@ def noting():
         _notes = outer
 
 
-def _path(problem: Problem, b: int, on_iterate) -> Union[Callable, str]:
-    """The compiled loop, if a stage of batch ``b`` can take it, or the
-    skeleton's reason."""
+def note(path: Union[Kernels, str]) -> None:
+    """Note a stage's path, the :class:`Kernels` it runs or why not, in
+    the innermost :func:`noting` block."""
+    if _notes is not None:
+        _notes.add(path if isinstance(path, str) else "compiled")
+
+
+def kernels(problem: Problem) -> Union[Kernels, str]:
+    """The compiled kernels, if a stage on ``problem`` may run them, or
+    why not."""
     mat = problem.data.features
-    if on_iterate is not None:
-        return "numpy: on_iterate hook"
-    if dense_view(mat, b) is not None:
-        return "numpy: BLAS dense form"
     if not COMPILED:
         return "numpy: compiled loop off"
     if type(problem.loss) not in LOSSES:
         return f"numpy: no compiled {type(problem.loss).__name__} loss"
     if mat.indptr.dtype != mat.indices.dtype or mat.indices.dtype not in _INT:
         return "numpy: index types not both int32 or int64"
-    return _loop()
+    return _library()
+
+
+def _path(problem: Problem, b: int, on_iterate) -> Union[Kernels, str]:
+    """The compiled kernels, if a dense stage of batch ``b`` can take
+    them, or the skeleton's reason."""
+    if on_iterate is not None:
+        return "numpy: on_iterate hook"
+    if dense_view(problem.data.features, b) is not None:
+        return "numpy: BLAS dense form"
+    return kernels(problem)
+
+
+def check_rows(problem: Problem, idx: np.ndarray) -> None:
+    """Raise unless the design matrix's CSR arrays are well formed and
+    ``idx`` holds int64 rows of it: what every kernel reads unchecked."""
+    mat = problem.data.features
+    n, d = mat.shape
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+    if not (indptr.shape == (n + 1,) and indices.shape == data.shape == (mat.nnz,)
+            and data.dtype == np.float64 and indptr[0] == 0
+            and indptr[-1] == mat.nnz and np.all(indptr[1:] >= indptr[:-1])
+            and all(a.flags.c_contiguous for a in (indptr, indices, data))):
+        raise ValueError("the design matrix's CSR arrays are malformed")
+    if mat.nnz and not (indices.min() >= 0 and indices.max() < d):
+        raise ValueError(f"a stored column is out of range for d={d}")
+    if idx.dtype != np.int64 or not (idx.min() >= 0 and idx.max() < n):
+        raise ValueError(f"a batch row is not an int64 below n={n}")
+    if not idx.flags.c_contiguous:
+        raise ValueError("the batch rows are not contiguous")
+
+
+def pointer(a: Optional[np.ndarray]) -> Optional[int]:
+    """The address of ``a``'s data, or None for NULL."""
+    return None if a is None else a.ctypes.data
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +301,14 @@ def run_stage(
     z = np.zeros_like(x) if kind == SVRG else x.copy()
     z0 = x.copy() if kind == ACC else None
     g_bar = np.zeros_like(x) if kind == ACC else None
-    loop = _path(problem, b, on_iterate)
-    if _notes is not None:
-        _notes.add(loop if isinstance(loop, str) else "compiled")
-    if isinstance(loop, str):
+    path = _path(problem, b, on_iterate)
+    note(path)
+    if isinstance(path, str):
         _skeleton(kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar,
                   on_iterate)
     else:
-        _compiled(loop, kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar)
+        _compiled(path.dense, kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0,
+                  g_bar)
     return x, z
 
 
@@ -299,33 +360,21 @@ def _skeleton(kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar,
 def _compiled(fn, kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar):
     """The steps in one call of the compiled loop ``fn``, after checking
     every array it reads or writes."""
+    check_rows(problem, idx)
     mat = problem.data.features
-    (n, d), (m, b) = mat.shape, idx.shape
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    if not (indptr.shape == (n + 1,) and indices.shape == data.shape == (mat.nnz,)
-            and data.dtype == np.float64 and indptr[0] == 0
-            and indptr[-1] == mat.nnz and np.all(indptr[1:] >= indptr[:-1])):
-        raise ValueError("the design matrix's CSR arrays are malformed")
-    if mat.nnz and not (indices.min() >= 0 and indices.max() < d):
-        raise ValueError(f"a stored column is out of range for d={d}")
-    if idx.dtype != np.int64 or not (idx.min() >= 0 and idx.max() < n):
-        raise ValueError(f"a batch row is not an int64 below n={n}")
+    (m, b), d = idx.shape, problem.d
     vectors = [x, z, anchor.grad] + [v for v in (z0, g_bar) if v is not None]
-    tables = [idx, lab, dxb] + ([] if w is None else [w])
+    tables = [lab, dxb] + ([] if w is None else [w])
     if (any(v.shape != (d,) for v in vectors) or any(t.shape != (m, b) for t in tables)
-            or any(a.dtype != np.float64 for a in vectors + tables[1:])
-            or not all(a.flags.c_contiguous for a in vectors + tables
-                       + [indptr, indices, data])):
+            or any(a.dtype != np.float64 for a in vectors + tables)
+            or not all(a.flags.c_contiguous for a in vectors + tables)):
         raise ValueError("a stage array has the wrong shape, type or layout")
     y, by, bx, t = np.empty(d), np.empty(d), np.empty(d), np.empty(b)
     loss = problem.loss
     nu = loss.nu if isinstance(loss, SmoothedHinge) else 0.0
-
-    def ptr(a: Optional[np.ndarray]) -> Optional[int]:
-        return None if a is None else a.ctypes.data
-
+    ptr = pointer
     # Every array stays referenced by a local name until the call returns.
-    fn(kind, LOSSES[type(loss)], nu, m, b, d, int(indices.dtype == np.int64),
-       ptr(indptr), ptr(indices), ptr(data), ptr(idx), ptr(lab), ptr(w), ptr(dxb),
-       ptr(anchor.grad), eta, problem.reg.l1, problem.reg.l2, ptr(x), ptr(z),
-       ptr(z0), ptr(g_bar), ptr(y), ptr(by), ptr(bx), ptr(t))
+    fn(kind, LOSSES[type(loss)], nu, m, b, d, int(mat.indices.dtype == np.int64),
+       ptr(mat.indptr), ptr(mat.indices), ptr(mat.data), ptr(idx), ptr(lab), ptr(w),
+       ptr(dxb), ptr(anchor.grad), eta, problem.reg.l1, problem.reg.l2, ptr(x),
+       ptr(z), ptr(z0), ptr(g_bar), ptr(y), ptr(by), ptr(bx), ptr(t))

@@ -68,15 +68,15 @@ def full_products(monkeypatch):
 
 @pytest.fixture
 def compiled_loop():
-    """The compiled stage loop, built first if need be.  Skips the test on
-    a machine with no C compiler, where every stage runs the numpy
-    skeleton; with one, a loop that does not build fails it."""
+    """The compiled library, built first if need be.  Skips the test on a
+    machine with no C compiler, where every stage runs numpy; with one, a
+    library that does not build fails it."""
     import shutil
 
     from dasvrda import stage_loop
 
     if shutil.which(stage_loop.CC) is None:
         pytest.skip(f"no C compiler {stage_loop.CC!r}")
-    loop = stage_loop._loop()
-    assert not isinstance(loop, str), loop
-    return loop
+    kernels = stage_loop._library()
+    assert not isinstance(kernels, str), kernels
+    return kernels

@@ -159,9 +159,9 @@ def highd_config(tmp_path, d=100_000, k=5, **overrides):
 
 
 def test_resolve_lazy_rule(tmp_path):
-    # Lazy iff d > 6000 + 3 union + 12 d / loop (harness.LAZY_STEP): a lazy
+    # Lazy iff d > 800 + 1.25 union + 3 d / loop (harness.LAZY_STEP): a lazy
     # step's fixed cost, its block's column union, its share of the sweep.
-    assert harness.LAZY_STEP == (6000.0, 3.0, 12.0)
+    assert harness.LAZY_STEP == (800.0, 1.25, 3.0)
     assert not resolve(lasso_config()).use_lazy            # d=20, dense data
     small_sparse = SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0)
     assert not resolve(lasso_config(synthetic=small_sparse)).use_lazy
@@ -172,23 +172,22 @@ def test_resolve_lazy_rule(tmp_path):
     assert resolve(lasso_config(lazy="on")).use_lazy
     with pytest.raises(ConfigError, match="svrg cannot use the lazy stage"):
         resolve(lasso_config(algo="svrg", lazy="on", synthetic=small_sparse))
-    # The fixed cost: one entry per batch and a long loop add 24 to it.
+    # The fixed cost: one entry per batch and a long loop add 10 to it.
     tiny_step = dict(k=1, batch=1, epoch_len=10**6)
-    assert not resolve(highd_config(tmp_path, d=5999, **tiny_step)).use_lazy
-    assert resolve(highd_config(tmp_path, d=6100, **tiny_step)).use_lazy
-    # The union: d/union just under 3 d / (d - 6024) = 4.293 at b = 133.
-    wide = dict(d=20_000, epoch_len=10_000)
-    assert not resolve(highd_config(tmp_path, batch=133, **wide)).use_lazy  # 4.28
-    assert resolve(highd_config(tmp_path, batch=132, **wide)).use_lazy      # 4.31
-    # The sweep: 12 d / 4 alone is above d.
-    assert not resolve(highd_config(tmp_path, epoch_len=4)).use_lazy
+    assert not resolve(highd_config(tmp_path, d=805, **tiny_step)).use_lazy
+    assert resolve(highd_config(tmp_path, d=820, **tiny_step)).use_lazy
+    # The union: d/union just under 1.25 d / (d - 806) = 1.3025 at b = 183.
+    wide = dict(d=20_000, k=20, epoch_len=10_000)
+    assert not resolve(highd_config(tmp_path, batch=183, **wide)).use_lazy  # 1.3009
+    assert resolve(highd_config(tmp_path, batch=182, **wide)).use_lazy      # 1.3041
+    # The sweep: 3 d / 3 alone is d.
+    assert not resolve(highd_config(tmp_path, epoch_len=3)).use_lazy
     # A warm start reads the momentum loop it runs, not the configured m:
-    # at m = 12 the sweep alone costs 100000, at its loop of 71, 16901.
-    assert not resolve(highd_config(tmp_path, epoch_len=12)).use_lazy
-    warm = resolve(highd_config(tmp_path, algo="dasvrda-warm", epoch_len=12))
-    assert warm.m == 12 and warm.header["epoch_len"] == 71 and warm.use_lazy
+    # at m = 3 the sweep alone costs 100000, at its loop of 11, 27273.
+    warm = resolve(highd_config(tmp_path, algo="dasvrda-warm", epoch_len=3))
+    assert warm.m == 3 and warm.header["epoch_len"] == 11 and warm.use_lazy
     assert warm.header["lazy_reason"] == (
-        "auto: a lazy step costs 23381 dense coordinate updates, d=100000 -> lazy")
+        "auto: a lazy step costs 28273 dense coordinate updates, d=100000 -> lazy")
 
 
 TIMINGS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -211,9 +210,9 @@ def test_auto_engine_rule_holds_on_committed_timings():
 def test_header_records_engine_reason(tmp_path):
     cases = [
         (highd_config(tmp_path),
-         "auto: a lazy step costs 30480 dense coordinate updates, d=100000 -> lazy"),
+         "auto: a lazy step costs 7000 dense coordinate updates, d=100000 -> lazy"),
         (lasso_config(),
-         "auto: a lazy step costs 6064 dense coordinate updates, d=20 -> dense"),
+         "auto: a lazy step costs 826 dense coordinate updates, d=20 -> dense"),
         (highd_config(tmp_path, l1=0.0), "auto: no elastic-net term -> dense"),
         (highd_config(tmp_path, algo="apg"), "auto: apg has no lazy stage -> dense"),
         (lasso_config(lazy="off"), "off"),
@@ -676,10 +675,9 @@ def test_d_check_runs_before_the_synthetic_draw(monkeypatch):
         resolve(lasso_config())
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "skeleton"])
-def test_a_dense_run_peaks_below_d_vectors(tmp_path, monkeypatch, compiled):
-    # d = 200000 with 20 nonzeros per row, on the dense engine; dasvrda-sc
-    # peaks highest of the algorithms.
+def check_wide_run_peak(tmp_path, monkeypatch, compiled, lazy):
+    """A run at d = 200000 with 20 nonzeros per row, on one engine and
+    path, peaks below the ``D_VECTORS`` the d check counts."""
     d, n = 200_000, 200
     rng = np.random.default_rng(0)
     with open(tmp_path / "wide.svm", "w") as handle:
@@ -691,7 +689,7 @@ def test_a_dense_run_peaks_below_d_vectors(tmp_path, monkeypatch, compiled):
     monkeypatch.setattr(stage_loop, "COMPILED", compiled)
     config = RunConfig(algo="dasvrda-sc", loss="logistic", l1=1e-4, l2=1e-4,
                        data_path=str(tmp_path / "wide.svm"), dim=d, batch=8,
-                       lazy="off", budget=12 * n)
+                       lazy=lazy, budget=12 * n)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -701,8 +699,19 @@ def test_a_dense_run_peaks_below_d_vectors(tmp_path, monkeypatch, compiled):
         tracemalloc.stop()
     assert len(result.records) > 3
     assert (result.header["loop"] == "compiled") == (
-        compiled and not isinstance(stage_loop._loop(), str))
+        compiled and not isinstance(stage_loop._library(), str))
     assert peak < 8 * harness.D_VECTORS * d
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "skeleton"])
+def test_a_dense_run_peaks_below_d_vectors(tmp_path, monkeypatch, compiled):
+    # dasvrda-sc peaks highest of the algorithms.
+    check_wide_run_peak(tmp_path, monkeypatch, compiled, "off")
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_a_lazy_run_peaks_below_d_vectors(tmp_path, monkeypatch, compiled):
+    check_wide_run_peak(tmp_path, monkeypatch, compiled, "on")
 
 
 def test_cli_rejects_an_epoch_length_beyond_physical_memory(tmp_path, capsys):
@@ -737,16 +746,19 @@ def test_epoch_length_check_covers_the_longest_stage_loop(monkeypatch, algo):
 
 
 @pytest.mark.parametrize("sampling", ["uniform", "weighted"])
-@pytest.mark.parametrize("engine", ["compiled", "skeleton", "lazy"])
+@pytest.mark.parametrize("engine", ["compiled", "skeleton", "lazy-compiled",
+                                    "lazy-numpy"])
 def test_epoch_length_check_covers_a_stage_peak(monkeypatch, engine, sampling):
     # At d = 20 the draws dominate a stage's tracemalloc peak; the check
     # must count at least that many bytes.
     m, b = 2000, 20
     config = lasso_config(batch=b, epoch_len=m, sampling=sampling)
     run = resolve(config)
-    stage = lazy_one_stage_accsvrda if engine == "lazy" else one_stage_accsvrda
+    lazy = engine.startswith("lazy")
+    stage = lazy_one_stage_accsvrda if lazy else one_stage_accsvrda
     x = np.zeros(run.problem.d)
-    monkeypatch.setattr(stage_loop, "COMPILED", engine == "compiled")
+    monkeypatch.setattr(stage_loop, "COMPILED",
+                        engine in ("compiled", "lazy-compiled"))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

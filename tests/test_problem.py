@@ -269,3 +269,54 @@ def test_problems_on_the_same_data_keep_their_own_margins(full_products):
         assert full_products == [form] * 3
         assert margins(prob, x) is not margins(other, x)
         full_products.clear()
+
+
+#: Run by a child with scipy's private ``_sparsetools`` module hidden, as
+#: a scipy that moved it would have it: ``dasvrda`` must import and give
+#: the digest of :func:`numpy_paths_digest` through scipy's public gather
+#: and products.
+HIDDEN_SPARSETOOLS = """\
+import sys
+import scipy.sparse   # loads the module for scipy's own use first
+sys.modules["scipy.sparse._sparsetools"] = None
+sys.path[:0] = sys.argv[1:]
+from dasvrda import problem
+assert problem.csr_matvec is problem.csc_matvec is problem.csr_row_index is None
+import test_problem
+print(test_problem.numpy_paths_digest())
+"""
+
+
+def numpy_paths_digest():
+    """SHA-256 of two sparse runs on the numpy paths, one per engine, which
+    gather rows and take both products of :class:`Rows` at every step."""
+    import hashlib
+
+    from dasvrda import RunConfig, SyntheticSpec, run_experiment, stage_loop
+
+    spec = SyntheticSpec(kind="ridge-logistic", n=120, d=40, density=0.2, seed=3)
+    digest = hashlib.sha256()
+    old, stage_loop.COMPILED = stage_loop.COMPILED, False
+    try:
+        for lazy in ("on", "off"):
+            result = run_experiment(RunConfig(
+                algo="dasvrda-sc", loss="logistic", l1=1e-3, l2=1e-3, synthetic=spec,
+                batch=4, lazy=lazy, stages=3, restarts=2))
+            digest.update(result.x.tobytes())
+            digest.update(np.array([r.objective for r in result.records]).tobytes())
+    finally:
+        stage_loop.COMPILED = old
+    return digest.hexdigest()
+
+
+def test_a_scipy_without_its_private_loops_gives_the_same_bits():
+    import os
+    import subprocess
+    import sys
+
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    child = subprocess.run([sys.executable, "-c", HIDDEN_SPARSETOOLS, tests, src],
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr[-4000:]
+    assert child.stdout.split() == [numpy_paths_digest()]

@@ -1,7 +1,9 @@
-"""The dense stages' two paths: the compiled loop against its oracle, the
-numpy skeleton, bit for bit; the skeleton wherever the loop cannot run;
-and the build's failures."""
+"""The stages' two paths: the compiled dense loop against its oracle, the
+numpy skeleton, and the compiled lazy stage against its oracle, the numpy
+``LazyStage``, bit for bit; numpy wherever the library cannot run; and the
+build's failures."""
 
+import ast
 import itertools
 import os
 import shutil
@@ -17,6 +19,7 @@ import scipy.sparse as sp
 from dasvrda import (
     ElasticNet,
     IidUniform,
+    LazyStage,
     Logistic,
     RunConfig,
     SmoothedHinge,
@@ -34,6 +37,7 @@ from dasvrda import (
     smoothness_weighted,
     stage_loop,
 )
+from dasvrda import lazy
 from test_acceptance import _sparse_logistic_instance
 
 STAGES = {"acc": one_stage_accsvrda, "dasvrg": one_stage_dasvrg, "svrg": one_stage_svrg}
@@ -42,10 +46,12 @@ LOSSES = {"squared": Squared(), "logistic": Logistic(), "hinge": SmoothedHinge(0
 REGS = {"l1l2": (1e-2, 1e-2), "l1": (1e-2, 0.0), "l2": (0.0, 1e-2), "none": (0.0, 0.0)}
 
 
-def sparse_problem(loss, l1=1e-2, l2=1e-2, wide=False, seed=0, n=60, d=30, scale=1.0):
+def sparse_problem(loss, l1=1e-2, l2=1e-2, wide=False, seed=0, n=60, d=30, scale=1.0,
+                   density=0.2):
     """A sparse problem with an empty row, its indices int32 or int64."""
     rng = np.random.default_rng(seed)
-    mat = np.where(rng.random((n, d)) < 0.2, scale * rng.standard_normal((n, d)), 0.0)
+    mat = np.where(rng.random((n, d)) < density, scale * rng.standard_normal((n, d)),
+                   0.0)
     mat[7] = 0.0
     if loss.classification:
         labels = np.where(rng.random(n) < 0.5, -1.0, 1.0)
@@ -120,14 +126,22 @@ def edge_problems():
     yield rng.standard_normal((n, 3)), labels, np.array([[n - 1]])
 
 
-def check_edges():
-    """Both paths on every edge problem, stage kind, loss and index width,
-    with and without weights: the same bits."""
+def edge_datasets():
+    """Each edge problem's data with int32 and with int64 indices, and its
+    batches."""
     for (mat, labels, idx), wide in itertools.product(edge_problems(), (False, True)):
         data = make_dataset(mat, labels)
         if wide:
             data.features.indices = data.features.indices.astype(np.int64)
             data.features.indptr = data.features.indptr.astype(np.int64)
+        yield data, idx
+
+
+def check_edges():
+    """Both paths on every edge problem, stage kind, loss and index width,
+    with and without weights: the same bits."""
+    for data, idx in edge_datasets():
+        mat = data.features
         for loss, kind in itertools.product(LOSSES.values(), STAGE_KINDS):
             problem = make_problem(data, loss, ElasticNet(1e-2, 1e-2))
             for scheme in (IidUniform(problem.n), smoothness_weighted(problem)):
@@ -137,7 +151,8 @@ def check_edges():
                         outs.append(run_stage_on(kind, problem, scheme, idx, compiled))
                     assert paths == ({"compiled"} if compiled
                                      else {"numpy: compiled loop off"})
-                assert bits(outs[0]) == bits(outs[1]), (mat.shape, loss, kind, wide)
+                assert bits(outs[0]) == bits(outs[1]), (mat.shape, mat.indices.dtype,
+                                                        loss, kind)
 
 
 def run_stage_on(kind, problem, scheme, idx, compiled):
@@ -158,6 +173,109 @@ def test_loop_matches_the_skeleton_at_the_edges(compiled_loop):
     check_edges()
 
 
+# ---------------------------------------------------------------------------
+# The lazy stage's two paths.
+
+
+def finish_lazy(problem, scheme, start, compiled, m=40, b=4, idx=None, cap=None):
+    """A :class:`LazyStage` from ``start`` at a fixed anchor, finished on one
+    path, on the batches ``idx`` if given and with ``lazy.BLOCK_ENTRIES``
+    at ``cap`` if given: its output and last-touch state, its ``touched``
+    and the paths it took."""
+    anchor = 0.3 * np.random.default_rng(7).standard_normal(problem.d)
+    if idx is not None:
+        m, b = idx.shape
+    old = stage_loop.COMPILED, lazy.BLOCK_ENTRIES
+    stage_loop.COMPILED = compiled
+    lazy.BLOCK_ENTRIES = old[1] if cap is None else cap
+    try:
+        with stage_loop.noting() as paths:
+            run = LazyStage(problem, start, anchor, 0.5 / problem.max_smoothness, m, b,
+                            scheme, make_rng(0))
+            if idx is not None:
+                run.idx = idx
+            out = run.finish()
+    finally:
+        stage_loop.COMPILED, lazy.BLOCK_ENTRIES = old
+    assert run.k == m
+    return (*out, run.x_last, run.z_last, run.g_sum, run.k_last), run.touched, paths
+
+
+def same_bits(got, expect):
+    """Equal arrays, bit for bit where they are not NaN."""
+    for a, e in zip(got, expect):
+        nan = np.isnan(a) if a.dtype.kind == "f" else np.zeros(a.shape, bool)
+        assert np.array_equal(nan, np.isnan(e) if e.dtype.kind == "f" else nan)
+        assert a[~nan].tobytes() == e[~nan].tobytes()
+
+
+def check_lazy_paths_agree(problem, scheme, start, **kwargs):
+    """A lazy stage on each path: the same bits and ``touched``."""
+    fast, fast_touched, fast_paths = finish_lazy(problem, scheme, start, True, **kwargs)
+    slow, slow_touched, slow_paths = finish_lazy(problem, scheme, start, False, **kwargs)
+    assert fast_paths == {"compiled"}
+    assert slow_paths == {"numpy: compiled loop off"}
+    same_bits(fast, slow)
+    assert fast_touched == slow_touched
+
+
+def check_lazy_case(loss, weighted, reg, wide, cut):
+    """One case of the lazy matrix, on columns that most blocks miss, so
+    that blocks catch them up after a skip; ``cut`` cuts every block at
+    ``lazy.BLOCK_ENTRIES`` = 40 (a step or two) and starts from a NaN
+    coordinate."""
+    problem = sparse_problem(LOSSES[loss], *REGS[reg], wide=wide, d=300, density=0.02)
+    scheme = smoothness_weighted(problem) if weighted else IidUniform(problem.n)
+    start = np.random.default_rng(8).standard_normal(problem.d)
+    if cut:
+        start[problem.data.features.indices[0]] = np.nan
+    check_lazy_paths_agree(problem, scheme, start, cap=40 if cut else None)
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut-nan"])
+@pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
+@pytest.mark.parametrize("reg", REGS)
+@pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_lazy_kernel_matches_the_lazy_stage_bit_for_bit(compiled_loop, loss, weighted,
+                                                        reg, wide, cut):
+    check_lazy_case(loss, weighted, reg, wide, cut)
+
+
+def check_lazy_edges():
+    """Both lazy paths on every edge problem, loss and index width, with
+    and without weights, whole and cut at one entry from a NaN start."""
+    for data, idx in edge_datasets():
+        for loss in LOSSES.values():
+            problem = make_problem(data, loss, ElasticNet(1e-2, 1e-2))
+            start = 0.3 * np.random.default_rng(9).standard_normal(problem.d)
+            nan_start = start.copy()
+            nan_start[0] = np.nan
+            for scheme in (IidUniform(problem.n), smoothness_weighted(problem)):
+                check_lazy_paths_agree(problem, scheme, start, idx=idx)
+                check_lazy_paths_agree(problem, scheme, nan_start, idx=idx, cap=1)
+
+
+def test_lazy_kernel_matches_the_lazy_stage_at_the_edges(compiled_loop):
+    check_lazy_edges()
+
+
+def test_the_lazy_kernel_takes_only_an_unstepped_stage(compiled_loop):
+    # A stage that has stepped finishes on numpy, with the bits of a whole
+    # compiled run.
+    problem = sparse_problem(Logistic())
+    args = (problem, np.zeros(problem.d), np.ones(problem.d), 0.1, 12, 3,
+            IidUniform(problem.n))
+    whole = LazyStage(*args, make_rng(0))
+    stepped = LazyStage(*args, make_rng(0))
+    stepped.step()
+    with stage_loop.noting() as paths:
+        expect = whole.finish()
+        got = stepped.finish()
+    assert paths == {"compiled", "numpy: stage already stepped"}
+    assert bits(got) == bits(expect) and stepped.touched == whole.touched
+
+
 #: Flags added to :data:`stage_loop.CFLAGS` for the sanitized build.
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
@@ -168,12 +286,16 @@ sys.path[:0] = sys.argv[1:]
 import test_stage_loop as cases
 from dasvrda import stage_loop
 stage_loop.CFLAGS += cases.SANITIZE
-loop = stage_loop._loop()
-assert not isinstance(loop, str), loop
+kernels = stage_loop._library()
+assert not isinstance(kernels, str), kernels
 for case in itertools.product(cases.STAGES, cases.LOSSES, (False, True), cases.REGS,
                               (False, True)):
     cases.check_paths_agree(*case)
 cases.check_edges()
+for case in itertools.product(cases.LOSSES, (False, True), cases.REGS, (False, True),
+                              (False, True)):
+    cases.check_lazy_case(*case)
+cases.check_lazy_edges()
 print("sanitized cases passed")
 """
 
@@ -190,9 +312,9 @@ def runtime(name):
 
 
 def test_loop_is_clean_under_address_and_undefined_sanitizers(tmp_path):
-    # The loop reads every row through unchecked pointers; built with both
-    # sanitizers, an out-of-bounds access or undefined operation in any of
-    # the equality cases aborts the child.
+    # Both kernels read every row through unchecked pointers; built with
+    # both sanitizers, an out-of-bounds access or undefined operation in any
+    # of the equality cases aborts the child.
     if shutil.which(stage_loop.CC) is None:
         pytest.skip(f"no C compiler {stage_loop.CC!r}")
     asan, ubsan = runtime("libasan.so"), runtime("libubsan.so")
@@ -207,7 +329,7 @@ def test_loop_is_clean_under_address_and_undefined_sanitizers(tmp_path):
     assert child.returncode == 0, child.stderr[-4000:]
     assert "sanitized cases passed" in child.stdout
     built = os.listdir(tmp_path / "dasvrda")
-    assert len(built) == 1 and built[0].startswith("stage_loop-")
+    assert len(built) == 1 and built[0].startswith("kernels-")
 
 
 def test_the_bitwise_cases_hold_signed_zeros(compiled_loop):
@@ -312,12 +434,14 @@ def unbuilt(monkeypatch, cache):
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
 
 
-def test_runs_report_their_loop(compiled_loop):
+def test_runs_report_their_loop(compiled_loop, monkeypatch):
     assert run_experiment(sparse_config()).header["loop"] == "compiled"
-    assert (run_experiment(sparse_config(lazy="on")).header["loop"]
-            == "none: lazy engine")
+    assert run_experiment(sparse_config(lazy="on")).header["loop"] == "compiled"
     assert (run_experiment(sparse_config(algo="pg", stages=2, restarts=None))
-            .header["loop"] == "none: no dense stage ran")
+            .header["loop"] == "none: no stage ran")
+    monkeypatch.setattr(stage_loop, "COMPILED", False)
+    assert (run_experiment(sparse_config(lazy="on")).header["loop"]
+            == "numpy: compiled loop off")
 
 
 def test_a_missing_compiler_runs_the_skeleton_with_the_same_bits(compiled_loop,
@@ -343,12 +467,24 @@ def test_an_unwritable_cache_runs_the_skeleton_with_the_same_bits(compiled_loop,
 
 def test_a_build_builds_into_the_cache_once(compiled_loop, monkeypatch, tmp_path):
     unbuilt(monkeypatch, tmp_path)
-    assert not isinstance(stage_loop._loop(), str)
+    assert not isinstance(stage_loop._library(), str)
     built = os.listdir(tmp_path / "dasvrda")
-    assert len(built) == 1 and built[0].startswith("stage_loop-")
+    assert len(built) == 1 and built[0].startswith("kernels-")
     monkeypatch.setattr(stage_loop, "_loaded", None)
     monkeypatch.setattr(stage_loop, "CC", os.path.join(os.sep, "no", "such", "cc"))
-    assert not isinstance(stage_loop._loop(), str)   # loaded from the cache
+    assert not isinstance(stage_loop._library(), str)   # loaded from the cache
+
+
+def test_every_c_source_ships_with_the_package():
+    # An installed package without one of them would fail its build and run
+    # numpy.
+    with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "pyproject.toml")) as handle:
+        lines = handle.read().split("[tool.setuptools.package-data]", 1)[1].splitlines()
+    listed = ast.literal_eval(next(line for line in lines if line.startswith("dasvrda"))
+                              .split("=", 1)[1].strip())
+    assert "stage_loop.c" in stage_loop.sources()
+    assert sorted(listed) == stage_loop.sources()
 
 
 def test_a_hung_compiler_is_killed(monkeypatch, tmp_path):
@@ -359,7 +495,7 @@ def test_a_hung_compiler_is_killed(monkeypatch, tmp_path):
     monkeypatch.setattr(stage_loop, "CC", str(slow))
     monkeypatch.setattr(stage_loop, "BUILD_TIMEOUT", 0.5)
     started = time.perf_counter()
-    assert stage_loop._loop() == "numpy: C build timed out"
+    assert stage_loop._library() == "numpy: C build timed out"
     assert time.perf_counter() - started < 10
     assert os.listdir(tmp_path / "dasvrda") == []
 
@@ -367,5 +503,5 @@ def test_a_hung_compiler_is_killed(monkeypatch, tmp_path):
 def test_a_failed_build_runs_the_skeleton(monkeypatch, tmp_path):
     unbuilt(monkeypatch, tmp_path)
     monkeypatch.setattr(stage_loop, "CC", "false")
-    assert stage_loop._loop() == "numpy: C build failed"
+    assert stage_loop._library() == "numpy: C build failed"
     assert os.listdir(tmp_path / "dasvrda") == []
