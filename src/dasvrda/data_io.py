@@ -1,11 +1,21 @@
 """Dataset input/output: svmlight/libsvm text files and seeded synthetic
-problem generators."""
+problem generators.
+
+:func:`load_libsvm` parses a file in one call of the compiled library's
+svmlight parser (``svmlight.c``, built on first use by
+:mod:`~dasvrda.stage_loop`, so a run's first use may be this load).  Its
+per-token Python loop runs wherever the parser cannot: no library,
+:data:`~dasvrda.stage_loop.COMPILED` off, or a line outside the parser's
+grammar.  The loop gives the same arrays, raises every error the loader
+reports, and is the parser's test oracle.
+"""
 
 from __future__ import annotations
 
 import gzip
 import math
 import os
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -13,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
+from . import stage_loop
 from .problem import Dataset, make_dataset, row_norms_sq
 
 #: Largest feature index an svmlight file may use: columns are stored as
@@ -20,10 +31,10 @@ from .problem import Dataset, make_dataset, row_norms_sq
 _MAX_INDEX = 2**31 - 1
 
 
-def _open_text(path: str):
+def _open(path: str, mode: str):
     if str(path).endswith(".gz"):
-        return gzip.open(path, "rt")
-    return open(path, "r")
+        return gzip.open(path, mode)
+    return open(path, mode)
 
 
 def load_libsvm(
@@ -40,14 +51,63 @@ def load_libsvm(
     train/test splits).  With ``binary_labels`` the common {0,1} encoding
     is mapped to {-1,+1} and anything else is rejected.
 
+    The compiled parser (``svmlight.c``) reads the file in one call where
+    it can; a file it stops on, and every file where the library is not
+    loaded, goes through the per-token loop, with the same arrays.  The
+    path taken is noted for the run's ``loop`` header
+    (:func:`~dasvrda.stage_loop.note`).
+
     Malformed input raises ``ValueError`` naming the offending line.
     """
+    parsed = _parse_compiled(path)
+    if parsed is None:
+        parsed = _parse_lines(path)
+    return _assemble(path, *parsed, dim=dim, binary_labels=binary_labels)
+
+
+def _parse_compiled(path: str):
+    """The file's labels, ``indptr``, ``indices``, ``data`` and largest
+    index from the compiled parser, or None where the loop must parse it:
+    no library, a read that fails (the loop reports it), or a line outside
+    the parser's grammar."""
+    kernels = stage_loop.library()
+    if isinstance(kernels, str):
+        stage_loop.note(kernels)
+        return None
+    try:
+        with _open(path, "rb") as handle:
+            raw = handle.read()
+    except (OSError, EOFError, zlib.error) as exc:
+        stage_loop.note(f"python loader: {type(exc).__name__} reading the file")
+        return None
+    # A row takes a line and an entry a colon: capacities the kernel cannot
+    # pass.
+    lines = raw.count(b"\n") + raw.count(b"\r") + 1
+    entries = raw.count(b":")
+    labels, data = np.empty(lines), np.empty(entries)
+    indptr = np.empty(lines + 1, dtype=np.int32)
+    indices = np.empty(entries, dtype=np.int32)
+    counts = np.zeros(3, dtype=np.int64)
+    ptr = stage_loop.pointer
+    stop = kernels.svmlight(raw, len(raw), lines, entries, ptr(labels), ptr(indptr),
+                            ptr(indices), ptr(data), ptr(counts))
+    if stop:
+        stage_loop.note(f"python loader: line {stop} outside the compiled grammar")
+        return None
+    stage_loop.note(kernels)
+    rows, nnz, max_index = counts.tolist()
+    return labels[:rows], indptr[:rows + 1], indices[:nnz], data[:nnz], max_index
+
+
+def _parse_lines(path: str):
+    """What :func:`_parse_compiled` returns, from the per-token loop,
+    which raises on a malformed line."""
     data: list[float] = []
     indices: list[int] = []
     indptr: list[int] = [0]
     labels: list[float] = []
     max_index = 0
-    with _open_text(path) as handle:
+    with _open(path, "rt") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
@@ -96,14 +156,21 @@ def load_libsvm(
             max_index = max(max_index, prev_index)
             labels.append(label)
             indptr.append(len(indices))
-    if not labels:
+    return (np.asarray(labels, dtype=np.float64), np.asarray(indptr, dtype=np.int32),
+            np.asarray(indices, dtype=np.int32), np.asarray(data, dtype=np.float64),
+            max_index)
+
+
+def _assemble(path, labels, indptr, indices, data, max_index, *, dim, binary_labels):
+    """The dataset of parsed rows, after the checks on the whole file."""
+    if not labels.size:
         raise ValueError(f"{path}: no examples")
     d = max_index if dim is None else dim
     if d < max_index:
         raise ValueError(
             f"{path}: dim={dim} is below the largest feature index {max_index}"
         )
-    y = np.asarray(labels, dtype=np.float64)
+    y = labels
     if binary_labels:
         zero_one = np.isin(y, (0.0, 1.0))
         pm_one = np.isin(y, (-1.0, 1.0))
@@ -114,14 +181,7 @@ def load_libsvm(
             raise ValueError(
                 f"{path}: label {bad} is not binary ({{0,1}} or {{-1,+1}})"
             )
-    mat = sp.csr_matrix(
-        (
-            np.asarray(data, dtype=np.float64),
-            np.asarray(indices, dtype=np.int32),
-            np.asarray(indptr, dtype=np.int32),
-        ),
-        shape=(len(labels), d),
-    )
+    mat = sp.csr_matrix((data, indices, indptr), shape=(labels.size, d))
     return make_dataset(mat, y)
 
 

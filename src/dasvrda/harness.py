@@ -381,6 +381,8 @@ def resolve(config: RunConfig) -> ResolvedRun:
         )
     if config.dim is not None and config.synthetic is not None:
         raise ConfigError("--dim only applies to --data")
+    if config.dim is not None and config.dim < 0:
+        raise ConfigError(f"dim must be nonnegative, got {config.dim}")
     if config.budget is None and config.stages is None:
         raise ConfigError("need a budget or an explicit stage count")
     if config.budget is not None and config.budget < 1:
@@ -526,7 +528,8 @@ class _Diverged(Exception):
 
 def run_experiment(config: RunConfig) -> RunResult:
     """Execute one configured run and (optionally) write its trace file."""
-    run = resolve(config)
+    with noting() as loaded:
+        run = resolve(config)
     problem = run.problem
     cfg = run.config
     algo = ALGORITHMS[cfg.algo]
@@ -568,8 +571,10 @@ def run_experiment(config: RunConfig) -> RunResult:
             x = algo.run(run, x0, rng, hooks)
         except _Diverged:
             x = x0
-    # Set from the stages that ran, so it says what this machine ran.
-    run.header["loop"] = "; ".join(sorted(loops)) or "none: no stage ran"
+    # Set from the stages that ran, and from the loader where it did not
+    # parse compiled, so it says what this machine ran.
+    paths = (loops or {"none: no stage ran"}) | (loaded - {"compiled"})
+    run.header["loop"] = "; ".join(sorted(paths))
 
     if cfg.trace_path is not None:
         write_trace(cfg.trace_path, run.header, records)

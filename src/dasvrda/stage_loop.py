@@ -19,16 +19,20 @@ and anchor terms ``w * anchor.derivs / b`` are gathered once; then
   loop's test oracle.
 
 The lazy engine's :class:`~dasvrda.lazy.LazyStage` takes the library's
-other kernel (``lazy_stage.c``) the same way, through :func:`kernels`.
+lazy kernel (``lazy_stage.c``) the same way, through :func:`kernels`, and
+:func:`~dasvrda.data_io.load_libsvm` its svmlight parser (``svmlight.c``),
+through :func:`library`.
 
-The library is compiled on first use, never at import: the system ``cc``
-builds every C source of the package (:func:`sources`) with :data:`CFLAGS`
-into ``$XDG_CACHE_HOME/dasvrda`` (default ``~/.cache/dasvrda``), under a
-name keyed by the hash of the sources and the flags, and ``ctypes`` loads
-it.  The build writes a name of its own and renames it into place, so two
-processes may build at once.  Any failure leaves the numpy paths to run,
-and :func:`noting` collects the path each stage took and why, which the
-trace header reports as ``loop``.
+The library is compiled on first use, never at import: the load of an
+svmlight file, or else the first stage.  The system ``cc`` builds every C
+source of the package (:func:`sources`) with :data:`CFLAGS` into
+``$XDG_CACHE_HOME/dasvrda`` (default ``~/.cache/dasvrda``), under a name
+keyed by the hash of the sources and the flags, and ``ctypes`` loads it.
+The build writes a name of its own and renames it into place, so two
+processes may build at once, and then removes the other versions' builds.
+Any failure leaves the Python paths to run, and :func:`noting` collects
+the path each stage and load took and why, which the trace header reports
+as ``loop``.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import contextlib
 import ctypes
 import hashlib
 import os
+import re
 import signal
 import subprocess
 import tempfile
@@ -66,11 +71,13 @@ CC = "cc"
 CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 #: Seconds the build may take before it is killed.
 BUILD_TIMEOUT = 120.0
-#: Whether stages may take the compiled kernels; off, every stage runs
-#: numpy.
+#: Whether stages and svmlight loads may take the compiled kernels; off,
+#: every stage runs numpy and every load the Python loop.
 COMPILED = True
 
 _INT = (np.dtype(np.int32), np.dtype(np.int64))
+#: The name of a build of the library in :func:`cache_dir`.
+_BUILD_NAME = re.compile(r"kernels-[0-9a-f]{16}\.so")
 
 
 def theta_inner(k: int) -> float:
@@ -102,6 +109,7 @@ class Kernels:
 
     dense: Callable
     lazy: Callable
+    svmlight: Callable
 
 
 def sources() -> list[str]:
@@ -126,7 +134,10 @@ def _declare(lib: ctypes.CDLL) -> Kernels:
     lazy.argtypes = ([int_, dbl, i64, i64, i64, int_] + [ptr] * 9 + [dbl] * 3
                      + [ptr] * 2 + [i64] * 2 + [ptr] * 7 + [i64] + [ptr] * 3)
     lazy.restype = i64
-    return Kernels(dense, lazy)
+    svmlight = lib.dasvrda_svmlight
+    svmlight.argtypes = [ptr] + [i64] * 3 + [ptr] * 5
+    svmlight.restype = i64
+    return Kernels(dense, lazy, svmlight)
 
 
 def _build() -> Union[Kernels, str]:
@@ -150,6 +161,7 @@ def _build() -> Union[Kernels, str]:
                            tmp)
             if why is None:
                 os.replace(tmp, lib)
+                _prune(directory, os.path.basename(lib))
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
@@ -159,6 +171,16 @@ def _build() -> Union[Kernels, str]:
         return _declare(ctypes.CDLL(lib))
     except (OSError, AttributeError):
         return "numpy: cannot load the compiled library"
+
+
+def _prune(directory: str, keep: str) -> None:
+    """Remove from ``directory`` every build of the library but ``keep``:
+    the names :func:`_build` writes, and no other."""
+    with contextlib.suppress(OSError):
+        for name in os.listdir(directory):
+            if name != keep and _BUILD_NAME.fullmatch(name):
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(directory, name))
 
 
 def _compile(paths: list[str], out: str) -> Optional[str]:
@@ -192,6 +214,15 @@ def _library() -> Union[Kernels, str]:
     return _loaded
 
 
+#: Why nothing runs compiled while :data:`COMPILED` is off.
+_OFF = "numpy: compiled loop off"
+
+
+def library() -> Union[Kernels, str]:
+    """The compiled kernels, built first if need be, or why not."""
+    return _library() if COMPILED else _OFF
+
+
 # ---------------------------------------------------------------------------
 # Paths.
 
@@ -202,9 +233,10 @@ _notes: Optional[set] = None
 
 @contextlib.contextmanager
 def noting():
-    """Collect, in the set it yields, the path that each stage run inside
-    the block takes: ``compiled``, or ``numpy: <why>``.  An enclosing block
-    gets them too."""
+    """Collect, in the set it yields, the path that each stage or svmlight
+    load run inside the block takes: ``compiled``, ``numpy: <why>``, or
+    for a load ``python loader: <why>``.  An enclosing block gets them
+    too."""
     global _notes
     outer, _notes = _notes, set()
     try:
@@ -216,8 +248,8 @@ def noting():
 
 
 def note(path: Union[Kernels, str]) -> None:
-    """Note a stage's path, the :class:`Kernels` it runs or why not, in
-    the innermost :func:`noting` block."""
+    """Note a stage's or a load's path, the :class:`Kernels` it runs or
+    why not, in the innermost :func:`noting` block."""
     if _notes is not None:
         _notes.add(path if isinstance(path, str) else "compiled")
 
@@ -227,12 +259,12 @@ def kernels(problem: Problem) -> Union[Kernels, str]:
     why not."""
     mat = problem.data.features
     if not COMPILED:
-        return "numpy: compiled loop off"
+        return _OFF
     if type(problem.loss) not in LOSSES:
         return f"numpy: no compiled {type(problem.loss).__name__} loss"
     if mat.indptr.dtype != mat.indices.dtype or mat.indices.dtype not in _INT:
         return "numpy: index types not both int32 or int64"
-    return _library()
+    return library()
 
 
 def _path(problem: Problem, b: int, on_iterate) -> Union[Kernels, str]:

@@ -1,5 +1,7 @@
 import gzip
 import hashlib
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ from dasvrda import (
     normalize_rows,
     save_libsvm,
 )
-from dasvrda import ElasticNet, Logistic, Squared, data_io, make_problem
+from dasvrda import ElasticNet, Logistic, Squared, data_io, make_problem, stage_loop
 from dasvrda.reference import problem_fingerprint
 
 
@@ -107,6 +109,275 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.labels, data.labels)
     assert (back.features != data.features).nnz == 0
     assert np.array_equal(back.features.data, data.features.data)
+
+
+# ---------------------------------------------------------------------------
+# The compiled parser against its oracle, the loop.
+
+
+def load_on(path, compiled, **kwargs):
+    """``load_libsvm`` on one path: the dataset's arrays (dtype, shape and
+    bytes) or the exception's type and message, and the paths noted."""
+    old = stage_loop.COMPILED
+    stage_loop.COMPILED = compiled
+    try:
+        with stage_loop.noting() as paths:
+            try:
+                data = load_libsvm(path, **kwargs)
+            except Exception as exc:
+                return (type(exc), str(exc)), paths
+    finally:
+        stage_loop.COMPILED = old
+    feats = data.features
+    return ([(a.dtype.str, a.shape, a.tobytes())
+             for a in (data.labels, feats.indptr, feats.indices, feats.data)], paths)
+
+
+def check_parsers_agree(raw, stop=0, name="data.txt", **kwargs):
+    """Both paths on a file of the bytes ``raw`` (gzip-compressed for a
+    ``.gz`` name): the same arrays or the same error.  The compiled path
+    notes ``compiled``, or the line ``stop`` that sends the file to the
+    loop; ``stop=None`` takes either."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with (gzip.open if name.endswith(".gz") else open)(path, "wb") as handle:
+            handle.write(raw)
+        fast, paths = load_on(path, True, **kwargs)
+        slow, slow_paths = load_on(path, False, **kwargs)
+    assert fast == slow, raw
+    assert slow_paths == {"numpy: compiled loop off"}
+    line = parse_exact(raw)
+    assert paths == ({"compiled"} if line == 0 else
+                     {f"python loader: line {line} outside the compiled grammar"})
+    if stop == 0:
+        assert paths == {"compiled"}, raw
+    elif stop is not None:
+        assert paths == {f"python loader: line {stop} outside the compiled grammar"}
+    return fast
+
+
+def parse_exact(raw):
+    """The kernel's stop line on ``raw``, which it reads from a heap block
+    of exactly ``len(raw)`` bytes: a sanitized build sees a read past it."""
+    buf = np.frombuffer(raw, dtype=np.uint8).copy()
+    lines, entries = raw.count(b"\n") + raw.count(b"\r") + 1, raw.count(b":")
+    labels, data = np.empty(lines), np.empty(entries)
+    indptr = np.empty(lines + 1, dtype=np.int32)
+    indices = np.empty(entries, dtype=np.int32)
+    counts = np.zeros(3, dtype=np.int64)
+    return stage_loop.library().svmlight(
+        buf.ctypes.data, len(raw), lines, entries, labels.ctypes.data,
+        indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, counts.ctypes.data)
+
+
+#: Files of the compiled grammar, which the kernel parses whole: ``(bytes,
+#: keyword arguments)``.
+GRAMMAR = [
+    (b"1 1:1\r\n-1 2:2\r\n", {}),
+    (b"1 1:1\r-1 2:2\r", {}),
+    (b"1 1:1\r\r\n-1 2:2\n\r", {}),
+    (b"\r", {}),
+    (b"1\t1:1\t2:2\n-1\x0b3:3\x0c\n", {}),
+    (b"\x1c1 1:1\x1d\x1e 2:5\x1f\n", {}),
+    (b"\n  \n\t\n1 1:1\n \x0c \n-1 2:2\n\n", {}),
+    (b"1 1:1\n-1 2:2", {}),
+    (b"1 1:1\n-1", {}),
+    (b"1 12:3e5", {}),
+    (b"+1 1:1\n-1 1:1\n.5 1:1\n5. 1:1\n-.5e-3 1:1\n1E+05 1:1\n-0 1:1\n+0.0 1:1\n"
+     b"007 1:1\n1e0000000000000000000001 1:1\n", {}),
+    (b"1 1:0.1234567890123456789 2:-1.7976931348623157e308 "
+     b"3:2.2250738585072014e-308 4:0 5:-0 6:0.0 7:1e-5 8:.5 9:5. 10:-5.E-1\n", {}),
+    (b"-1 1:0.30000000000000004 2:1.0000000000000002 3:9007199254740993\n", {}),
+    (b"1\n-1\n1 3:1\n\n-1\n", {}),
+    (b"1 007:1 0010:2\n", {}),
+    (b"1 2147483647:1\n", {}),
+    (b"1 1:0." + b"0" * 120 + b"1\n", {}),
+    (b"1 1:1" + b"0" * 110 + b"e-110", {}),
+    (b"1 2:1\n", dict(dim=6)),
+    (b"1 2:1\n", dict(dim=1)),
+    (b"1 2:1\n", dict(dim=-1)),
+    (b"1\n-1\n", dict(dim=0)),
+    (b"0 1:1\n1 1:2\n", dict(binary_labels=True)),
+    (b"-1 1:1\n1 1:2\n", dict(binary_labels=True)),
+    (b"2 1:1\n", dict(binary_labels=True)),
+    (b"", {}),
+    (b" \t\r\n\x0c\n ", {}),
+]
+
+#: Malformed files, which the kernel stops on at the line given and the
+#: loop reports: every case of ``test_malformed_lines_are_reported`` and
+#: more.
+STOPS = [
+    (b"x 1:1\n", 1),
+    (b"1 1:one\n", 1),
+    (b"1 0:2\n", 1),
+    (b"1 2:1 2:3\n", 1),
+    (b"1 3:1 2:3\n", 1),
+    (b"1 1:nan\n", 1),
+    (b"nan 1:1\n", 1),
+    (b"1 1:1\ninf 1:1\n", 2),
+    (b"1 1:1\n1 oops\n", 2),
+    (b"1 1:1 3000000000:2\n", 1),
+    (b"1 1:1\r\n\r\n1 12345678901:1", 3),
+    (b"1 1:1e400\n", 1),
+    (b"-1e400 1:1\n", 1),
+    (b"1 1:1\x00\n", 1),
+    (b"1 1:\n", 1),
+    (b"1 :1\n", 1),
+    (b"1 1:1:2\n", 1),
+    (b"1 -1:1\n", 1),
+    (b"1 1:1 2\n", 1),
+    (b"1 1:1e\n", 1),
+    (b"1 1:.\n", 1),
+    (b"1 1:1.5.3\n", 1),
+    (b"1,5 1:1\n", 1),
+    (b"1 1:1\xff\n", 1),
+    (b"1 2:1\r1 1:inf", 2),
+    (b"1 1:1\n\x00", 2),
+    (b"1 1:Infinity\n", 1),
+]
+
+#: Valid files outside the grammar, which the kernel stops on at the line
+#: given and the loop loads.
+EXOTIC = [
+    (b"1_0 1:1\n", 1),
+    (b"1 +3:1\n", 1),
+    (b"1 1:1_5\n", 1),
+    (b"1\xc2\xa02:1\n", 1),
+    (b"1 1:1\n1 \xe2\x80\x83 2:1\n", 2),
+    (b"1 1:1\n\xc2\x85\n", 2),
+    (b"1 \xef\xbc\x91:1\n", 1),
+    (b"1 1:1\n1_0 +3:1_5 4:2\n", 2),
+]
+
+#: Subnormal and underflowing values: the kernel takes them where its
+#: strtod sets no ERANGE, the loop where it does.
+UNDERFLOW = [b"1 1:4.9e-324 2:2.2250738585072009e-308\n", b"1 1:1e-400\n",
+             b"1e-320 1:1\n"]
+
+
+@pytest.mark.parametrize("raw,kwargs", GRAMMAR,
+                         ids=[str(i) for i in range(len(GRAMMAR))])
+def test_the_compiled_parser_gives_the_loops_arrays(compiled_loop, raw, kwargs):
+    check_parsers_agree(raw, **kwargs)
+
+
+@pytest.mark.parametrize("raw,stop", STOPS, ids=[str(i) for i in range(len(STOPS))])
+def test_a_malformed_file_raises_the_loops_error(compiled_loop, raw, stop):
+    assert isinstance(check_parsers_agree(raw, stop), tuple)
+
+
+@pytest.mark.parametrize("raw,stop", EXOTIC, ids=[str(i) for i in range(len(EXOTIC))])
+def test_the_loop_loads_valid_text_outside_the_grammar(compiled_loop, raw, stop):
+    assert not isinstance(check_parsers_agree(raw, stop), tuple)
+
+
+def test_underflowing_values_take_either_path(compiled_loop):
+    for raw in UNDERFLOW:
+        check_parsers_agree(raw, None)
+
+
+def test_gzip_files_take_the_compiled_parser(compiled_loop):
+    check_parsers_agree(b"1 1:0.25 3:-4\r\n-1 2:8", name="data.txt.gz")
+    check_parsers_agree(b"1 1:0.25\n-1 x:8\n", 2, name="data.txt.gz")
+    # A stream that ends early: the loop reports what it meets first, the
+    # end or a malformed line before it.
+    for text, error in ((b"1 1:0.25 3:-4\n" * 200, EOFError),
+                        (b"x 1:1\n" * 200, ValueError)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cut.txt.gz")
+            with open(path, "wb") as handle:
+                handle.write(gzip.compress(text)[:-12])
+            fast, paths = load_on(path, True)
+            assert fast == load_on(path, False)[0] and fast[0] is error
+            assert paths == {"python loader: EOFError reading the file"}
+
+
+def random_file(rng) -> bytes:
+    """A few lines of svmlight-like text: separators, line ends, number
+    forms and increasing indices drawn at random, and now and then a byte
+    replaced or a feature out of order."""
+    seps = [b" ", b"  ", b"\t", b"\x0b", b"\x0c", b"\x1f", b" \t"]
+    ends = [b"\n", b"\r\n", b"\r", b"\n\n", b" \n", b"\t\r"]
+
+    def number():
+        v = rng.standard_normal() * 10.0 ** int(rng.integers(-5, 6))
+        form = int(rng.integers(7))
+        text = [repr(v), f"{v:.3e}", str(int(v)), f"{v:.0f}.", "-0", ".5", "1E+2"][form]
+        return text.encode()
+
+    out = []
+    for _ in range(int(rng.integers(0, 6))):
+        line = [number()]
+        index = 0
+        for _ in range(int(rng.integers(0, 6))):
+            index += int(rng.integers(1, 4)) if rng.random() > 0.03 else -1
+            line.append(str(index).encode() + b":" + number())
+        out.append(seps[int(rng.integers(len(seps)))].join(line))
+        out.append(ends[int(rng.integers(len(ends)))])
+    raw = bytearray(b"".join(out))
+    if raw and rng.random() < 0.3:
+        swaps = b"x:_+-.e \x00\r9"
+        raw[int(rng.integers(len(raw)))] = swaps[int(rng.integers(len(swaps)))]
+    if raw and rng.random() < 0.2:
+        del raw[int(rng.integers(len(raw))):]
+    return bytes(raw)
+
+
+def check_random_files(count=300, seed=0):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        check_parsers_agree(random_file(rng), None)
+
+
+def test_the_parsers_agree_on_random_text(compiled_loop):
+    check_random_files()
+
+
+def check_parser_cases():
+    """Every parser case above: the sanitized build runs these."""
+    for raw, kwargs in GRAMMAR:
+        check_parsers_agree(raw, **kwargs)
+    for raw, stop in STOPS + EXOTIC:
+        check_parsers_agree(raw, stop)
+    for raw in UNDERFLOW:
+        check_parsers_agree(raw, None)
+    check_random_files(100)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "loop"])
+def test_the_loaders_peak_per_stored_entry(request, tmp_path, compiled):
+    # The compiled path holds the file's bytes and then four arrays, and
+    # make_dataset copies them once; the loop holds a Python float and int
+    # per entry.
+    if compiled:
+        request.getfixturevalue("compiled_loop")
+    rng = np.random.default_rng(1)
+    n, k, d = 1000, 25, 50_000
+    with open(tmp_path / "big.svm", "w") as handle:
+        for _ in range(n):
+            cols = np.sort(rng.choice(d, k, replace=False)) + 1
+            handle.write(f"{rng.choice((-1, 1))} " + " ".join(
+                f"{c}:{float(v)!r}" for c, v in zip(cols, rng.standard_normal(k)))
+                + "\n")
+    path = str(tmp_path / "big.svm")
+    entries, size = n * k, os.path.getsize(path)
+    old = stage_loop.COMPILED
+    stage_loop.COMPILED = compiled
+    tracemalloc.start()
+    try:
+        with stage_loop.noting() as paths:
+            data = load_libsvm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        stage_loop.COMPILED = old
+    assert data.features.nnz == entries
+    if compiled:
+        assert paths == {"compiled"}
+        assert peak <= size + 32 * entries
+    else:
+        assert peak <= 130 * entries, peak / entries
 
 
 # ---------------------------------------------------------------------------

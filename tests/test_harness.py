@@ -275,6 +275,9 @@ def test_header_names_the_form_of_the_full_pass():
         (dict(gamma=float("nan")), "momentum parameter must be finite"),
         (dict(gamma=float("inf")), "momentum parameter must be finite"),
         (dict(seed=-1), "seed must be nonnegative, got -1"),
+        # Rejected before the (missing) file is read.
+        (dict(synthetic=None, data_path="/no/such/file.txt", dim=-1),
+         "dim must be nonnegative, got -1"),
     ],
 )
 def test_resolve_rejects_bad_configs(overrides, fragment):
@@ -664,6 +667,21 @@ def test_cli_rejects_a_dim_beyond_physical_memory(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "d=1099511627776" in err and "physical memory" in err
     assert not trace.exists()
+
+
+def test_cli_rejects_a_negative_dim_and_runs_dim_zero(tmp_path, capsys):
+    # A file without features: d = 0 runs, and a negative dim names the
+    # setting rather than the file's largest index.
+    data = tmp_path / "bare.svm"
+    data.write_text("1\n-1\n2\n")
+    trace = tmp_path / "t.csv"
+    args = ["run", "--data", str(data), "--l1", "1e-3", "--budget", "12",
+            "--trace", str(trace), "--dim"]
+    assert main(args + ["-1"]) == 2
+    assert "dim must be nonnegative, got -1" in capsys.readouterr().err
+    assert not trace.exists()
+    assert main(args + ["0"]) == 0
+    assert trace.exists()
 
 
 def test_d_check_runs_before_the_synthetic_draw(monkeypatch):

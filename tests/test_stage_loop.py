@@ -25,6 +25,7 @@ from dasvrda import (
     SmoothedHinge,
     Squared,
     SyntheticSpec,
+    generate_synthetic,
     make_anchor,
     make_dataset,
     make_problem,
@@ -34,6 +35,7 @@ from dasvrda import (
     one_stage_dasvrg,
     one_stage_svrg,
     run_experiment,
+    save_libsvm,
     smoothness_weighted,
     stage_loop,
 )
@@ -260,6 +262,23 @@ def test_lazy_kernel_matches_the_lazy_stage_at_the_edges(compiled_loop):
     check_lazy_edges()
 
 
+def check_lazy_signed_zero_start():
+    """Both lazy paths from a start of -0.0 that a strong threshold holds at
+    zero across skipped blocks: x comes out +0.0, the sign of the
+    catch-ups' zero total."""
+    for wide, weighted in itertools.product((False, True), (False, True)):
+        problem = sparse_problem(Logistic(), 5.0, 1e-2, wide=wide, d=300, density=0.02)
+        scheme = smoothness_weighted(problem) if weighted else IidUniform(problem.n)
+        check_lazy_paths_agree(problem, scheme, np.full(problem.d, -0.0), cap=40)
+        (x, *_), _, _ = finish_lazy(problem, scheme, np.full(problem.d, -0.0), True,
+                                    cap=40)
+        assert np.all(x == 0.0) and not np.signbit(x).any()
+
+
+def test_lazy_paths_agree_from_a_signed_zero_start(compiled_loop):
+    check_lazy_signed_zero_start()
+
+
 def test_the_lazy_kernel_takes_only_an_unstepped_stage(compiled_loop):
     # A stage that has stepped finishes on numpy, with the bits of a whole
     # compiled run.
@@ -279,10 +298,12 @@ def test_the_lazy_kernel_takes_only_an_unstepped_stage(compiled_loop):
 #: Flags added to :data:`stage_loop.CFLAGS` for the sanitized build.
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
-#: Run by the sanitized child: every equality case, then the edges.
+#: Run by the sanitized child: every equality case, then the edges, then
+#: the parser's cases.
 SANITIZED_RUN = """\
 import itertools, sys
 sys.path[:0] = sys.argv[1:]
+import test_data_io as parser_cases
 import test_stage_loop as cases
 from dasvrda import stage_loop
 stage_loop.CFLAGS += cases.SANITIZE
@@ -296,6 +317,8 @@ for case in itertools.product(cases.LOSSES, (False, True), cases.REGS, (False, T
                               (False, True)):
     cases.check_lazy_case(*case)
 cases.check_lazy_edges()
+cases.check_lazy_signed_zero_start()
+parser_cases.check_parser_cases()
 print("sanitized cases passed")
 """
 
@@ -312,16 +335,18 @@ def runtime(name):
 
 
 def test_loop_is_clean_under_address_and_undefined_sanitizers(tmp_path):
-    # Both kernels read every row through unchecked pointers; built with
-    # both sanitizers, an out-of-bounds access or undefined operation in any
-    # of the equality cases aborts the child.
+    # The stage kernels read every row through unchecked pointers, and the
+    # parser reads a file's bytes; built with both sanitizers, an
+    # out-of-bounds access or undefined operation in any of the equality
+    # cases aborts the child.  Python's own allocator is off there, so each
+    # buffer is a heap block of its own.
     if shutil.which(stage_loop.CC) is None:
         pytest.skip(f"no C compiler {stage_loop.CC!r}")
     asan, ubsan = runtime("libasan.so"), runtime("libubsan.so")
     if asan is None or ubsan is None:
         pytest.skip("no sanitizer runtime")
     env = dict(os.environ, LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0",
-               XDG_CACHE_HOME=str(tmp_path))
+               PYTHONMALLOC="malloc", XDG_CACHE_HOME=str(tmp_path))
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(os.path.abspath(stage_loop.__file__)))
     child = subprocess.run([sys.executable, "-c", SANITIZED_RUN, tests, src], env=env,
@@ -444,6 +469,30 @@ def test_runs_report_their_loop(compiled_loop, monkeypatch):
             == "numpy: compiled loop off")
 
 
+def test_file_runs_name_a_loader_not_compiled(compiled_loop, monkeypatch, tmp_path):
+    # The second file holds the same rows with a no-break space, which the
+    # loop takes as a separator and the compiled parser stops on.
+    data, _ = generate_synthetic(sparse_config().synthetic)
+    plain, exotic = tmp_path / "plain.svm", tmp_path / "exotic.svm"
+    save_libsvm(data, str(plain))
+    exotic.write_text(plain.read_text().replace(" ", "\u00a0", 1), encoding="utf-8")
+    runs = {}
+    for path in (plain, exotic):
+        runs[path] = run_experiment(sparse_config(synthetic=None, data_path=str(path)))
+    assert runs[plain].header["loop"] == "compiled"
+    assert runs[exotic].header["loop"] == (
+        "compiled; python loader: line 1 outside the compiled grammar")
+    assert outcome(runs[plain]) == outcome(runs[exotic])
+    pg = run_experiment(sparse_config(synthetic=None, data_path=str(exotic), algo="pg",
+                                      stages=2, restarts=None))
+    assert pg.header["loop"] == (
+        "none: no stage ran; python loader: line 1 outside the compiled grammar")
+    monkeypatch.setattr(stage_loop, "COMPILED", False)
+    off = run_experiment(sparse_config(synthetic=None, data_path=str(plain)))
+    assert off.header["loop"] == "numpy: compiled loop off"
+    assert outcome(off) == outcome(runs[plain])
+
+
 def test_a_missing_compiler_runs_the_skeleton_with_the_same_bits(compiled_loop,
                                                                  monkeypatch, tmp_path):
     compiled = run_experiment(sparse_config(algo="svrg", restarts=None))
@@ -473,6 +522,27 @@ def test_a_build_builds_into_the_cache_once(compiled_loop, monkeypatch, tmp_path
     monkeypatch.setattr(stage_loop, "_loaded", None)
     monkeypatch.setattr(stage_loop, "CC", os.path.join(os.sep, "no", "such", "cc"))
     assert not isinstance(stage_loop._library(), str)   # loaded from the cache
+
+
+def test_a_build_removes_the_caches_older_builds(compiled_loop, monkeypatch, tmp_path):
+    # Only another build's name goes: not a temporary of a build under way,
+    # an older library's name, or anything else.
+    cache = tmp_path / "dasvrda"
+    cache.mkdir()
+    others = ["tmpk2j4_x9q.so", "stage_loop-79a19158a36097d7.so", "notes.txt",
+              "kernels-0123.so", "kernels-0123456789ABCDEF.so"]
+    for name in ["kernels-0123456789abcdef.so", *others]:
+        (cache / name).write_text("")
+    unbuilt(monkeypatch, tmp_path)
+    assert not isinstance(stage_loop._library(), str)
+    built = sorted(set(os.listdir(cache)) - set(others))
+    assert len(built) == 1 and built[0] != "kernels-0123456789abcdef.so"
+    assert sorted(os.listdir(cache)) == sorted(built + others)
+    # A library loaded from the cache removes nothing.
+    (cache / "kernels-0123456789abcdef.so").write_text("")
+    monkeypatch.setattr(stage_loop, "_loaded", None)
+    assert not isinstance(stage_loop._library(), str)
+    assert "kernels-0123456789abcdef.so" in os.listdir(cache)
 
 
 def test_every_c_source_ships_with_the_package():
