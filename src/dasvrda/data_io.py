@@ -89,8 +89,8 @@ def _parse_compiled(path: str):
     indices = np.empty(entries, dtype=np.int32)
     counts = np.zeros(3, dtype=np.int64)
     ptr = stage_loop.pointer
-    stop = kernels.svmlight(raw, len(raw), lines, entries, ptr(labels), ptr(indptr),
-                            ptr(indices), ptr(data), ptr(counts))
+    stop = kernels.dasvrda_svmlight(raw, len(raw), lines, entries, ptr(labels),
+                                    ptr(indptr), ptr(indices), ptr(data), ptr(counts))
     if stop:
         stage_loop.note(f"python loader: line {stop} outside the compiled grammar")
         return None

@@ -10,8 +10,10 @@ budget cannot cover.
 
 from __future__ import annotations
 
+import gzip
 import math
 import time
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional, get_type_hints
 
@@ -293,6 +295,10 @@ def load_problem(config: RunConfig) -> Problem:
             data = load_libsvm(
                 config.data_path, dim=config.dim, binary_labels=loss.classification
             )
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            # gzip's errors for a cut or corrupt stream do not name the file.
+            raise ConfigError(
+                f"{config.data_path}: corrupt gzip stream: {exc}") from None
         except (OSError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
     # Checked before anything of length d is allocated.

@@ -1,6 +1,6 @@
-/* What both kernels of the compiled library share: index access of either
- * width, the losses' derivatives and the elastic-net prox, each with the
- * bits of its numpy statement.
+/* What both stage kernels of the compiled library share: the problem,
+ * index access of either width, the losses' derivatives and the
+ * elastic-net prox, each with the bits of its numpy statement.
  *
  *   - the logistic derivative takes expit(u) = 1 / (1 + exp(-u)), as
  *     scipy.special.expit does;
@@ -17,6 +17,17 @@
 
 /* The losses; stage_loop.py uses the same numbers. */
 enum { SQUARED = 0, LOGISTIC = 1, SMOOTHED_HINGE = 2 };
+
+/* A problem, as stage_loop.Handle, which stage_loop.py builds and checks
+ * once and whose arrays it makes read-only: its CSR rows, n labels, the
+ * longest row's length, the loss, its nu (else 0) and the elastic net. */
+struct problem {
+    const void *indptr, *indices;   /* int64 if wide, else int32 */
+    const double *data, *labels;
+    int64_t n, d, row_max;
+    int wide, loss;
+    double nu, l1, l2;
+};
 
 /* Entry i of an index array of either width. */
 static inline int64_t at(const void *a, int wide, int64_t i)

@@ -61,18 +61,15 @@ one sweep that catches up every coordinate in chunks of
 :data:`SWEEP_CHUNK`.
 
 The compiled path: :meth:`LazyStage.finish` runs a stage that has not
-stepped yet as one call of the library's lazy kernel (``lazy_stage.c``,
-loaded by :func:`~dasvrda.stage_loop.kernels`), which keeps these blocks,
-their catch-ups, their csr-order products and the sweep, expression by
-expression, and so the bits and ``touched`` of :meth:`LazyStage.step` and
-:meth:`LazyStage.snapshot`.  There the per-call overhead is gone and the
-blocks only keep the bits: a step costs its union's arithmetic and its
-share of one block's catch-up and of the sweep.  At ``d = 100000`` with
-20 nonzeros per row, batch 16 and 250 steps (the benchmark's
-highd-svmlight stage), a step costs about 85 us compiled against 270-340
-us on numpy, the stage's setup included and its anchor not (one thread of
-a 2-vCPU x86-64 VM).  The numpy methods run where the kernel cannot and
-are its test oracle.
+stepped yet as one call of the library's lazy kernel (``lazy_stage.c``),
+which keeps these blocks, their catch-ups, their csr-order products and
+the sweep expression by expression, and so the bits and ``touched`` of
+:meth:`LazyStage.step` and :meth:`LazyStage.snapshot`; those run where the
+kernel cannot and are its test oracle.  On the benchmark's highd-svmlight
+stage (d = 100000, 20 nonzeros per row, b = 16, m = 250) the kernel's
+steps cost about 35 us each; with the stage's setup and sweep, a step
+costs about 68 us compiled and 185 us on numpy, its anchor not counted
+(one thread of a 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
@@ -85,7 +82,6 @@ import numpy as np
 # its module (the per-layer tracer's dense prox span) does not count the
 # lazy engine's calls.
 from . import stage_loop
-from .losses import SmoothedHinge
 from .problem import ElasticNet, Problem, Rows, prox_elastic_net, row_entries
 from .sampling import SamplingScheme, draw_batch, make_anchor
 from .solvers import theta_pair
@@ -342,7 +338,6 @@ class LazyStage:
         self.tables = build_prefix_tables(m + 1, self.eta, self.reg.l2)
         self.weights = scheme.weights
         self.idx = draw_batch(scheme, rng, b, m)
-        self._labels = problem.data.labels
         self._block: _Block | None = None
         self.touched = 0
 
@@ -394,7 +389,7 @@ class LazyStage:
         # derivative deltas against the anchor; the block's columns the
         # batch misses get g_part = 0: their plain recurrence.
         t_y = rows.dot(keep * block.x + inv * block.z)
-        dy = self.problem.loss.derivatives(t_y, self._labels[idx])
+        dy = self.problem.loss.derivatives(t_y, self.problem.data.labels[idx])
         delta = dy - self.anchor_derivs[idx]
         if self.weights is not None:
             delta = self.weights[idx] * delta
@@ -442,7 +437,7 @@ class LazyStage:
                 else "numpy: stage already stepped")
         stage_loop.note(path)
         if not isinstance(path, str):
-            return self._compiled(path.lazy)
+            return self._compiled(path.dasvrda_lazy_stage)
         while self.k < self.m:
             self.step()
         x, z = self.snapshot()
@@ -451,42 +446,29 @@ class LazyStage:
 
     def _compiled(self, fn) -> tuple[np.ndarray, np.ndarray]:
         """All steps and the sweep in one call of the compiled kernel
-        ``fn``, after checking every array it reads or writes; leaves the
-        last-touch state as :meth:`step` would."""
-        problem, (m, b) = self.problem, self.idx.shape
-        stage_loop.check_rows(problem, self.idx)
-        mat, (n, d) = problem.data.features, (problem.n, problem.d)
-        vectors = [self.tilde_grad, self.z0, self.x_last, self.z_last, self.g_sum]
-        per_row = [self._labels, self.anchor_derivs] + (
-            [] if self.weights is None else [self.weights])
-        tables = [self.tables.s, self.tables.s_quad]
-        floats = vectors + per_row + tables
-        if (any(v.shape != (d,) for v in vectors) or any(r.shape != (n,) for r in per_row)
-                or any(t.shape != (m + 2,) for t in tables)
-                or any(a.dtype != np.float64 for a in floats)
-                or self.k_last.shape != (d,) or self.k_last.dtype != np.int64
-                or not all(a.flags.c_contiguous for a in floats + [self.k_last])):
-            raise ValueError("a stage array has the wrong shape, type or layout")
+        ``fn``, after :func:`~dasvrda.stage_loop.handle` checks the stage's
+        rows and arrays; leaves the last-touch state as :meth:`step` would."""
+        problem, (m, b), d = self.problem, self.idx.shape, self.problem.d
+        tables = (self.tables.s, self.tables.s_quad)
+        state = (self.x_last, self.z_last, self.g_sum)
+        kept = stage_loop.handle(
+            problem, self.idx, (d, np.float64, (self.tilde_grad, self.z0, *state)),
+            (problem.n, np.float64, (self.anchor_derivs, self.weights)),
+            (m + 2, np.float64, tables), (d, np.int64, (self.k_last,)))
         # A block's union: at most its entries, BLOCK_ENTRIES unless it is
         # one step, and at most d.
-        row_max = int(np.diff(mat.indptr).max())
-        cap = min(d, max(min(BLOCK_ENTRIES, BLOCK_STEPS * b * row_max), b * row_max))
+        row = b * kept.row_max
+        cap = min(d, max(min(BLOCK_ENTRIES, BLOCK_STEPS * row), row))
         slot = np.full(d, -1, dtype=np.int64)
         ints, union = np.empty((2, cap), dtype=np.int64), np.empty((7, cap))
         x, z = np.empty(d), np.empty(d)
-        loss = problem.loss
-        nu = loss.nu if isinstance(loss, SmoothedHinge) else 0.0
         ptr = stage_loop.pointer
-        # Every array stays referenced by a local name until the call returns.
+        # Every array stays referenced by a name until the call returns.
         self.touched += fn(
-            stage_loop.LOSSES[type(loss)], nu, m, b, d,
-            int(mat.indices.dtype == np.int64), ptr(mat.indptr), ptr(mat.indices),
-            ptr(mat.data), ptr(self.idx), ptr(self._labels), ptr(self.weights),
-            ptr(self.anchor_derivs), ptr(self.tilde_grad), ptr(self.z0), self.eta,
-            self.reg.l1, self.reg.l2, ptr(self.tables.s), ptr(self.tables.s_quad),
-            BLOCK_STEPS, BLOCK_ENTRIES, ptr(self.x_last), ptr(self.z_last),
-            ptr(self.g_sum), ptr(self.k_last), ptr(x), ptr(z), ptr(slot), cap,
-            ptr(ints[0]), ptr(ints[1]), ptr(union)) + d
+            kept, m, b, ptr(self.idx), ptr(self.weights), ptr(self.anchor_derivs),
+            ptr(self.tilde_grad), ptr(self.z0), self.eta, *map(ptr, tables),
+            BLOCK_STEPS, BLOCK_ENTRIES, *map(ptr, state), ptr(self.k_last), ptr(x),
+            ptr(z), ptr(slot), cap, *map(ptr, ints), ptr(union)) + d
         self.k = m
         return x, z
 

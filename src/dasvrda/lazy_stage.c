@@ -18,7 +18,8 @@
  *
  * Each coordinate's arithmetic depends on its own state only, so the
  * order of the union's columns (first seen here, sorted in LazyStage)
- * moves no bit.  The caller checks every shape, type and index bound.
+ * moves no bit.  stage_loop.py checks the problem once, and a stage's
+ * rows and arrays.
  */
 
 #include "kernels.h"
@@ -106,11 +107,11 @@ static inline void catch_up(double x_last, double z0, double g_sum, double tg,
     *x = (tp_kj * x_last + total) / tp_now;
 }
 
-/* Runs steps 1..m of a lazy stage on the rows idx (m x b) and then sweeps
- * every coordinate to iteration m; returns the distinct (step, column)
- * pairs its steps touched.
+/* Runs steps 1..m of a lazy stage on prob's rows idx (m x b) and then
+ * sweeps every coordinate to iteration m; returns the distinct (step,
+ * column) pairs its steps touched.
  *
- *   labels, derivs (the anchor's) and w (NULL: all one) have n entries;
+ *   derivs (the anchor's) and w (NULL: all one) have n entries;
  *   tg (the anchor gradient) and z0 (the start) have d;
  *   s and q are the prefix tables, m + 2 entries each;
  *   x_last, z_last, g_sum and k_last (d each) are the last-touch state, in
@@ -119,18 +120,20 @@ static inline void catch_up(double x_last, double z0, double g_sum, double tg,
  * Scratch: slot (d, every entry -1 on entry and on return) numbers the
  * open block's columns; cols and stamp (cap each) and u (7 cap) hold the
  * union's columns and state, cap at least any block's union. */
-int64_t dasvrda_lazy_stage(int loss, double nu, int64_t m, int64_t b, int64_t d,
-                           int wide, const void *indptr, const void *indices,
-                           const double *data, const int64_t *idx,
-                           const double *labels, const double *w,
+int64_t dasvrda_lazy_stage(const struct problem *prob, int64_t m, int64_t b,
+                           const int64_t *idx, const double *w,
                            const double *derivs, const double *tg,
-                           const double *z0, double eta, double l1, double l2,
-                           const double *s, const double *q, int64_t block_steps,
+                           const double *z0, double eta, const double *s,
+                           const double *q, int64_t block_steps,
                            int64_t block_entries, double *x_last, double *z_last,
                            double *g_sum, int64_t *k_last, double *x, double *z,
                            int64_t *slot, int64_t cap, int64_t *cols,
                            int64_t *stamp, double *u)
 {
+    const void *indptr = prob->indptr, *indices = prob->indices;
+    const double *data = prob->data, *labels = prob->labels;
+    double l1 = prob->l1, l2 = prob->l2;
+    int wide = prob->wide;
     double *ux = u, *uz = u + cap, *ug = u + 2 * cap, *uz0 = u + 3 * cap;
     double *utg = u + 4 * cap, *up = u + 5 * cap, *ugp = u + 6 * cap;
     int64_t touched = 0;
@@ -207,7 +210,7 @@ int64_t dasvrda_lazy_stage(int loss, double nu, int64_t m, int64_t b, int64_t d,
                 double t = 0.0;
                 for (int64_t e = lo; e < hi; e++)
                     t += data[e] * up[slot[at(indices, wide, e)]];
-                double delta = derivative(loss, nu, t, labels[rows[r]])
+                double delta = derivative(prob->loss, prob->nu, t, labels[rows[r]])
                     - derivs[rows[r]];
                 if (w)
                     delta = w[rows[r]] * delta;
@@ -232,7 +235,7 @@ int64_t dasvrda_lazy_stage(int loss, double nu, int64_t m, int64_t b, int64_t d,
             slot[c] = -1;
         }
     }
-    for (int64_t c = 0; c < d; c++) {
+    for (int64_t c = 0; c < prob->d; c++) {
         if (k_last[c] < m) {
             catch_up(x_last[c], z0[c], g_sum[c], tg[c], k_last[c], m, s, q, eta, l1,
                      l2, &x[c], &z[c]);

@@ -44,11 +44,12 @@ SMOOTHNESS_FLOOR = 1e-12
 #: Most stored entries of a block of rows that takes the csr form of
 #: :class:`Rows` even when the matrix stores every entry; above it, such a
 #: block takes BLAS on a dense view.  On one thread of a 2-vCPU x86-64 VM
-#: (``python tools/fit_engine.py kernel``, d = 50), BLAS is faster per
-#: minibatch step (its gather included) from 500 entries, the fewest
-#: measured, and per full pass from about 6000, but the limit stays where
-#: it was placed against an older form: lowering it would move small fully
-#: stored problems' trajectories at rounding level.
+#: (``python tools/fit_engine.py kernel``, d = 50), a dense stage's step is
+#: faster on the compiled csr loop than on the skeleton's BLAS form (its
+#: gather included) up to 16000 entries per batch and slower from 32000,
+#: and a full pass is faster in BLAS from about 3000, but the limit stays
+#: where it was placed against an older form: moving it would move small
+#: fully stored problems' trajectories at rounding level.
 BLAS_ABOVE_ENTRIES = 6000
 
 
@@ -124,6 +125,9 @@ class Problem:
     #: read-only arrays: a copy of the point and ``A @ point``.
     swept: tuple = field(default=(None, None), init=False, repr=False,
                          compare=False)
+    #: The compiled kernels' :class:`~dasvrda.stage_loop.Handle` of this
+    #: problem, built by the first stage that takes a kernel.
+    handle: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

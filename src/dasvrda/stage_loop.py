@@ -5,14 +5,14 @@ on one of two paths with the same bits.
 :func:`~dasvrda.solvers.one_stage_accsvrda`,
 :func:`~dasvrda.solvers.one_stage_dasvrg` or
 :func:`~dasvrda.baselines.one_stage_svrg` once the stage function has made
-its anchor and drawn its batches.  The stage's labels, importance weights
-and anchor terms ``w * anchor.derivs / b`` are gathered once; then
+its anchor and drawn its batches.  Then
 
 * the compiled loop (``stage_loop.c``) runs every step in one call,
-  reading each step's rows straight from the design matrix's CSR arrays
-  with the arithmetic of the csr form of :class:`~dasvrda.problem.Rows`;
-* the numpy skeleton (:func:`_skeleton`) runs the same steps with numpy
-  calls, in-place buffers and :func:`~dasvrda.problem.take_rows`.  It runs
+  reading each step's rows straight from the problem's CSR arrays with
+  the arithmetic of the csr form of :class:`~dasvrda.problem.Rows`;
+* the numpy skeleton (:func:`_skeleton`) gathers the stage's labels,
+  weights and anchor terms once and runs the same steps with numpy calls,
+  in-place buffers and :func:`~dasvrda.problem.take_rows`.  It runs
   wherever the loop cannot: a batch of the BLAS dense form
   (:func:`~dasvrda.problem.dense_view`), an ``on_iterate`` hook, no C
   compiler, a failed build, or :data:`COMPILED` off.  It is also the
@@ -22,6 +22,10 @@ The lazy engine's :class:`~dasvrda.lazy.LazyStage` takes the library's
 lazy kernel (``lazy_stage.c``) the same way, through :func:`kernels`, and
 :func:`~dasvrda.data_io.load_libsvm` its svmlight parser (``svmlight.c``),
 through :func:`library`.
+
+Both stage kernels take the problem's facts as one :class:`Handle`, which
+the first stage that takes a kernel builds and checks; each stage then
+checks only its own rows and vectors (:func:`handle`).
 
 The library is compiled on first use, never at import: the load of an
 svmlight file, or else the first stage.  The system ``cc`` builds every C
@@ -45,7 +49,6 @@ import re
 import signal
 import subprocess
 import tempfile
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -103,13 +106,14 @@ def theta_pair(k: int) -> float:
 # Building and loading the compiled library.
 
 
-@dataclass(frozen=True)
-class Kernels:
-    """The loaded library's kernels, their argument types declared."""
+class Handle(ctypes.Structure):
+    """``struct problem`` of ``kernels.h``; :func:`handle` keeps its sources
+    on it as ``arrays``."""
 
-    dense: Callable
-    lazy: Callable
-    svmlight: Callable
+    _fields_ = ([(f, ctypes.c_void_p) for f in ("indptr", "indices", "data", "labels")]
+                + [(f, ctypes.c_int64) for f in ("n", "d", "row_max")]
+                + [(f, ctypes.c_int) for f in ("wide", "loss")]
+                + [(f, ctypes.c_double) for f in ("nu", "l1", "l2")])
 
 
 def sources() -> list[str]:
@@ -125,22 +129,22 @@ def cache_dir() -> str:
     return os.path.join(root, "dasvrda")
 
 
-def _declare(lib: ctypes.CDLL) -> Kernels:
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """``lib``, its kernels' argument and result types declared."""
     i64, dbl, ptr, int_ = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
+    problem = ctypes.POINTER(Handle)
     dense, lazy = lib.dasvrda_dense_stage, lib.dasvrda_lazy_stage
-    dense.argtypes = ([int_, int_, dbl, i64, i64, i64, int_] + [ptr] * 8 + [dbl] * 3
-                      + [ptr] * 8)
+    dense.argtypes = [problem, int_, i64, i64] + [ptr] * 4 + [dbl] + [ptr] * 8
     dense.restype = None
-    lazy.argtypes = ([int_, dbl, i64, i64, i64, int_] + [ptr] * 9 + [dbl] * 3
-                     + [ptr] * 2 + [i64] * 2 + [ptr] * 7 + [i64] + [ptr] * 3)
+    lazy.argtypes = ([problem, i64, i64] + [ptr] * 5 + [dbl] + [ptr] * 2 + [i64] * 2
+                     + [ptr] * 7 + [i64] + [ptr] * 3)
     lazy.restype = i64
-    svmlight = lib.dasvrda_svmlight
-    svmlight.argtypes = [ptr] + [i64] * 3 + [ptr] * 5
-    svmlight.restype = i64
-    return Kernels(dense, lazy, svmlight)
+    lib.dasvrda_svmlight.argtypes = [ptr] + [i64] * 3 + [ptr] * 5
+    lib.dasvrda_svmlight.restype = i64
+    return lib
 
 
-def _build() -> Union[Kernels, str]:
+def _build() -> Union[ctypes.CDLL, str]:
     """The loaded library, built first if the cache lacks it, or why not."""
     names = sources()
     key = hashlib.sha256(" ".join(CFLAGS).encode())
@@ -204,10 +208,10 @@ def _compile(paths: list[str], out: str) -> Optional[str]:
 
 
 #: The loaded library, or why it is not loaded; None until first needed.
-_loaded: Union[Kernels, str, None] = None
+_loaded: Union[ctypes.CDLL, str, None] = None
 
 
-def _library() -> Union[Kernels, str]:
+def _library() -> Union[ctypes.CDLL, str]:
     global _loaded
     if _loaded is None:
         _loaded = _build()
@@ -218,7 +222,7 @@ def _library() -> Union[Kernels, str]:
 _OFF = "numpy: compiled loop off"
 
 
-def library() -> Union[Kernels, str]:
+def library() -> Union[ctypes.CDLL, str]:
     """The compiled kernels, built first if need be, or why not."""
     return _library() if COMPILED else _OFF
 
@@ -247,14 +251,14 @@ def noting():
         _notes = outer
 
 
-def note(path: Union[Kernels, str]) -> None:
-    """Note a stage's or a load's path, the :class:`Kernels` it runs or
-    why not, in the innermost :func:`noting` block."""
+def note(path: Union[ctypes.CDLL, str]) -> None:
+    """Note a stage's or a load's path, the library it runs or why not, in
+    the innermost :func:`noting` block."""
     if _notes is not None:
         _notes.add(path if isinstance(path, str) else "compiled")
 
 
-def kernels(problem: Problem) -> Union[Kernels, str]:
+def kernels(problem: Problem) -> Union[ctypes.CDLL, str]:
     """The compiled kernels, if a stage on ``problem`` may run them, or
     why not."""
     mat = problem.data.features
@@ -267,33 +271,50 @@ def kernels(problem: Problem) -> Union[Kernels, str]:
     return library()
 
 
-def _path(problem: Problem, b: int, on_iterate) -> Union[Kernels, str]:
-    """The compiled kernels, if a dense stage of batch ``b`` can take
-    them, or the skeleton's reason."""
-    if on_iterate is not None:
-        return "numpy: on_iterate hook"
-    if dense_view(problem.data.features, b) is not None:
-        return "numpy: BLAS dense form"
-    return kernels(problem)
+def handle(problem: Problem, idx: np.ndarray, *groups) -> Handle:
+    """``problem``'s :class:`Handle`, kept as ``problem.handle``, after
+    checking a stage's contiguous int64 rows ``idx`` and its other arrays,
+    each group ``(length, dtype, arrays)`` of which must :func:`_fits`.  On
+    first use, and when an array, the loss or the elastic net was reassigned
+    (compared by identity), it checks what the kernels read unchecked and
+    builds the handle, making the arrays read-only so that no in-place
+    write can leave it stale."""
+    mat, labels = problem.data.features, problem.data.labels
+    arrays = (mat.indptr, mat.indices, mat.data, labels, problem.loss, problem.reg)
+    kept = problem.handle
+    if (kept is None or (kept.n, kept.d) != mat.shape
+            or any(a is not b for a, b in zip(kept.arrays, arrays))):
+        (n, d), nnz = mat.shape, mat.nnz
+        indptr, indices, data, _, loss, reg = arrays
+        if not (_fits(indptr, n + 1, indices.dtype) and indices.dtype in _INT
+                and _fits(indices, nnz, indices.dtype) and _fits(data, nnz, np.float64)
+                and indptr[0] == 0 and indptr[-1] == nnz
+                and np.all(indptr[1:] >= indptr[:-1])):
+            raise ValueError("the design matrix's CSR arrays are malformed")
+        if nnz and not (indices.min() >= 0 and indices.max() < d):
+            raise ValueError(f"a stored column is out of range for d={d}")
+        if not _fits(labels, n, np.float64):
+            raise ValueError(f"the labels are not {n} contiguous float64s")
+        for a in arrays[:4]:
+            a.flags.writeable = False
+        kept = problem.handle = Handle(
+            *map(pointer, arrays[:4]), n, d, int(np.diff(indptr).max()),
+            int(indices.dtype == np.int64), LOSSES[type(loss)],
+            loss.nu if isinstance(loss, SmoothedHinge) else 0.0, reg.l1, reg.l2)
+        kept.arrays = arrays
+    if not (idx.dtype == np.int64 and idx.flags.c_contiguous and idx.min() >= 0
+            and idx.max() < kept.n):
+        raise ValueError(f"the batch rows are not contiguous int64s below n={kept.n}")
+    if not all(_fits(a, length, dtype) for length, dtype, arrays in groups
+               for a in arrays):
+        raise ValueError("a stage array has the wrong shape, type or layout")
+    return kept
 
 
-def check_rows(problem: Problem, idx: np.ndarray) -> None:
-    """Raise unless the design matrix's CSR arrays are well formed and
-    ``idx`` holds int64 rows of it: what every kernel reads unchecked."""
-    mat = problem.data.features
-    n, d = mat.shape
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    if not (indptr.shape == (n + 1,) and indices.shape == data.shape == (mat.nnz,)
-            and data.dtype == np.float64 and indptr[0] == 0
-            and indptr[-1] == mat.nnz and np.all(indptr[1:] >= indptr[:-1])
-            and all(a.flags.c_contiguous for a in (indptr, indices, data))):
-        raise ValueError("the design matrix's CSR arrays are malformed")
-    if mat.nnz and not (indices.min() >= 0 and indices.max() < d):
-        raise ValueError(f"a stored column is out of range for d={d}")
-    if idx.dtype != np.int64 or not (idx.min() >= 0 and idx.max() < n):
-        raise ValueError(f"a batch row is not an int64 below n={n}")
-    if not idx.flags.c_contiguous:
-        raise ValueError("the batch rows are not contiguous")
+def _fits(a: Optional[np.ndarray], length: int, dtype) -> bool:
+    """Whether ``a`` is None (NULL) or a contiguous ``length``-vector of ``dtype``."""
+    return a is None or (a.shape == (length,) and a.dtype == dtype
+                         and a.flags.c_contiguous)
 
 
 def pointer(a: Optional[np.ndarray]) -> Optional[int]:
@@ -322,34 +343,35 @@ def run_stage(
     of them.  A negative ``eta`` raises on both paths."""
     if eta < 0:
         raise ValueError(f"step size must be nonnegative, got eta={eta}")
-    m, b = idx.shape
-    lab = problem.data.labels[idx]
-    w = None if scheme.weights is None else scheme.weights[idx]
-    dxb = anchor.derivs[idx]
-    if w is not None:
-        dxb *= w
-    dxb /= b
     x = np.array(start, dtype=np.float64)
     z = np.zeros_like(x) if kind == SVRG else x.copy()
     z0 = x.copy() if kind == ACC else None
     g_bar = np.zeros_like(x) if kind == ACC else None
-    path = _path(problem, b, on_iterate)
+    args = (kind, problem, anchor, scheme.weights, idx, eta, x, z, z0, g_bar)
+    path = ("numpy: on_iterate hook" if on_iterate is not None
+            else "numpy: BLAS dense form"
+            if dense_view(problem.data.features, idx.shape[1]) is not None
+            else kernels(problem))
     note(path)
     if isinstance(path, str):
-        _skeleton(kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar,
-                  on_iterate)
+        _skeleton(*args, on_iterate)
     else:
-        _compiled(path.dense, kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0,
-                  g_bar)
+        _compiled(path.dasvrda_dense_stage, *args)
     return x, z
 
 
-def _skeleton(kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar,
-              on_iterate):
+def _skeleton(kind, problem, anchor, weights, idx, eta, x, z, z0, g_bar, on_iterate):
     """The steps in numpy, each operation of the compiled loop in its
     order, updating ``x``, ``z`` and ``g_bar`` in place."""
+    m, b = idx.shape
+    lab = problem.data.labels[idx]
+    w = None if weights is None else weights[idx]
+    dxb = anchor.derivs[idx]
+    if w is not None:
+        dxb *= w
+    dxb /= b
     y, tmp = np.empty_like(x), np.empty_like(x)
-    for k in range(1, lab.shape[0] + 1):
+    for k in range(1, m + 1):
         inv = 1.0 / theta_inner(k)
         keep = 1.0 - inv
         point = x
@@ -389,24 +411,14 @@ def _skeleton(kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar,
             on_iterate(k, info)
 
 
-def _compiled(fn, kind, problem, anchor, idx, lab, w, dxb, eta, x, z, z0, g_bar):
-    """The steps in one call of the compiled loop ``fn``, after checking
-    every array it reads or writes."""
-    check_rows(problem, idx)
-    mat = problem.data.features
+def _compiled(fn, kind, problem, anchor, weights, idx, eta, x, z, z0, g_bar):
+    """The steps in one call of the compiled loop ``fn``, after checking the
+    stage's rows and vectors (:func:`handle`)."""
     (m, b), d = idx.shape, problem.d
-    vectors = [x, z, anchor.grad] + [v for v in (z0, g_bar) if v is not None]
-    tables = [lab, dxb] + ([] if w is None else [w])
-    if (any(v.shape != (d,) for v in vectors) or any(t.shape != (m, b) for t in tables)
-            or any(a.dtype != np.float64 for a in vectors + tables)
-            or not all(a.flags.c_contiguous for a in vectors + tables)):
-        raise ValueError("a stage array has the wrong shape, type or layout")
+    kept = handle(problem, idx, (d, np.float64, (x, z, z0, g_bar, anchor.grad)),
+                  (problem.n, np.float64, (anchor.derivs, weights)))
     y, by, bx, t = np.empty(d), np.empty(d), np.empty(d), np.empty(b)
-    loss = problem.loss
-    nu = loss.nu if isinstance(loss, SmoothedHinge) else 0.0
     ptr = pointer
     # Every array stays referenced by a local name until the call returns.
-    fn(kind, LOSSES[type(loss)], nu, m, b, d, int(mat.indices.dtype == np.int64),
-       ptr(mat.indptr), ptr(mat.indices), ptr(mat.data), ptr(idx), ptr(lab), ptr(w),
-       ptr(dxb), ptr(anchor.grad), eta, problem.reg.l1, problem.reg.l2, ptr(x),
-       ptr(z), ptr(z0), ptr(g_bar), ptr(y), ptr(by), ptr(bx), ptr(t))
+    fn(kept, kind, m, b, ptr(idx), ptr(weights), ptr(anchor.derivs), ptr(anchor.grad),
+       eta, ptr(x), ptr(z), ptr(z0), ptr(g_bar), ptr(y), ptr(by), ptr(bx), ptr(t))

@@ -165,7 +165,7 @@ def parse_exact(raw):
     indptr = np.empty(lines + 1, dtype=np.int32)
     indices = np.empty(entries, dtype=np.int32)
     counts = np.zeros(3, dtype=np.int64)
-    return stage_loop.library().svmlight(
+    return stage_loop.library().dasvrda_svmlight(
         buf.ctypes.data, len(raw), lines, entries, labels.ctypes.data,
         indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, counts.ctypes.data)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import json
 import os
 import tracemalloc
@@ -464,6 +465,29 @@ def test_cli_ref_needs_a_stage(tmp_path, capsys, max_stages):
     assert code == 2
     assert "max_stages must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "loop"])
+def test_cli_cut_or_corrupt_gzip_data_exits_2(tmp_path, capsys, monkeypatch, compiled):
+    # gzip raises EOFError for a cut stream, zlib.error for a bad deflate
+    # block and BadGzipFile for a wrong checksum; none names the file.
+    monkeypatch.setattr(stage_loop, "COMPILED", compiled)
+    raw = gzip.compress(b"1 1:0.25 3:-4\n-1 2:8\n" * 100, mtime=0)
+    block, crc = bytearray(raw), bytearray(raw)
+    block[10] = 0xFF   # the first deflate block's header: an invalid type
+    crc[-8] ^= 0xFF
+    trace = tmp_path / "t.csv"
+    for name, data, cause in (("cut", raw[:-12], "Compressed file ended"),
+                              ("block", bytes(block), "invalid block type"),
+                              ("crc", bytes(crc), "CRC check failed")):
+        path = tmp_path / f"{name}.svm.gz"
+        path.write_bytes(data)
+        code = main(["run", "--data", str(path), "--l1", "1e-3", "--budget", "100",
+                     "--trace", str(trace)])
+        err = capsys.readouterr().err
+        assert code == 2, name
+        assert err.startswith(f"error: {path}: corrupt gzip stream: ") and cause in err
+        assert err.count("\n") == 1 and not trace.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import types
 import warnings
 
 import numpy as np
@@ -295,11 +296,138 @@ def test_the_lazy_kernel_takes_only_an_unstepped_stage(compiled_loop):
     assert bits(got) == bits(expect) and stepped.touched == whole.touched
 
 
+# ---------------------------------------------------------------------------
+# The problem handle.
+
+
+def _reassign(name, change):
+    """A break of a fresh problem: its features' array ``name`` replaced by
+    ``change`` of a copy."""
+    def breaks(problem, idx):
+        feats = problem.data.features
+        setattr(feats, name, change(getattr(feats, name).copy()))
+    return breaks
+
+
+def _decrease(indptr):
+    indptr[5] = indptr[-1]   # above indptr[6]: row 5 ends before it starts
+    return indptr
+
+
+def _past_d(indices):
+    indices[0] = 30   # d
+    return indices
+
+
+def _row_n(problem, idx):
+    idx[1, 2] = problem.n
+
+
+#: What each rejected case breaks, and the error it raises.
+REJECTIONS = {
+    "decreasing-indptr": (_reassign("indptr", _decrease), "CSR arrays are malformed"),
+    "column-past-d": (_reassign("indices", _past_d), "stored column is out of range"),
+    "unequal-lengths": (_reassign("data", lambda data: data[:-1]),
+                        "CSR arrays are malformed"),
+    "float32-data": (_reassign("data", lambda data: data.astype(np.float32)),
+                     "CSR arrays are malformed"),
+    "row-past-n": (_row_n, "batch rows are not contiguous int64s below n=60"),
+}
+
+
+def rejected_run(kernel, case):
+    """A stage on ``kernel`` (``"dense"`` or ``"lazy"``) whose problem or
+    batch has the break ``case`` of :data:`REJECTIONS`, made after the
+    anchor's full pass and the draws and before the stage's call."""
+    breaks, _ = REJECTIONS[case]
+    problem = sparse_problem(Logistic())
+    scheme = IidUniform(problem.n)
+    start = np.zeros(problem.d)
+    if kernel == "lazy":
+        run = LazyStage(problem, start, start, 0.1, 12, 3, scheme, make_rng(0))
+        breaks(problem, run.idx)
+        return run.finish
+    anchor = make_anchor(problem, start)
+    idx = make_rng(0).integers(problem.n, size=(12, 3))
+    breaks(problem, idx)
+    return lambda: stage_loop.run_stage(stage_loop.ACC, problem, anchor, scheme, idx,
+                                        start, 0.1)
+
+
+def check_handle_rejections():
+    """Every case of :data:`REJECTIONS` raises its error on both stage
+    kernels, and neither kernel is called."""
+    real = stage_loop._library()
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn)
+            return fn(*args)
+        return call
+
+    stage_loop._loaded = types.SimpleNamespace(
+        dasvrda_dense_stage=counted(real.dasvrda_dense_stage),
+        dasvrda_lazy_stage=counted(real.dasvrda_lazy_stage))
+    try:
+        for kernel, case in itertools.product(("dense", "lazy"), REJECTIONS):
+            run = rejected_run(kernel, case)
+            with stage_loop.noting() as paths, pytest.raises(
+                    ValueError, match=REJECTIONS[case][1]):
+                run()
+            assert paths == {"compiled"}, (kernel, case)
+    finally:
+        stage_loop._loaded = real
+    assert not calls
+
+
+def test_the_handle_rejects_a_malformed_problem_before_any_call(compiled_loop):
+    check_handle_rejections()
+
+
+def test_a_handled_problems_arrays_are_read_only(compiled_loop):
+    problem = sparse_problem(Logistic())
+    feats = problem.data.features
+    feats.data[0] = feats.data[0]   # writable until a stage takes a kernel
+    stage("acc", problem, IidUniform(problem.n), 0.1, True)
+    for array in (feats.indptr, feats.indices, feats.data, problem.data.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+@pytest.mark.parametrize("kernel", ["dense", "lazy"])
+def test_a_reassigned_array_gets_a_new_handle(compiled_loop, kernel):
+    # Each column moves to the next, after a compiled stage and in a twin
+    # that never ran one: the next stage takes a new handle, and has the
+    # bits of the twin's oracle stage.
+    problem, twin = sparse_problem(Logistic()), sparse_problem(Logistic())
+    scheme = IidUniform(problem.n)
+    eta = 0.5 / problem.max_smoothness
+    start = np.random.default_rng(1).standard_normal(problem.d)
+
+    def run(on, compiled):
+        if kernel == "dense":
+            return stage("acc", on, scheme, eta, compiled)[0]
+        return finish_lazy(on, scheme, start, compiled)[0]
+
+    before = run(problem, True)
+    kept = problem.handle
+    assert bits(run(problem, True)) == bits(before) and problem.handle is kept
+    for on in (problem, twin):
+        feats = on.data.features
+        feats.indices = (feats.indices + 1) % on.d
+    problem.swept = (None, None)   # the margins memo is keyed on the point alone
+    after = run(problem, True)
+    assert problem.handle is not kept
+    assert problem.handle.arrays[1] is problem.data.features.indices
+    assert bits(after) == bits(run(twin, False)) != bits(before)
+
+
 #: Flags added to :data:`stage_loop.CFLAGS` for the sanitized build.
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all")
 
-#: Run by the sanitized child: every equality case, then the edges, then
-#: the parser's cases.
+#: Run by the sanitized child: every equality case, then the edges, the
+#: handle's rejections and the parser's cases.
 SANITIZED_RUN = """\
 import itertools, sys
 sys.path[:0] = sys.argv[1:]
@@ -318,6 +446,7 @@ for case in itertools.product(cases.LOSSES, (False, True), cases.REGS, (False, T
     cases.check_lazy_case(*case)
 cases.check_lazy_edges()
 cases.check_lazy_signed_zero_start()
+cases.check_handle_rejections()
 parser_cases.check_parser_cases()
 print("sanitized cases passed")
 """

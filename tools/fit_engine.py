@@ -19,11 +19,12 @@ faster engine.  ``--save`` keeps the timings (``tests/engine_timings.json``
 is one such file, which the tests hold the rule to), ``--load`` checks
 saved ones.
 
-``kernel`` times the two forms of ``problem.Rows`` on fully stored
-matrices (d = 50) -- the csr form and BLAS on the dense view -- as
-``vr_gradient`` uses them per batch (``take_rows`` gather included) and as
-``full_pass`` uses them, over a range of entry counts, to place
-``problem.BLAS_ABOVE_ENTRIES``.
+``kernel`` times, on fully stored matrices (d = 50) over a range of
+entry counts, the two paths of a dense stage step (``stage_loop.run_stage``
+of an accelerated stage: the compiled csr loop, and the numpy skeleton on
+the BLAS form, its ``take_rows`` gather included) and the two forms of
+``problem.Rows`` in ``full_pass`` (csr and BLAS on the dense view), to
+place ``problem.BLAS_ABOVE_ENTRIES``.
 
 ``block`` times one lazy stage per step, as ``engine`` does, against the
 block length ``lazy.BLOCK_STEPS`` on a few of the grid's problems, to place
@@ -50,11 +51,10 @@ import scipy.sparse as sp  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from dasvrda import harness, lazy, problem as problem_module  # noqa: E402
+from dasvrda import harness, lazy, problem as problem_module, stage_loop  # noqa: E402
 from dasvrda import (  # noqa: E402
     ElasticNet, IidUniform, Logistic, lazy_one_stage_accsvrda,
     make_anchor, make_dataset, make_problem, make_rng, one_stage_accsvrda,
-    vr_gradient,
 )
 from dasvrda.problem import full_pass  # noqa: E402
 from dasvrda.sampling import draw_batch  # noqa: E402
@@ -157,9 +157,11 @@ def engine(args) -> int:
 
 
 def kernel(args) -> int:
-    """The csr form against the dense form on fully stored matrices, per
-    call, by entry count."""
+    """The compiled csr loop against the skeleton's BLAS form per stage
+    step, and the csr form against the dense form per full pass, on fully
+    stored matrices, by entry count."""
     forms = {"csr": 10**12, "dense": -1}
+    paths = {"csr": "compiled", "dense": "numpy: BLAS dense form"}
     d = 50
 
     def timed(form: str, fn, reps: int) -> float:
@@ -170,7 +172,7 @@ def kernel(args) -> int:
         finally:
             problem_module.BLAS_ABOVE_ENTRIES = saved
 
-    print("entries  minibatch step: csr  dense (us)   full pass: csr  dense (us)")
+    print("entries  stage step: compiled csr  BLAS (us)   full pass: csr  dense (us)")
     for entries in (500, 1000, 2000, 3000, 4000, 6000, 8000, 16000, 32000,
                     10**5, 10**6):
         b = entries // d
@@ -181,13 +183,19 @@ def kernel(args) -> int:
         y = 0.1 * rng.standard_normal(d)
         m = 40
         idx = draw_batch(scheme, make_rng(0), b, m)
+        eta = 0.1 / problem.max_smoothness
 
         def steps():
-            for k in range(m):
-                vr_gradient(problem, anchor, scheme, y, idx[k])
+            stage_loop.run_stage(stage_loop.ACC, problem, anchor, scheme, idx, y, eta)
 
         reps = max(3, min(50, 10**6 // entries))
-        step = {form: 1e6 * timed(form, steps, reps) / m for form in forms}
+        step = {}
+        for form in forms:
+            with stage_loop.noting() as taken:
+                step[form] = 1e6 * timed(form, steps, reps) / m
+            if taken != {paths[form]}:
+                print(f"the {form} stage took {', '.join(taken)}", file=sys.stderr)
+                return 1
         small = logistic_problem(b, d, d, seed=2)
         x = 0.1 * rng.standard_normal(d)
 
@@ -196,7 +204,7 @@ def kernel(args) -> int:
                 full_pass(small, x)
 
         full = {form: 1e6 * timed(form, passes, 4 * reps) / 10 for form in forms}
-        print(f"{entries:7d}  {step['csr']:17.1f} {step['dense']:6.1f}"
+        print(f"{entries:7d}  {step['csr']:24.1f} {step['dense']:6.1f}"
               f"   {full['csr']:14.1f} {full['dense']:6.1f}", flush=True)
     return 0
 
@@ -236,8 +244,8 @@ def main(argv=None) -> int:
                               "--lazy auto rule")
     p_engine.add_argument("--save")
     p_engine.add_argument("--load")
-    sub.add_parser("kernel", help="time the two forms of the minibatch products "
-                   "on fully stored matrices")
+    sub.add_parser("kernel", help="time the compiled csr loop against the BLAS "
+                   "form on fully stored matrices")
     sub.add_parser("block", help="time the lazy step against its block length")
     args = parser.parse_args(argv)
     return {"engine": engine, "kernel": kernel, "block": block}[args.command](args)
