@@ -12,8 +12,8 @@ import argparse
 import dataclasses
 import sys
 
-from .harness import (ALGORITHMS, LAZY_MODES, LIPSCHITZ, SAMPLINGS, RunConfig,
-                      load_problem, parse_synthetic, run_experiment)
+from .harness import (ALGORITHMS, LAZY_MODES, LAZY_STEP, LIPSCHITZ, SAMPLINGS,
+                      RunConfig, load_problem, parse_synthetic, run_experiment)
 from .reference import compute_reference, save_reference
 
 
@@ -67,13 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--lipschitz", choices=LIPSCHITZ,
                      help="smoothness constant for default step sizes "
                      "(default mean; max under partition sampling)")
+    fixed, per_column, per_swept = LAZY_STEP
     run.add_argument("--lazy", choices=LAZY_MODES,
                      help="sparse just-in-time updates where the algorithm has "
                      "a lazy stage (auto: with an elastic-net term, when "
-                     "d > 800 + 1.25 union + 3 d / epoch length, a lazy step's "
-                     "cost in dense coordinate updates from d, batch size and "
-                     "mean row nonzeros; the trace header's lazy_reason says "
-                     "why)")
+                     f"d > {fixed:g} + {per_column:g} columns + {per_swept:g} d / "
+                     "epoch length, a lazy step's cost in dense coordinate "
+                     "updates, its columns those a batch is expected to hit "
+                     "from d, batch size and mean row nonzeros; the trace "
+                     "header's lazy_reason says why)")
     run.add_argument("--seed", type=int)
     run.add_argument("--budget", type=int, required=True,
                      help="component-gradient evaluation budget")

@@ -23,7 +23,7 @@ from . import __version__
 from .baselines import run_apg, run_pg, run_svrg
 from .data_io import (SyntheticSpec, generate_synthetic, load_libsvm, normalize_rows,
                       physical_memory)
-from .lazy import BLOCK_STEPS, lazy_one_stage_accsvrda
+from .lazy import lazy_one_stage_accsvrda
 from .losses import Logistic, SmoothedHinge, Squared
 from .problem import ElasticNet, Problem, make_problem, objective, products_form
 from .reference import read_reference
@@ -320,28 +320,29 @@ def load_problem(config: RunConfig) -> Problem:
 # The rule of ``--lazy auto``: the lazy engine runs iff a lazy step costs
 # fewer dense coordinate updates than the ``d`` of a dense step.  It pays a
 # fixed overhead (the stage's setup, shared by its steps), a cost per
-# column of its block's expected union (the step's arithmetic on it, its
-# share of the block's catch-up) and a cost per coordinate of its share of
-# the stage's final O(d) sweep, which sends the shortest loops to the dense
+# column its batch is expected to hit (the step's catch-up of the column
+# and its arithmetic on it) and a cost per coordinate of its share of the
+# stage's final O(d) sweep, which sends the shortest loops to the dense
 # engine.  Placed on one-stage timings of both engines, on the compiled
 # kernels, at 55 points (``tests/engine_timings.json``; one thread of a
-# 2-vCPU x86-64 VM): every pick is the faster engine or at most 1.07x
-# slower in three runs.  Each constant alone keeps every pick within 1.2x
-# anywhere in [200, 2000], [0.95, 1.8] or [0, 7.25];
-# ``python tools/fit_engine.py engine`` checks it again.
-#: A lazy step's cost in dense coordinate updates: fixed, per union column,
-#: per swept coordinate.
-LAZY_STEP = (800.0, 1.25, 3.0)
+# 2-vCPU x86-64 VM): every pick is the faster engine or at most 1.03x
+# slower there, and at most 1.13x in a second run.  Each constant alone
+# keeps every pick of both runs within 1.2x anywhere in [650, 1600],
+# [3.0, 6.3] or [0, 7.4]; ``python tools/fit_engine.py engine`` checks it
+# again.
+#: A lazy step's cost in dense coordinate updates: fixed, per column a
+#: batch hits, per swept coordinate.
+LAZY_STEP = (1100.0, 4.5, 3.0)
 
 
 def lazy_step_cost(d: int, entries: float, loop: int) -> float:
     """A lazy step's cost in dense coordinate updates (a dense step costs
     ``d``), from ``d``, a batch's expected entries and the loop length."""
-    # Expected distinct columns hit by the entries of a lazy block of
-    # batches, spread uniformly over the d columns.
-    union = -d * math.expm1(-BLOCK_STEPS * entries / d) if d else 0.0
+    # Expected distinct columns hit by a batch's entries, spread uniformly
+    # over the d columns.
+    columns = -d * math.expm1(-entries / d) if d else 0.0
     fixed, per_column, per_swept = LAZY_STEP
-    return fixed + per_column * union + per_swept * d / loop
+    return fixed + per_column * columns + per_swept * d / loop
 
 
 def choose_engine(

@@ -32,43 +32,28 @@ forms.
 
 The stage driver (:func:`lazy_one_stage_accsvrda`) reproduces the dense
 :func:`~dasvrda.solvers.one_stage_accsvrda` trajectory to rounding noise.
-It runs the steps in blocks of up to :data:`BLOCK_STEPS` consecutive
-steps, and stays lazy across blocks:
-
-* opening a block costs one :func:`~dasvrda.problem.row_entries` of its
-  rows, one ``np.unique`` over their entries, giving the union ``U`` of
-  their columns, and one :func:`catch_up` of ``U`` to the iteration
-  before the block;
-* each step then runs the plain dense recurrence on ``U`` alone, its batch
-  products the csr form of :class:`~dasvrda.problem.Rows` over ``U`` (the
-  block's entries, their columns numbered by position in ``U``), a fixed
-  sequence of about 30 array operations with no catch-up: a column the
-  step's batch misses gets a zero batch gradient, which is exactly its
-  recurrence;
-* closing the block writes ``U``'s state back as its last touch.
-
-Why blocks: on sparse high-``d`` data a step's batch hits a few hundred
-columns, and on arrays that small each of the hundred-odd numpy operations
-of a catch-up (and the ``np.unique``) costs its per-call overhead, not its
-size.  A block pays that once for all its steps; its arrays grow to the
-union, at most :data:`BLOCK_STEPS` times a step's columns, where an
-operation still costs little more than its overhead.  On numpy a step
-therefore costs about 30 operations on ``|U|`` entries plus a share of one
-catch-up of ``|U|`` columns, against the dense stage's work proportional
-to ``d``; :func:`~dasvrda.harness.choose_engine` weighs the two.  There is
-no Python loop over rows, entries or coordinates, and the stage ends with
-one sweep that catches up every coordinate in chunks of
-:data:`SWEEP_CHUNK`.
+Each step costs one :func:`~dasvrda.problem.row_entries` of its batch's
+rows, one ``np.unique`` over their entries, giving the distinct columns
+``U`` they hit, and one :func:`catch_up` of ``U`` to the iteration before
+the step.  It then runs the plain dense recurrence on ``U`` alone, its
+batch products the csr form of :class:`~dasvrda.problem.Rows` over ``U``
+(the batch's entries, their columns numbered by position in ``U``), and
+writes ``U``'s state back as its last touch.  So a step costs a fixed
+sequence of array operations on ``|U|`` entries, against the dense stage's
+work proportional to ``d``; :func:`~dasvrda.harness.choose_engine` weighs
+the two.  There is no Python loop over rows, entries or coordinates, and
+the stage ends with one sweep that catches up every coordinate in chunks
+of :data:`SWEEP_CHUNK`.
 
 The compiled path: :meth:`LazyStage.finish` runs a stage that has not
 stepped yet as one call of the library's lazy kernel (``lazy_stage.c``),
-which keeps these blocks, their catch-ups, their csr-order products and
+which keeps these steps, their catch-ups, their csr-order products and
 the sweep expression by expression, and so the bits and ``touched`` of
 :meth:`LazyStage.step` and :meth:`LazyStage.snapshot`; those run where the
 kernel cannot and are its test oracle.  On the benchmark's highd-svmlight
 stage (d = 100000, 20 nonzeros per row, b = 16, m = 250) the kernel's
-steps cost about 35 us each; with the stage's setup and sweep, a step
-costs about 68 us compiled and 185 us on numpy, its anchor not counted
+steps cost about 24 us each; with the stage's setup and sweep, a step
+costs about 59 us compiled and 330-340 us on numpy, its anchor not counted
 (one thread of a 2-vCPU x86-64 VM).
 """
 
@@ -90,19 +75,6 @@ from .solvers import theta_pair
 #: per-operation overhead, small enough that its temporaries stay at a few
 #: megabytes whatever ``d`` is.
 SWEEP_CHUNK = 4096
-
-#: Steps per block of :class:`LazyStage`: enough to share a block's
-#: catch-up among its steps, few enough that each step's operations on the
-#: union of their columns still cost little more than their overhead.  At
-#: d = 100000 the step time is flat from 4 to 16; ``python
-#: tools/fit_engine.py block`` measures it again.
-BLOCK_STEPS = 8
-
-#: Most stored entries a block of :class:`LazyStage` gathers, unless it is
-#: one step: a few megabytes of temporaries however many entries a step's
-#: rows hold, as :data:`SWEEP_CHUNK` bounds the sweep.
-BLOCK_ENTRIES = 1 << 16
-
 
 def lazy_z(
     z0_j: float,
@@ -264,43 +236,17 @@ def catch_up(
     return x, z
 
 
-@dataclass
-class _Block:
-    """Consecutive steps run on the union ``cols`` of their columns.
-
-    ``ptr``, ``pos`` and ``val`` are the steps' rows as CSR arrays, as
-    :func:`~dasvrda.problem.row_entries` gathers them, with each entry's
-    column as its position in ``cols``.  The block runs iterations
-    ``start + 1`` to ``stop``; ``x``, ``z`` and ``g_sum`` are the state of
-    ``cols`` at the stage's current iteration.
-    """
-
-    start: int
-    stop: int
-    ptr: np.ndarray
-    pos: np.ndarray
-    val: np.ndarray
-    cols: np.ndarray
-    z0: np.ndarray
-    tg: np.ndarray
-    g_sum: np.ndarray
-    x: np.ndarray
-    z: np.ndarray
-
-
 class LazyStage:
     """Stepwise driver holding the per-coordinate last-touch state.
 
     Exposes :meth:`step` (one inner iteration) and :meth:`snapshot`
     (non-destructive full vectors at the current iteration, cost ``O(d)``),
-    so tests can compare against the dense stage mid-flight.  Steps run in
-    blocks of up to :data:`BLOCK_STEPS` (see the module docstring); a block
-    opens at its first step and writes its columns back at its last.
-    ``touched`` counts coordinate updates for complexity accounting: the
-    distinct columns each step's batch hits, plus the final sweep.  The
-    constructor makes the anchor's full pass and draws all ``m`` batches
-    into ``idx`` (``m x b``), so ``rng`` advances then, by as much as the
-    dense stage advances it.
+    so tests can compare against the dense stage mid-flight.  ``touched``
+    counts coordinate updates for complexity accounting: the distinct
+    columns each step's batch hits, plus the final sweep.  The constructor
+    makes the anchor's full pass and draws all ``m`` batches into ``idx``
+    (``m x b``), so ``rng`` advances then, by as much as the dense stage
+    advances it.
     """
 
     def __init__(
@@ -338,7 +284,6 @@ class LazyStage:
         self.tables = build_prefix_tables(m + 1, self.eta, self.reg.l2)
         self.weights = scheme.weights
         self.idx = draw_batch(scheme, rng, b, m)
-        self._block: _Block | None = None
         self.touched = 0
 
     def _catch_up(self, cols, target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -350,67 +295,48 @@ class LazyStage:
             target, self.tables, self.eta, self.reg,
         )
 
-    def _open_block(self) -> None:
-        """Gather the next block's rows (see :data:`BLOCK_ENTRIES`) and
-        catch their columns up to the current iteration."""
-        k, b = self.k, self.idx.shape[1]
-        mat, idx = self.problem.data.features, self.idx[k:k + BLOCK_STEPS]
-        ends = np.cumsum((mat.indptr[idx + 1] - mat.indptr[idx]).sum(axis=1))
-        stop = k + max(1, int(np.searchsorted(ends, BLOCK_ENTRIES, side="right")))
-        ptr, col, val = row_entries(mat, idx[:stop - k].ravel())
+    def step(self) -> None:
+        """One inner iteration on the columns its batch hits: catch them up
+        to the current iteration, run the plain recurrence on them, and
+        write their state back as their last touch."""
+        if self.k >= self.m:
+            raise RuntimeError(f"stage already ran its {self.m} iterations")
+        k = self.k + 1
+        idx = self.idx[k - 1]
+        b = idx.size
+        ptr, col, val = row_entries(self.problem.data.features, idx)
         cols, pos = np.unique(col, return_inverse=True)
-        # Distinct columns per step: distinct (step, column) pairs.
-        step = np.repeat(np.arange(stop - k), np.diff(ptr[::b]))
-        self.touched += int(np.count_nonzero(np.bincount(step * cols.size + pos)))
+        self.touched += cols.size
         z0, tg, g_sum, k_last = (self.z0[cols], self.tilde_grad[cols],
                                  self.g_sum[cols], self.k_last[cols])
         x, z = catch_up(self.x_last[cols], self.z_last[cols], z0, g_sum, tg,
-                        k_last, k, self.tables, self.eta, self.reg)
-        g_sum = g_sum + (theta_pair(k) - _theta_pairs(k_last)) * tg
-        self._block = _Block(k, stop, ptr, pos.astype(ptr.dtype), val, cols, z0,
-                             tg, g_sum, x, z)
-
-    def step(self) -> None:
-        if self.k >= self.m:
-            raise RuntimeError(f"stage already ran its {self.m} iterations")
-        if self._block is None:
-            self._open_block()
-        block = self._block
-        k = self.k + 1
-        # This step's rows over the block's columns.
-        j = k - block.start
-        idx = self.idx[k - 1]
-        b = idx.size
-        rows = Rows(idx, b, block.cols.size, block.ptr[(j - 1) * b:j * b + 1],
-                    block.pos, block.val)
+                        k_last, k - 1, self.tables, self.eta, self.reg)
+        g_sum = g_sum + (theta_pair(k - 1) - _theta_pairs(k_last)) * tg
+        # The batch's rows over its columns.
+        rows = Rows(idx, b, cols.size, ptr, pos.astype(ptr.dtype), val)
         inv = 2.0 / (k + 1)            # 1 / theta_k
         keep = 1.0 - inv
         # Batch margins at the interpolated point, then the per-row
-        # derivative deltas against the anchor; the block's columns the
-        # batch misses get g_part = 0: their plain recurrence.
-        t_y = rows.dot(keep * block.x + inv * block.z)
+        # derivative deltas against the anchor.
+        t_y = rows.dot(keep * x + inv * z)
         dy = self.problem.loss.derivatives(t_y, self.problem.data.labels[idx])
         delta = dy - self.anchor_derivs[idx]
         if self.weights is not None:
             delta = self.weights[idx] * delta
         delta /= b
         g_part = rows.tdot(delta)
-        block.g_sum += (0.5 * k) * (g_part + block.tg)  # theta_{k-1} g_k
+        g_sum += (0.5 * k) * (g_part + tg)  # theta_{k-1} g_k
         tp_k = theta_pair(k)
-        block.z = lazy_z(block.z0, block.g_sum, block.tg, self.eta, self.reg,
-                         tp_k, tp_k)
-        block.x = keep * block.x + inv * block.z
+        z = lazy_z(z0, g_sum, tg, self.eta, self.reg, tp_k, tp_k)
+        self.x_last[cols] = keep * x + inv * z
+        self.z_last[cols] = z
+        self.g_sum[cols] = g_sum
+        self.k_last[cols] = k
         self.k = k
-        if k == block.stop:
-            self.x_last[block.cols] = block.x
-            self.z_last[block.cols] = block.z
-            self.g_sum[block.cols] = block.g_sum
-            self.k_last[block.cols] = k
-            self._block = None
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
         """Full ``(x_k, z_k)`` at the current iteration, without touching
-        the lazy state (long skips stay long, an open block stays open).
+        the lazy state (long skips stay long).
         Runs in chunks of :data:`SWEEP_CHUNK` coordinates, so its
         temporaries stay small."""
         k = self.k
@@ -422,9 +348,6 @@ class LazyStage:
         for lo in range(0, d, SWEEP_CHUNK):
             part = slice(lo, lo + SWEEP_CHUNK)
             x[part], z[part] = self._catch_up(part, k)
-        if self._block is not None:
-            x[self._block.cols] = self._block.x
-            z[self._block.cols] = self._block.z
         return x, z
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
@@ -455,20 +378,18 @@ class LazyStage:
             problem, self.idx, (d, np.float64, (self.tilde_grad, self.z0, *state)),
             (problem.n, np.float64, (self.anchor_derivs, self.weights)),
             (m + 2, np.float64, tables), (d, np.int64, (self.k_last,)))
-        # A block's union: at most its entries, BLOCK_ENTRIES unless it is
-        # one step, and at most d.
-        row = b * kept.row_max
-        cap = min(d, max(min(BLOCK_ENTRIES, BLOCK_STEPS * row), row))
+        # A step's columns: at most its entries, and at most d.
+        cap = min(d, b * kept.row_max)
         slot = np.full(d, -1, dtype=np.int64)
-        ints, union = np.empty((2, cap), dtype=np.int64), np.empty((7, cap))
+        cols, scratch = np.empty(cap, dtype=np.int64), np.empty((4, cap))
         x, z = np.empty(d), np.empty(d)
         ptr = stage_loop.pointer
         # Every array stays referenced by a name until the call returns.
         self.touched += fn(
             kept, m, b, ptr(self.idx), ptr(self.weights), ptr(self.anchor_derivs),
             ptr(self.tilde_grad), ptr(self.z0), self.eta, *map(ptr, tables),
-            BLOCK_STEPS, BLOCK_ENTRIES, *map(ptr, state), ptr(self.k_last), ptr(x),
-            ptr(z), ptr(slot), cap, *map(ptr, ints), ptr(union)) + d
+            *map(ptr, state), ptr(self.k_last), ptr(x), ptr(z), ptr(slot), cap,
+            ptr(cols), ptr(scratch)) + d
         self.k = m
         return x, z
 

@@ -4,27 +4,25 @@
  *
  * It keeps LazyStage's structure, and so its bits:
  *
- *   - the same blocks of up to block_steps steps, cut where their rows'
- *     entries would pass block_entries (a block takes at least one step);
- *   - a block opens with catch_up's closed form on the union of its
- *     columns, to the iteration before its first step, and closes by
- *     writing the union's state back as its last touch;
- *   - each step runs the plain recurrence on the union, its products in
- *     the csr form's order (rows in order, entries in stored order, sums
- *     from +0.0), with 1/theta_k taken as 2.0/(k+1);
+ *   - each step gathers the distinct columns of its rows, catches them up
+ *     with catch_up's closed form to the iteration before it, runs the
+ *     plain recurrence on them and writes their state back as their last
+ *     touch;
+ *   - a step's products take the csr form's order (rows in order, entries
+ *     in stored order, sums from +0.0), with 1/theta_k taken as 2.0/(k+1);
  *   - the sweep is the closed form on every coordinate, to iteration m;
  *   - every expression keeps numpy's association, and the build has
  *     -ffp-contract=off and no fast-math.
  *
  * Each coordinate's arithmetic depends on its own state only, so the
- * order of the union's columns (first seen here, sorted in LazyStage)
+ * order of a step's columns (first seen here, sorted in LazyStage)
  * moves no bit.  stage_loop.py checks the problem once, and a stage's
  * rows and arrays.
  */
 
 #include "kernels.h"
 
-/* A block's columns sit anywhere in the d-vectors of the stage state, so
+/* A step's columns sit anywhere in the d-vectors of the stage state, so
  * its catch-up waits on memory unless it asks for them ahead. */
 #if defined(__GNUC__)
 #define PREFETCH(p) __builtin_prefetch(p)
@@ -108,8 +106,8 @@ static inline void catch_up(double x_last, double z0, double g_sum, double tg,
 }
 
 /* Runs steps 1..m of a lazy stage on prob's rows idx (m x b) and then
- * sweeps every coordinate to iteration m; returns the distinct (step,
- * column) pairs its steps touched.
+ * sweeps every coordinate to iteration m; returns the sum over its steps
+ * of the distinct columns each step touched.
  *
  *   derivs (the anchor's) and w (NULL: all one) have n entries;
  *   tg (the anchor gradient) and z0 (the start) have d;
@@ -118,63 +116,41 @@ static inline void catch_up(double x_last, double z0, double g_sum, double tg,
  *   and out; x and z (d each) receive the final point.
  *
  * Scratch: slot (d, every entry -1 on entry and on return) numbers the
- * open block's columns; cols and stamp (cap each) and u (7 cap) hold the
- * union's columns and state, cap at least any block's union. */
+ * step's columns; cols (cap) and u (4 cap) hold their columns and state,
+ * cap at least any step's distinct columns. */
 int64_t dasvrda_lazy_stage(const struct problem *prob, int64_t m, int64_t b,
                            const int64_t *idx, const double *w,
                            const double *derivs, const double *tg,
                            const double *z0, double eta, const double *s,
-                           const double *q, int64_t block_steps,
-                           int64_t block_entries, double *x_last, double *z_last,
+                           const double *q, double *x_last, double *z_last,
                            double *g_sum, int64_t *k_last, double *x, double *z,
-                           int64_t *slot, int64_t cap, int64_t *cols,
-                           int64_t *stamp, double *u)
+                           int64_t *slot, int64_t cap, int64_t *cols, double *u)
 {
     const void *indptr = prob->indptr, *indices = prob->indices;
     const double *data = prob->data, *labels = prob->labels;
     double l1 = prob->l1, l2 = prob->l2;
     int wide = prob->wide;
-    double *ux = u, *uz = u + cap, *ug = u + 2 * cap, *uz0 = u + 3 * cap;
-    double *utg = u + 4 * cap, *up = u + 5 * cap, *ugp = u + 6 * cap;
+    double *ux = u, *ug = u + cap, *up = u + 2 * cap, *ugp = u + 3 * cap;
     int64_t touched = 0;
-    for (int64_t k = 0; k < m;) {
-        /* The block's steps: as many as fit under block_entries, at
-         * least one. */
-        int64_t steps = 0, entries = 0;
-        for (int64_t j = k; j < m && j < k + block_steps; j++) {
-            for (int64_t r = 0; r < b; r++) {
-                int64_t row = idx[j * b + r];
-                entries += at(indptr, wide, row + 1) - at(indptr, wide, row);
-            }
-            if (entries > block_entries)
-                break;
-            steps++;
-        }
-        if (steps == 0)
-            steps = 1;
-        int64_t stop = k + steps;
-        /* Its union, and the distinct columns of each step. */
+    for (int64_t k = 1; k <= m; k++) {
+        const int64_t *rows = idx + (k - 1) * b;
+        /* The step's distinct columns, in the order first seen. */
         int64_t n_cols = 0;
-        for (int64_t j = k; j < stop; j++) {
-            for (int64_t r = 0; r < b; r++) {
-                int64_t row = idx[j * b + r];
-                int64_t hi = at(indptr, wide, row + 1);
-                for (int64_t e = at(indptr, wide, row); e < hi; e++) {
-                    int64_t c = at(indices, wide, e);
-                    if (slot[c] < 0) {
-                        slot[c] = n_cols;
-                        cols[n_cols] = c;
-                        stamp[n_cols++] = -1;
-                    }
-                    if (stamp[slot[c]] != j) {
-                        stamp[slot[c]] = j;
-                        touched++;
-                    }
+        for (int64_t r = 0; r < b; r++) {
+            int64_t hi = at(indptr, wide, rows[r] + 1);
+            for (int64_t e = at(indptr, wide, rows[r]); e < hi; e++) {
+                int64_t c = at(indices, wide, e);
+                if (slot[c] < 0) {
+                    slot[c] = n_cols;
+                    cols[n_cols++] = c;
                 }
             }
         }
-        /* Caught up to iteration k, the gradient sum with it. */
-        double tp_k = theta_pair(k);
+        touched += n_cols;
+        /* Caught up to iteration k - 1, the gradient sum with it, and the
+         * interpolated point. */
+        double tp_prev = theta_pair(k - 1);
+        double inv = 2.0 / (double)(k + 1), keep = 1.0 - inv;
         for (int64_t p = 0; p < n_cols; p++) {
             int64_t c = cols[p];
             if (p + AHEAD < n_cols) {
@@ -186,52 +162,39 @@ int64_t dasvrda_lazy_stage(const struct problem *prob, int64_t m, int64_t b,
                 PREFETCH(z0 + f);
                 PREFETCH(tg + f);
             }
-            uz0[p] = z0[c];
-            utg[p] = tg[c];
-            if (k_last[c] < k) {
-                catch_up(x_last[c], z0[c], g_sum[c], tg[c], k_last[c], k, s, q, eta,
-                         l1, l2, &ux[p], &uz[p]);
-            } else {
-                ux[p] = x_last[c];
-                uz[p] = z_last[c];
-            }
-            ug[p] = g_sum[c] + (tp_k - theta_pair(k_last[c])) * tg[c];
+            double zc = z_last[c];
+            ux[p] = x_last[c];
+            if (k_last[c] < k - 1)
+                catch_up(x_last[c], z0[c], g_sum[c], tg[c], k_last[c], k - 1, s, q,
+                         eta, l1, l2, &ux[p], &zc);
+            ug[p] = g_sum[c] + (tp_prev - theta_pair(k_last[c])) * tg[c];
+            up[p] = keep * ux[p] + inv * zc;
+            ugp[p] = 0.0;
         }
-        for (k = k + 1; k <= stop; k++) {
-            double inv = 2.0 / (double)(k + 1), keep = 1.0 - inv;
-            for (int64_t p = 0; p < n_cols; p++) {
-                up[p] = keep * ux[p] + inv * uz[p];
-                ugp[p] = 0.0;
-            }
-            const int64_t *rows = idx + (k - 1) * b;
-            for (int64_t r = 0; r < b; r++) {
-                int64_t lo = at(indptr, wide, rows[r]);
-                int64_t hi = at(indptr, wide, rows[r] + 1);
-                double t = 0.0;
-                for (int64_t e = lo; e < hi; e++)
-                    t += data[e] * up[slot[at(indices, wide, e)]];
-                double delta = derivative(prob->loss, prob->nu, t, labels[rows[r]])
-                    - derivs[rows[r]];
-                if (w)
-                    delta = w[rows[r]] * delta;
-                delta = delta / (double)b;
-                for (int64_t e = lo; e < hi; e++)
-                    ugp[slot[at(indices, wide, e)]] += data[e] * delta;
-            }
-            double half_k = 0.5 * (double)k, tp = theta_pair(k);
-            for (int64_t p = 0; p < n_cols; p++) {
-                ug[p] += half_k * (ugp[p] + utg[p]);
-                uz[p] = lazy_z(uz0[p], ug[p], utg[p], eta, l1, l2, tp, tp);
-                ux[p] = keep * ux[p] + inv * uz[p];
-            }
+        for (int64_t r = 0; r < b; r++) {
+            int64_t lo = at(indptr, wide, rows[r]);
+            int64_t hi = at(indptr, wide, rows[r] + 1);
+            double t = 0.0;
+            for (int64_t e = lo; e < hi; e++)
+                t += data[e] * up[slot[at(indices, wide, e)]];
+            double delta = derivative(prob->loss, prob->nu, t, labels[rows[r]])
+                - derivs[rows[r]];
+            if (w)
+                delta = w[rows[r]] * delta;
+            delta = delta / (double)b;
+            for (int64_t e = lo; e < hi; e++)
+                ugp[slot[at(indices, wide, e)]] += data[e] * delta;
         }
-        k = stop;
+        /* The recurrence, written back as the columns' last touch. */
+        double half_k = 0.5 * (double)k, tp = theta_pair(k);
         for (int64_t p = 0; p < n_cols; p++) {
             int64_t c = cols[p];
-            x_last[c] = ux[p];
-            z_last[c] = uz[p];
-            g_sum[c] = ug[p];
-            k_last[c] = stop;
+            double g = ug[p] + half_k * (ugp[p] + tg[c]);
+            double zc = lazy_z(z0[c], g, tg[c], eta, l1, l2, tp, tp);
+            x_last[c] = keep * ux[p] + inv * zc;
+            z_last[c] = zc;
+            g_sum[c] = g;
+            k_last[c] = k;
             slot[c] = -1;
         }
     }

@@ -13,9 +13,10 @@ Each ``Problem`` also remembers the margins ``A @ x`` of the last point it
 swept (see :func:`margins`).  :func:`objective` and :func:`full_pass` read
 them through that memo, so a solver that evaluates the objective at a
 stage output and then anchors the next stage there sweeps the design
-matrix once.  The memo is keyed on the point's exact contents, holds one
-entry and never changes a result: a hit returns the very bits a sweep
-would.  :func:`~dasvrda.sampling.make_anchor` takes the entry over.
+matrix once.  The memo is keyed on the point's exact contents and on the
+identity of the matrix's arrays, holds one entry and never changes a
+result: a hit returns the very bits a sweep would.
+:func:`~dasvrda.sampling.make_anchor` takes the entry over.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ class Problem:
     smoothness: np.ndarray = field(repr=False)   # per-example, floored
     mean_smoothness: float = 0.0
     max_smoothness: float = 0.0
-    #: ``(point, margins)`` of the last point :func:`margins` swept, both
-    #: read-only arrays: a copy of the point and ``A @ point``.
-    swept: tuple = field(default=(None, None), init=False, repr=False,
+    #: ``(point, margins, arrays)`` of the last point :func:`margins` swept:
+    #: read-only arrays, a copy of the point and ``A @ point``, and the
+    #: design matrix's ``(indptr, indices, data)`` it swept.
+    swept: tuple = field(default=(None, None, None), init=False, repr=False,
                          compare=False)
     #: The compiled kernels' :class:`~dasvrda.stage_loop.Handle` of this
     #: problem, built by the first stage that takes a kernel.
@@ -211,9 +213,7 @@ class Rows:
     * ``csr``: the rows as CSR arrays -- the row pointer ``ptr`` and the
       entries' columns ``col`` and values ``val`` -- and each product is
       one of the compiled loops that scipy's own ``mat @ x`` and
-      ``mat.T @ v`` run.  ``ptr`` indexes ``col`` and ``val`` directly, so
-      it may be a slice of a larger block's pointer over that block's
-      whole arrays, and all rows are the matrix's own arrays;
+      ``mat.T @ v`` run.  All rows are the matrix's own arrays;
     * ``dense``, above :data:`BLAS_ABOVE_ENTRIES` entries when the matrix
       stores every entry: ``dense`` holds the rows as a row-major array
       (for all rows, a view of the matrix's own entries) and each product
@@ -264,10 +264,8 @@ class Rows:
         return out
 
     def _public(self) -> sp.csr_matrix:
-        """The rows as a scipy matrix, for its public products: its own
-        pointer from zero over its own entries."""
-        lo, hi = self.ptr[0], self.ptr[-1]
-        return sp.csr_matrix((self.val[lo:hi], self.col[lo:hi], self.ptr - lo),
+        """The rows as a scipy matrix, for its public products."""
+        return sp.csr_matrix((self.val, self.col, self.ptr),
                              shape=(self.count, self.d))
 
 
@@ -330,21 +328,25 @@ def margins(
     """Margins ``A @ x`` at a checked point, as :meth:`Rows.dot` of all rows
     (``rows``, when the caller has taken them already).
 
-    The problem keeps the last point and its margins in ``problem.swept``.
-    A point whose contents equal that point bit for bit, compared with the
-    stored copy (so a caller that mutated its array in place misses), gets
-    the stored margins back.
+    The problem keeps the last point, its margins and the matrix's arrays
+    in ``problem.swept``.  A point whose contents equal that point bit for
+    bit, compared with the stored copy (so a caller that mutated its array
+    in place misses), gets the stored margins back, unless an array of the
+    matrix was reassigned since (compared by identity).
     """
-    key, t = problem.swept
-    if key is not None and np.array_equal(key.view(np.int64), x.view(np.int64)):
+    mat = problem.data.features
+    arrays = (mat.indptr, mat.indices, mat.data)
+    key, t, swept = problem.swept
+    if (key is not None and all(a is b for a, b in zip(swept, arrays))
+            and np.array_equal(key.view(np.int64), x.view(np.int64))):
         return t
-    problem.swept = (None, None)   # free the old entry before the new one
+    problem.swept = (None, None, None)   # free the old entry before the new one
     if rows is None:
-        rows = take_rows(problem.data.features)
+        rows = take_rows(mat)
     t = rows.dot(x)
     key = x.copy()
     key.flags.writeable = t.flags.writeable = False
-    problem.swept = (key, t)
+    problem.swept = (key, t, arrays)
     return t
 
 

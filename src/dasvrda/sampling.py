@@ -186,8 +186,8 @@ def make_anchor(problem: Problem, x: np.ndarray) -> StageAnchor:
     that follows holds no second copy of the point.
     """
     derivs, grad = full_pass(problem, x)
-    point, _ = problem.swept
-    problem.swept = (None, None)
+    point = problem.swept[0]
+    problem.swept = (None, None, None)
     return StageAnchor(x=point, derivs=derivs, grad=grad)
 
 

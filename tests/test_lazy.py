@@ -20,8 +20,8 @@ from dasvrda import (
     make_rng,
     one_stage_accsvrda,
     smoothness_weighted,
+    stage_loop,
 )
-from dasvrda import lazy as lazy_module
 from dasvrda.lazy import branch_runs, catch_up
 from dasvrda.problem import take_rows
 from dasvrda.solvers import theta_pair
@@ -371,7 +371,7 @@ def test_lazy_stage_matches_dense_stage_at_high_d():
 def test_lazy_stage_matches_dense_stage_on_a_fully_stored_matrix(loss):
     # 200 x 50, every entry stored: the dense engine's full passes and its
     # 150-row minibatches (7500 entries) take BLAS on the dense view, the
-    # lazy engine's minibatches the csr form over its blocks' columns.
+    # lazy engine's minibatches the csr form over their own columns.
     problem = sparse_problem(seed=9, n=200, d=50, density=1.0, loss=loss)
     assert take_rows(problem.data.features).form == "dense"
     scheme = IidUniform(problem.n)
@@ -451,16 +451,23 @@ def digest_stage():
     return hashlib.sha256(x.tobytes() + z.tobytes()).hexdigest(), stage.touched
 
 
-def test_one_step_blocks_reproduce_the_per_step_engine(monkeypatch):
-    # Recorded from the engine before it ran steps in blocks, which caught
-    # up each step's columns and stepped them alone: blocks of one step
-    # are that engine, bit for bit.
-    monkeypatch.setattr(lazy_module, "BLOCK_STEPS", 1)
-    assert digest_stage() == (
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_one_step_blocks_reproduce_the_per_step_engine(request, monkeypatch,
+                                                        compiled):
+    # Recorded from the engine before it ran steps in blocks of several,
+    # which caught up each step's columns and stepped them alone, as both
+    # paths do.
+    if compiled:
+        request.getfixturevalue("compiled_loop")
+    monkeypatch.setattr(stage_loop, "COMPILED", compiled)
+    with stage_loop.noting() as paths:
+        digest = digest_stage()
+    assert paths == {"compiled" if compiled else "numpy: compiled loop off"}
+    assert digest == (
         "491c5559f7953a6a11ca1d69f61beb1da2dda511550aba1a2600428672992aa9", 768)
 
 
-def test_snapshot_mid_block_leaves_the_final_bits():
+def test_snapshots_mid_stage_leave_the_final_bits():
     problem = sparse_problem(seed=8, n=40, d=25, density=0.15)
     scheme = IidUniform(problem.n)
     eta = 0.2 / problem.max_smoothness
@@ -472,60 +479,12 @@ def test_snapshot_mid_block_leaves_the_final_bits():
     watched = LazyStage(*args, make_rng(5))
     for k in range(1, m + 1):
         watched.step()
-        if k % lazy_module.BLOCK_STEPS in (1, 3):
+        if k in (1, 3, 9, 11, 17, 19):
             watched.snapshot()
     got = watched.finish()
     for a, e in zip(got, expect):
         assert a.tobytes() == e.tobytes()
     assert watched.touched == plain.touched
-
-
-@pytest.mark.parametrize("cap,m", [(40, 27), (1, 19), (1 << 16, 30)])
-def test_blocks_cut_at_the_entry_cap_match_dense(monkeypatch, cap, m):
-    # An entry cap of a few steps (or of less than one) cuts the blocks
-    # short, and m is not a multiple of the block length.
-    monkeypatch.setattr(lazy_module, "BLOCK_ENTRIES", cap)
-    problem = sparse_problem(seed=3, n=50, d=60, density=0.08, loss="logistic")
-    scheme = smoothness_weighted(problem)
-    eta = 0.4 / problem.max_smoothness
-    rng = np.random.default_rng(4)
-    y0 = 0.3 * rng.standard_normal(problem.d)
-    anchor = 0.3 * rng.standard_normal(problem.d)
-    b = 4
-    dense = {}
-    one_stage_accsvrda(
-        problem, y0, anchor, eta, m, b, scheme, make_rng(8),
-        on_iterate=lambda k, info: dense.__setitem__(k, (info["x"], info["z"])),
-    )
-    blocks = []
-    open_block = LazyStage._open_block
-
-    def opened(stage):
-        open_block(stage)
-        blocks.append(stage._block)
-
-    monkeypatch.setattr(LazyStage, "_open_block", opened)
-    stage = LazyStage(problem, y0, anchor, eta, m, b, scheme, make_rng(8))
-    for k in range(1, m + 1):
-        stage.step()
-        for got, expect in zip(stage.snapshot(), dense[k]):
-            assert np.max(np.abs(got - expect)) <= 1e-9
-    for got, expect in zip(stage.finish(), dense[m]):
-        assert np.max(np.abs(got - expect)) <= 1e-9
-    # Each block takes as many steps as both limits allow, and at least one.
-    indptr = problem.data.features.indptr
-    entries = (indptr[stage.idx + 1] - indptr[stage.idx]).sum(axis=1)
-    assert [bl.start for bl in blocks] == [0] + [bl.stop for bl in blocks[:-1]]
-    assert blocks[-1].stop == m
-    for block in blocks:
-        start, stop = block.start, block.stop
-        assert block.ptr[-1] == entries[start:stop].sum()
-        assert 1 <= stop - start <= lazy_module.BLOCK_STEPS
-        assert stop - start == 1 or block.ptr[-1] <= cap
-        if stop < min(start + lazy_module.BLOCK_STEPS, m):
-            assert entries[start:stop + 1].sum() > cap
-    cut = sum(bl.stop - bl.start < lazy_module.BLOCK_STEPS for bl in blocks[:-1])
-    assert (cut > 0) == (cap < 1 << 16)
 
 
 def test_lazy_and_dense_stages_agree_on_nan_coordinates():

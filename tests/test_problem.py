@@ -257,6 +257,34 @@ def test_margins_recomputed_after_in_place_mutation(full_products):
         full_products.clear()
 
 
+def _shift_first_boundary(indptr):
+    indptr[1] += 1   # row 0 takes row 1's first entry
+    return indptr
+
+
+#: A change of each array of the design matrix, made to a copy.
+REASSIGNED = {
+    "indptr": _shift_first_boundary,
+    "indices": lambda indices: (indices + 1) % 9,   # random_problem's d
+    "data": lambda data: 2.0 * data,
+}
+
+
+@pytest.mark.parametrize("name", REASSIGNED)
+def test_margins_recomputed_after_an_array_is_reassigned(name):
+    # The same change, after a sweep and in a twin that never swept: the
+    # memo misses, and the objective is the twin's.
+    prob = random_problem(np.random.default_rng(15), Squared())[0]
+    twin = random_problem(np.random.default_rng(15), Squared())[0]
+    x = np.random.default_rng(16).standard_normal(prob.d)
+    before = objective(prob, x)
+    for on in (prob, twin):
+        feats = on.data.features
+        assert feats.indptr[2] > feats.indptr[1]
+        setattr(feats, name, REASSIGNED[name](getattr(feats, name).copy()))
+    assert objective(prob, x) == objective(twin, x) != before
+
+
 def test_problems_on_the_same_data_keep_their_own_margins(full_products):
     for form in ABOVE_LIMIT:
         prob, rng = counted_problem(form)

@@ -227,7 +227,7 @@ def test_anchor_takes_over_the_swept_copy_of_its_point():
     anchor = make_anchor(problem, x)
     assert anchor.x is not x and anchor.x.tobytes() == x.tobytes()
     assert not anchor.x.flags.writeable
-    assert problem.swept == (None, None)
+    assert problem.swept == (None, None, None)
     assert problem_module.objective(problem, anchor.x) == p
     x += 1.0   # the caller's array stays its own
     assert not np.any(anchor.x == x)
@@ -332,15 +332,6 @@ def test_csr_form_matches_scipy_public_products_bitwise(index_dtype):
     rows = take_rows(mat)
     assert rows.ptr is mat.indptr and rows.col is mat.indices and rows.val is mat.data
     check_public_products(rows, mat, rng)
-    # Steps of a block, as the lazy stage takes them: their pointers are
-    # slices of the block's pointer over the block's whole arrays.
-    m, b = 4, 5
-    idx = draw_batch(IidUniform(n), make_rng(9), b, m)
-    ptr, col, val = row_entries(mat, idx.ravel())
-    for k in range(m):
-        rows = Rows(idx[k], b, mat.shape[1], ptr[k * b:(k + 1) * b + 1], col, val)
-        assert rows.ptr.dtype == index_dtype and (rows.ptr[0] > 0) == (k > 0)
-        check_public_products(rows, mat[idx[k]], rng)
     # The loops check no index or length, so their callers do.
     for bad in ([0, n], [-1, 0]):
         with pytest.raises(IndexError, match="out of range"):

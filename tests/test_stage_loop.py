@@ -40,7 +40,6 @@ from dasvrda import (
     smoothness_weighted,
     stage_loop,
 )
-from dasvrda import lazy
 from test_acceptance import _sparse_logistic_instance
 
 STAGES = {"acc": one_stage_accsvrda, "dasvrg": one_stage_dasvrg, "svrg": one_stage_svrg}
@@ -180,17 +179,15 @@ def test_loop_matches_the_skeleton_at_the_edges(compiled_loop):
 # The lazy stage's two paths.
 
 
-def finish_lazy(problem, scheme, start, compiled, m=40, b=4, idx=None, cap=None):
+def finish_lazy(problem, scheme, start, compiled, m=40, b=4, idx=None):
     """A :class:`LazyStage` from ``start`` at a fixed anchor, finished on one
-    path, on the batches ``idx`` if given and with ``lazy.BLOCK_ENTRIES``
-    at ``cap`` if given: its output and last-touch state, its ``touched``
-    and the paths it took."""
+    path, on the batches ``idx`` if given: its output and last-touch state,
+    its ``touched`` and the paths it took."""
     anchor = 0.3 * np.random.default_rng(7).standard_normal(problem.d)
     if idx is not None:
         m, b = idx.shape
-    old = stage_loop.COMPILED, lazy.BLOCK_ENTRIES
+    old = stage_loop.COMPILED
     stage_loop.COMPILED = compiled
-    lazy.BLOCK_ENTRIES = old[1] if cap is None else cap
     try:
         with stage_loop.noting() as paths:
             run = LazyStage(problem, start, anchor, 0.5 / problem.max_smoothness, m, b,
@@ -199,7 +196,7 @@ def finish_lazy(problem, scheme, start, compiled, m=40, b=4, idx=None, cap=None)
                 run.idx = idx
             out = run.finish()
     finally:
-        stage_loop.COMPILED, lazy.BLOCK_ENTRIES = old
+        stage_loop.COMPILED = old
     assert run.k == m
     return (*out, run.x_last, run.z_last, run.g_sum, run.k_last), run.touched, paths
 
@@ -222,32 +219,31 @@ def check_lazy_paths_agree(problem, scheme, start, **kwargs):
     assert fast_touched == slow_touched
 
 
-def check_lazy_case(loss, weighted, reg, wide, cut):
-    """One case of the lazy matrix, on columns that most blocks miss, so
-    that blocks catch them up after a skip; ``cut`` cuts every block at
-    ``lazy.BLOCK_ENTRIES`` = 40 (a step or two) and starts from a NaN
+def check_lazy_case(loss, weighted, reg, wide, nan):
+    """One case of the lazy matrix, on columns that most steps miss, so
+    that steps catch them up after a skip; ``nan`` starts from a NaN
     coordinate."""
     problem = sparse_problem(LOSSES[loss], *REGS[reg], wide=wide, d=300, density=0.02)
     scheme = smoothness_weighted(problem) if weighted else IidUniform(problem.n)
     start = np.random.default_rng(8).standard_normal(problem.d)
-    if cut:
+    if nan:
         start[problem.data.features.indices[0]] = np.nan
-    check_lazy_paths_agree(problem, scheme, start, cap=40 if cut else None)
+    check_lazy_paths_agree(problem, scheme, start)
 
 
-@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut-nan"])
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
 @pytest.mark.parametrize("wide", [False, True], ids=["int32", "int64"])
 @pytest.mark.parametrize("reg", REGS)
 @pytest.mark.parametrize("weighted", [False, True], ids=["uniform", "weighted"])
 @pytest.mark.parametrize("loss", LOSSES)
 def test_lazy_kernel_matches_the_lazy_stage_bit_for_bit(compiled_loop, loss, weighted,
-                                                        reg, wide, cut):
-    check_lazy_case(loss, weighted, reg, wide, cut)
+                                                        reg, wide, nan):
+    check_lazy_case(loss, weighted, reg, wide, nan)
 
 
 def check_lazy_edges():
     """Both lazy paths on every edge problem, loss and index width, with
-    and without weights, whole and cut at one entry from a NaN start."""
+    and without weights, from a finite and from a NaN start."""
     for data, idx in edge_datasets():
         for loss in LOSSES.values():
             problem = make_problem(data, loss, ElasticNet(1e-2, 1e-2))
@@ -256,7 +252,7 @@ def check_lazy_edges():
             nan_start[0] = np.nan
             for scheme in (IidUniform(problem.n), smoothness_weighted(problem)):
                 check_lazy_paths_agree(problem, scheme, start, idx=idx)
-                check_lazy_paths_agree(problem, scheme, nan_start, idx=idx, cap=1)
+                check_lazy_paths_agree(problem, scheme, nan_start, idx=idx)
 
 
 def test_lazy_kernel_matches_the_lazy_stage_at_the_edges(compiled_loop):
@@ -265,14 +261,13 @@ def test_lazy_kernel_matches_the_lazy_stage_at_the_edges(compiled_loop):
 
 def check_lazy_signed_zero_start():
     """Both lazy paths from a start of -0.0 that a strong threshold holds at
-    zero across skipped blocks: x comes out +0.0, the sign of the
+    zero across skipped steps: x comes out +0.0, the sign of the
     catch-ups' zero total."""
     for wide, weighted in itertools.product((False, True), (False, True)):
         problem = sparse_problem(Logistic(), 5.0, 1e-2, wide=wide, d=300, density=0.02)
         scheme = smoothness_weighted(problem) if weighted else IidUniform(problem.n)
-        check_lazy_paths_agree(problem, scheme, np.full(problem.d, -0.0), cap=40)
-        (x, *_), _, _ = finish_lazy(problem, scheme, np.full(problem.d, -0.0), True,
-                                    cap=40)
+        check_lazy_paths_agree(problem, scheme, np.full(problem.d, -0.0))
+        (x, *_), _, _ = finish_lazy(problem, scheme, np.full(problem.d, -0.0), True)
         assert np.all(x == 0.0) and not np.signbit(x).any()
 
 
@@ -416,7 +411,6 @@ def test_a_reassigned_array_gets_a_new_handle(compiled_loop, kernel):
     for on in (problem, twin):
         feats = on.data.features
         feats.indices = (feats.indices + 1) % on.d
-    problem.swept = (None, None)   # the margins memo is keyed on the point alone
     after = run(problem, True)
     assert problem.handle is not kept
     assert problem.handle.arrays[1] is problem.data.features.indices

@@ -4,18 +4,16 @@ Usage, from the root of a checkout (BLAS is pinned to one thread)::
 
     python tools/fit_engine.py engine [--save timings.json | --load timings.json]
     python tools/fit_engine.py kernel
-    python tools/fit_engine.py block
 
 ``engine`` times one stage of both engines -- ``one_stage_accsvrda`` and
 ``lazy_one_stage_accsvrda``, minus one ``make_anchor`` each, best of 3 or
 more, each point in a fresh process -- at the 55 points of ``GRID``:
 logistic problems with n = 4000 and ``m = n/b``, plus points that place
-each constant of ``harness.LAZY_STEP`` (d = 10000 its fixed cost, ``d`` 4
-to 5 times a block's expected union its cost per union column, short
-loops at b = 16 its cost per swept coordinate).  Per point it prints the
-lazy/dense ratio, a lazy step's cost over ``d`` and the engine ``--lazy
-auto`` picks, and it exits 1 when a pick is more than 1.2x slower than the
-faster engine.  ``--save`` keeps the timings (``tests/engine_timings.json``
+each constant of ``harness.LAZY_STEP`` (d = 10000 its fixed cost, large
+batches its cost per column a step hits, short loops at b = 16 its cost
+per swept coordinate).  Per point it prints the lazy/dense ratio, a lazy
+step's cost over ``d`` and the engine ``--lazy auto`` picks, and it exits
+1 when a pick is more than 1.2x slower than the faster engine.  ``--save`` keeps the timings (``tests/engine_timings.json``
 is one such file, which the tests hold the rule to), ``--load`` checks
 saved ones.
 
@@ -25,10 +23,6 @@ of an accelerated stage: the compiled csr loop, and the numpy skeleton on
 the BLAS form, its ``take_rows`` gather included) and the two forms of
 ``problem.Rows`` in ``full_pass`` (csr and BLAS on the dense view), to
 place ``problem.BLAS_ABOVE_ENTRIES``.
-
-``block`` times one lazy stage per step, as ``engine`` does, against the
-block length ``lazy.BLOCK_STEPS`` on a few of the grid's problems, to place
-that constant.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ import scipy.sparse as sp  # noqa: E402
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
-from dasvrda import harness, lazy, problem as problem_module, stage_loop  # noqa: E402
+from dasvrda import harness, problem as problem_module, stage_loop  # noqa: E402
 from dasvrda import (  # noqa: E402
     ElasticNet, IidUniform, Logistic, lazy_one_stage_accsvrda,
     make_anchor, make_dataset, make_problem, make_rng, one_stage_accsvrda,
@@ -209,34 +203,6 @@ def kernel(args) -> int:
     return 0
 
 
-def block(args) -> int:
-    """Lazy step time against the block length."""
-    lengths = (1, 2, 4, 6, 8, 12, 16, 24, 32)
-    print("     d  nnz/row    b   lazy step (us) at block length "
-          + " ".join(f"{n:5d}" for n in lengths))
-    saved = lazy.BLOCK_STEPS
-    try:
-        for d, r, b in ((100000, 20, 16), (400000, 5, 71), (20000, 20, 16),
-                        (5000, 5, 71)):
-            problem = logistic_problem(N, d, r)
-            m = N // b
-            scheme = IidUniform(N)
-            x0 = np.zeros(d)
-            eta = 0.1 / problem.max_smoothness
-            anchor_s = best_of(lambda: make_anchor(problem, x0), 3)
-            times = []
-            for n in lengths:
-                lazy.BLOCK_STEPS = n
-                stage_s = best_of(lambda: lazy_one_stage_accsvrda(
-                    problem, x0, x0, eta, m, b, scheme, make_rng(0)), 3)
-                times.append(1e6 * (stage_s - anchor_s) / m)
-            print(f"{d:6d} {r:8d} {b:4d} {'':32s}"
-                  + " ".join(f"{t:5.0f}" for t in times), flush=True)
-    finally:
-        lazy.BLOCK_STEPS = saved
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -246,9 +212,8 @@ def main(argv=None) -> int:
     p_engine.add_argument("--load")
     sub.add_parser("kernel", help="time the compiled csr loop against the BLAS "
                    "form on fully stored matrices")
-    sub.add_parser("block", help="time the lazy step against its block length")
     args = parser.parse_args(argv)
-    return {"engine": engine, "kernel": kernel, "block": block}[args.command](args)
+    return {"engine": engine, "kernel": kernel}[args.command](args)
 
 
 if __name__ == "__main__":
