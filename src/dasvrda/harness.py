@@ -324,15 +324,17 @@ def load_problem(config: RunConfig) -> Problem:
 # and its arithmetic on it) and a cost per coordinate of its share of the
 # stage's final O(d) sweep, which sends the shortest loops to the dense
 # engine.  Placed on one-stage timings of both engines, on the compiled
-# kernels, at 55 points (``tests/engine_timings.json``; one thread of a
-# 2-vCPU x86-64 VM): every pick is the faster engine or at most 1.03x
-# slower there, and at most 1.13x in a second run.  Each constant alone
-# keeps every pick of both runs within 1.2x anywhere in [650, 1600],
-# [3.0, 6.3] or [0, 7.4]; ``python tools/fit_engine.py engine`` checks it
-# again.
+# kernels at -O3, at 55 points (``tests/engine_timings.json``; one thread
+# of a 2-vCPU x86-64 VM): every pick is within 1.01x of the faster engine
+# there, and within 1.03x in two more runs.  Each constant alone keeps
+# every pick of the three runs within 1.2x anywhere in [0, 558],
+# [15.1, 21.9] or [3.67, 3.98]; ``python tools/fit_engine.py engine``
+# checks it again.  The stages it timed start from 0, as every run does,
+# so most coordinates take the lazy kernel's shortcut for inactive ones;
+# from a dense start a lazy step costs more (ROADMAP item 2).
 #: A lazy step's cost in dense coordinate updates: fixed, per column a
 #: batch hits, per swept coordinate.
-LAZY_STEP = (1100.0, 4.5, 3.0)
+LAZY_STEP = (250.0, 18.0, 3.8)
 
 
 def lazy_step_cost(d: int, entries: float, loop: int) -> float:

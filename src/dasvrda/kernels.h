@@ -5,8 +5,12 @@
  *   - the logistic derivative takes expit(u) = 1 / (1 + exp(-u)), as
  *     scipy.special.expit does;
  *   - the prox is sign(v) * max(|v| - t, 0), then divided by 1 + t*l2 where
- *     that is not 1, with numpy's sign (+0.0 at -0.0, NaN at NaN) and NaN
- *     passed through the max as np.maximum passes it (fmax would drop it).
+ *     that is not 1.  It is taken in select form, copysign of the clamped
+ *     magnitude, which has numpy's bits: +0.0 where v is +-0.0 (numpy's
+ *     sign is 0 there), -0.0 where a negative v is clamped (-1 * 0.0), and
+ *     a NaN v kept NaN, since the clamp's r < 0.0 passes a NaN r as
+ *     np.maximum does (fmax would drop it).  No branch depends on v, so
+ *     the dense kernel's O(d) prox loops vectorise.
  */
 
 #ifndef DASVRDA_KERNELS_H
@@ -56,9 +60,9 @@ static inline double prox(double v, double thresh, double shrink)
 {
     double u = v;
     if (thresh > 0) {
-        double sign = v > 0 ? 1.0 : v < 0 ? -1.0 : v == v ? 0.0 : v;
         double r = fabs(v) - thresh;
-        u = sign * (r < 0.0 ? 0.0 : r);
+        r = r < 0.0 ? 0.0 : r;
+        u = v == 0.0 ? 0.0 : copysign(r, v);
     }
     if (shrink != 1.0)
         u /= shrink;

@@ -52,9 +52,13 @@ the sweep expression by expression, and so the bits and ``touched`` of
 :meth:`LazyStage.step` and :meth:`LazyStage.snapshot`; those run where the
 kernel cannot and are its test oracle.  On the benchmark's highd-svmlight
 stage (d = 100000, 20 nonzeros per row, b = 16, m = 250) the kernel's
-steps cost about 24 us each; with the stage's setup and sweep, a step
-costs about 59 us compiled and 330-340 us on numpy, its anchor not counted
-(one thread of a 2-vCPU x86-64 VM).
+steps cost about 15 us each; with the stage's setup and sweep, a step
+costs about 26 us compiled and 310-330 us on numpy, its anchor not counted
+(one thread of a 2-vCPU x86-64 VM).  Most coordinates there are inactive:
+never touched, at a zero start, with an anchor gradient inside the l1
+threshold.  The kernel's catch-up skips their run search, whose runs are
+provably empty (``lazy_stage.c``); :func:`catch_up` here makes no such
+exception, and is the oracle for it.
 """
 
 from __future__ import annotations

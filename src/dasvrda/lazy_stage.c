@@ -18,6 +18,24 @@
  * order of a step's columns (first seen here, sorted in LazyStage)
  * moves no bit.  stage_loop.py checks the problem once, and a stage's
  * rows and arrays.
+ *
+ * A shortcut for inactive coordinates.  On sparse elastic-net data most
+ * coordinates start at 0 with an anchor gradient inside the l1 threshold,
+ * and the soft threshold holds them there.  catch_up skips both run
+ * searches of such a coordinate (kj == 0, z0 == +-0, g_sum == +-0 and
+ * |tg| <= l1) and takes a total of +0.0, which is exact:
+ *
+ *   - kj == 0 gives tp_kj == 0, and with g_sum == +-0, c3 == +-0;
+ *   - c1 and c2 share the factor 0.25 * eta, eta >= 0 (a negative step
+ *     is rejected before the call) and rounding is monotone, so |tg| <= l1
+ *     gives both slopes c1 + c2 >= 0 and -(c1 - c2) >= 0, or NaN;
+ *   - so +-0 > a (x^2 - x) +- 0 is false at every index x >= 2, and the
+ *     early return and the root-and-nudge path of both branch_run calls
+ *     end with empty runs; both terms are 0.0, and total is +0.0.
+ *
+ * A NaN tg fails the test and takes the general path.  The shortcut
+ * serves the sweep and each step's first touch of a column; lazy.py's
+ * catch_up has none, and is its oracle.
  */
 
 #include "kernels.h"
@@ -64,8 +82,12 @@ static inline void branch_run(double a, double c3, double z0, int64_t lo,
         return;
     double root = 0.5 + sqrt(disc) / (2.0 * fabs(a));
     int low = a > 0.0;
-    int64_t split = (int64_t)fmax(fmin(floor(root) + 1.0, (double)(hi + 1)),
-                                  (double)lo);
+    /* fmin's and fmax's rules, with no libm call: a NaN v takes the top,
+     * and v is no NaN at the bottom. */
+    double v = floor(root) + 1.0, top = (double)(hi + 1), bottom = (double)lo;
+    v = v < top ? v : top;
+    v = v > bottom ? v : bottom;
+    int64_t split = (int64_t)v;
     while (split > lo && holds(a, c3, z0, split - 1) != low)
         split--;
     while (split <= hi && holds(a, c3, z0, split) == low)
@@ -94,6 +116,11 @@ static inline void catch_up(double x_last, double z0, double g_sum, double tg,
 {
     double tp_kj = theta_pair(kj), tp_now = theta_pair(target);
     *z = lazy_z(z0, g_sum, tg, eta, l1, l2, tp_now, tp_kj);
+    if (kj == 0 && z0 == 0.0 && g_sum == 0.0 && fabs(tg) <= l1) {
+        /* Both runs are empty (see the header): the total is +0.0. */
+        *x = (tp_kj * x_last + 0.0) / tp_now;
+        return;
+    }
     double c1 = 0.25 * eta * tg, c2 = 0.25 * eta * l1;
     double c3 = eta * (g_sum - tp_kj * tg);
     int64_t sp, ep, sn, en;

@@ -45,12 +45,13 @@ SMOOTHNESS_FLOOR = 1e-12
 #: Most stored entries of a block of rows that takes the csr form of
 #: :class:`Rows` even when the matrix stores every entry; above it, such a
 #: block takes BLAS on a dense view.  On one thread of a 2-vCPU x86-64 VM
-#: (``python tools/fit_engine.py kernel``, d = 50), a dense stage's step is
-#: faster on the compiled csr loop than on the skeleton's BLAS form (its
-#: gather included) up to 16000 entries per batch and slower from 32000,
-#: and a full pass is faster in BLAS from about 3000, but the limit stays
-#: where it was placed against an older form: moving it would move small
-#: fully stored problems' trajectories at rounding level.
+#: (``python tools/fit_engine.py kernel``, d = 50, the library at -O3), a
+#: dense stage's step is faster on the compiled csr loop than on the
+#: skeleton's BLAS form (its gather included) up to 16000 entries per batch
+#: (2.1-2.3x at 6000) and slower from 32000 (1.2x), and a full pass is
+#: faster in BLAS from about 2000-3000 (1.2-1.3x at 6000), but the limit
+#: stays where it was placed against an older form: moving it would move
+#: small fully stored problems' trajectories at rounding level.
 BLAS_ABOVE_ENTRIES = 6000
 
 

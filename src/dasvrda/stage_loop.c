@@ -4,8 +4,9 @@
  *
  * The bits are the skeleton's on the csr form of the batch products:
  *
- *   - built with -O2 -ffp-contract=off and no fast-math, so no product is
- *     fused into an addition and no sum is reordered;
+ *   - built with -O3 -ffp-contract=off and no fast-math, so no product is
+ *     fused into an addition and no sum is reordered (GCC vectorises the
+ *     elementwise O(d) loops, whose bits do not move, and no reduction);
  *   - A[rows] @ y and A[rows].T @ v add their products one at a time,
  *     rows in order and entries in stored order, each output starting from
  *     +0.0, as scipy's csr_matvec and csc_matvec do;

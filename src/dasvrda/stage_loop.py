@@ -33,7 +33,9 @@ source of the package (:func:`sources`) with :data:`CFLAGS` into
 ``$XDG_CACHE_HOME/dasvrda`` (default ``~/.cache/dasvrda``), under a name
 keyed by the hash of the sources and the flags, and ``ctypes`` loads it.
 The build writes a name of its own and renames it into place, so two
-processes may build at once, and then removes the other versions' builds.
+processes may build at once, and then removes the other versions' builds
+but the newest, so that two checkouts run in turn (a change and its
+parent) each keep theirs.
 Any failure leaves the Python paths to run, and :func:`noting` collects
 the path each stage and load took and why, which the trace header reports
 as ``loop``.
@@ -71,7 +73,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 #: The C compiler that builds the library.
 CC = "cc"
 #: No fused multiply-adds and no fast-math: the kernels keep numpy's bits.
-CFLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+#: -O3 vectorises the elementwise loops, not a reduction, so the bits are
+#: -O2's.
+CFLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 #: Seconds the build may take before it is killed.
 BUILD_TIMEOUT = 120.0
 #: Whether stages and svmlight loads may take the compiled kernels; off,
@@ -178,13 +182,15 @@ def _build() -> Union[ctypes.CDLL, str]:
 
 
 def _prune(directory: str, keep: str) -> None:
-    """Remove from ``directory`` every build of the library but ``keep``:
-    the names :func:`_build` writes, and no other."""
+    """Remove from ``directory`` every build of the library but ``keep`` and
+    the newest other one: the names :func:`_build` writes, and no other."""
     with contextlib.suppress(OSError):
-        for name in os.listdir(directory):
-            if name != keep and _BUILD_NAME.fullmatch(name):
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.join(directory, name))
+        stale = sorted((os.stat(path).st_mtime_ns, path) for path in (
+            os.path.join(directory, name) for name in os.listdir(directory)
+            if name != keep and _BUILD_NAME.fullmatch(name)))
+        for _, path in stale[:-1]:
+            with contextlib.suppress(OSError):
+                os.remove(path)
 
 
 def _compile(paths: list[str], out: str) -> Optional[str]:

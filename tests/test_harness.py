@@ -160,10 +160,10 @@ def highd_config(tmp_path, d=100_000, k=5, **overrides):
 
 
 def test_resolve_lazy_rule(tmp_path):
-    # Lazy iff d > 1100 + 4.5 columns + 3 d / loop (harness.LAZY_STEP): a
+    # Lazy iff d > 250 + 18 columns + 3.8 d / loop (harness.LAZY_STEP): a
     # lazy step's fixed cost, the columns its batch hits, its share of the
     # sweep.
-    assert harness.LAZY_STEP == (1100.0, 4.5, 3.0)
+    assert harness.LAZY_STEP == (250.0, 18.0, 3.8)
     assert not resolve(lasso_config()).use_lazy            # d=20, dense data
     small_sparse = SyntheticSpec(kind="lasso", n=80, d=40, density=0.1, seed=0)
     assert not resolve(lasso_config(synthetic=small_sparse)).use_lazy
@@ -174,23 +174,24 @@ def test_resolve_lazy_rule(tmp_path):
     assert resolve(lasso_config(lazy="on")).use_lazy
     with pytest.raises(ConfigError, match="svrg cannot use the lazy stage"):
         resolve(lasso_config(algo="svrg", lazy="on", synthetic=small_sparse))
-    # The fixed cost: one entry per batch and a long loop add 4.5 to it.
+    # The fixed cost: one entry per batch and a long loop add 17.97 to it.
     tiny_step = dict(k=1, batch=1, epoch_len=10**6)
-    assert not resolve(highd_config(tmp_path, d=1100, **tiny_step)).use_lazy
-    assert resolve(highd_config(tmp_path, d=1110, **tiny_step)).use_lazy
-    # The columns: d/columns just under 4.5 d / (d - 1106) = 4.7634 at b = 118.
+    assert not resolve(highd_config(tmp_path, d=267, **tiny_step)).use_lazy
+    assert resolve(highd_config(tmp_path, d=268, **tiny_step)).use_lazy
+    # The columns: d/columns just under 18 d / (d - 257.6) = 18.235 at b = 29.
     wide = dict(d=20_000, k=40, epoch_len=10_000)
-    assert not resolve(highd_config(tmp_path, batch=118, **wide)).use_lazy  # 4.7569
-    assert resolve(highd_config(tmp_path, batch=117, **wide)).use_lazy      # 4.7930
-    # The sweep: 3 d / 3 alone is d; 3 d / 4 leaves room for the rest.
+    assert not resolve(highd_config(tmp_path, batch=29, **wide)).use_lazy  # 17.746
+    assert resolve(highd_config(tmp_path, batch=28, **wide)).use_lazy      # 18.362
+    # The sweep: 3.8 d / 3 alone is more than d; 3.8 d / 4 leaves room for
+    # the rest.
     assert not resolve(highd_config(tmp_path, epoch_len=3)).use_lazy
     assert resolve(highd_config(tmp_path, epoch_len=4)).use_lazy
     # A warm start reads the momentum loop it runs, not the configured m:
-    # at m = 3 the sweep alone costs 100000, at its loop of 11, 27273.
+    # at m = 3 the sweep alone costs 126667, at its loop of 11, 34545.
     warm = resolve(highd_config(tmp_path, algo="dasvrda-warm", epoch_len=3))
     assert warm.m == 3 and warm.header["epoch_len"] == 11 and warm.use_lazy
     assert warm.header["lazy_reason"] == (
-        "auto: a lazy step costs 28463 dense coordinate updates, d=100000 -> lazy")
+        "auto: a lazy step costs 35155 dense coordinate updates, d=100000 -> lazy")
 
 
 TIMINGS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -213,9 +214,9 @@ def test_auto_engine_rule_holds_on_committed_timings():
 def test_header_records_engine_reason(tmp_path):
     cases = [
         (highd_config(tmp_path),
-         "auto: a lazy step costs 7190 dense coordinate updates, d=100000 -> lazy"),
+         "auto: a lazy step costs 8210 dense coordinate updates, d=100000 -> lazy"),
         (lasso_config(),
-         "auto: a lazy step costs 1158 dense coordinate updates, d=20 -> dense"),
+         "auto: a lazy step costs 479 dense coordinate updates, d=20 -> dense"),
         (highd_config(tmp_path, l1=0.0), "auto: no elastic-net term -> dense"),
         (highd_config(tmp_path, algo="apg"), "auto: apg has no lazy stage -> dense"),
         (lasso_config(lazy="off"), "off"),

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dasvrda import lazy as lazy_module
 from dasvrda import (
     ElasticNet,
     IidUniform,
@@ -179,21 +180,26 @@ def test_loop_matches_the_skeleton_at_the_edges(compiled_loop):
 # The lazy stage's two paths.
 
 
-def finish_lazy(problem, scheme, start, compiled, m=40, b=4, idx=None):
+def finish_lazy(problem, scheme, start, compiled, m=40, b=4, idx=None, eta=None,
+                edit=None):
     """A :class:`LazyStage` from ``start`` at a fixed anchor, finished on one
-    path, on the batches ``idx`` if given: its output and last-touch state,
-    its ``touched`` and the paths it took."""
+    path, on the batches ``idx`` if given, at the step ``eta`` (default 0.5
+    over the largest smoothness), after ``edit(stage)`` if given: its output
+    and last-touch state, its ``touched`` and the paths it took."""
     anchor = 0.3 * np.random.default_rng(7).standard_normal(problem.d)
     if idx is not None:
         m, b = idx.shape
+    if eta is None:
+        eta = 0.5 / problem.max_smoothness
     old = stage_loop.COMPILED
     stage_loop.COMPILED = compiled
     try:
         with stage_loop.noting() as paths:
-            run = LazyStage(problem, start, anchor, 0.5 / problem.max_smoothness, m, b,
-                            scheme, make_rng(0))
+            run = LazyStage(problem, start, anchor, eta, m, b, scheme, make_rng(0))
             if idx is not None:
                 run.idx = idx
+            if edit is not None:
+                edit(run)
             out = run.finish()
     finally:
         stage_loop.COMPILED = old
@@ -273,6 +279,60 @@ def check_lazy_signed_zero_start():
 
 def test_lazy_paths_agree_from_a_signed_zero_start(compiled_loop):
     check_lazy_signed_zero_start()
+
+
+def shortcut_catch_ups(run):
+    """``run()``, and how many coordinates the numpy catch-ups it made
+    caught up in the case that the compiled catch-up takes as a shortcut:
+    never touched, a zero start and gradient sum, and an anchor gradient
+    within the l1 threshold."""
+    count, general = 0, lazy_module.catch_up
+
+    def counting(x_last, z_last, z0, g_sum, tg, k_last, target, tables, eta, reg):
+        nonlocal count
+        count += np.count_nonzero((k_last < target) & (k_last == 0) & (z0 == 0.0)
+                                  & (g_sum == 0.0) & (np.abs(tg) <= reg.l1))
+        return general(x_last, z_last, z0, g_sum, tg, k_last, target, tables, eta, reg)
+
+    lazy_module.catch_up = counting
+    try:
+        run()
+    finally:
+        lazy_module.catch_up = general
+    return count
+
+
+def check_lazy_shortcut():
+    """Both lazy paths, with the same bits and ``touched``, where the
+    compiled catch-up's shortcut serves steps and the sweep: from zero
+    starts of both signs, the anchor gradient of some columns at +-0.0, at
+    exactly +-l1 and just past it, at l1 = 0 (the shortcut only where the
+    gradient is zero), at a zero step and at a step so large that the run
+    search's a * a overflows; and with a nonzero gradient sum put on some
+    columns before the stage, so that the shortcut's test fails on it
+    alone.  The numpy catch-up, which takes no shortcut, is the oracle; the
+    cases give it coordinates of the shortcut's kind to catch up."""
+    for l1, sign, stale in itertools.product((1e-2, 0.0), (1.0, -1.0), (False, True)):
+        problem = sparse_problem(Logistic(), l1, 1e-2, d=300, density=0.02)
+        at_l1 = [0.0, -0.0, l1, -l1, np.nextafter(l1, 2.0), -np.nextafter(l1, 2.0)]
+        cols = np.flatnonzero(np.arange(problem.d) % 17 == 0)
+
+        def edit(run):
+            run.tilde_grad[cols] = np.resize(at_l1, cols.size)
+            if stale:
+                run.g_sum[cols + 1] = 1e-3
+
+        start = np.full(problem.d, sign * 0.0)
+        for eta, scheme in itertools.product(
+                (None, 0.0, 1e306), (IidUniform(problem.n), smoothness_weighted(problem))):
+            with np.errstate(all="ignore"):   # numpy overflows at the large step
+                count = shortcut_catch_ups(lambda: check_lazy_paths_agree(
+                    problem, scheme, start, eta=eta, edit=edit))
+            assert count > 0, (l1, sign, stale, eta)
+
+
+def test_lazy_paths_agree_where_the_shortcut_fires(compiled_loop):
+    check_lazy_shortcut()
 
 
 def test_the_lazy_kernel_takes_only_an_unstepped_stage(compiled_loop):
@@ -440,6 +500,7 @@ for case in itertools.product(cases.LOSSES, (False, True), cases.REGS, (False, T
     cases.check_lazy_case(*case)
 cases.check_lazy_edges()
 cases.check_lazy_signed_zero_start()
+cases.check_lazy_shortcut()
 cases.check_handle_rejections()
 parser_cases.check_parser_cases()
 print("sanitized cases passed")
@@ -648,24 +709,28 @@ def test_a_build_builds_into_the_cache_once(compiled_loop, monkeypatch, tmp_path
 
 
 def test_a_build_removes_the_caches_older_builds(compiled_loop, monkeypatch, tmp_path):
-    # Only another build's name goes: not a temporary of a build under way,
-    # an older library's name, or anything else.
+    # Of two other builds the older goes and the newer stays, so that two
+    # checkouts run in turn each keep theirs.  Only another build's name
+    # goes: not a temporary of a build under way, an older library's name,
+    # or anything else.
     cache = tmp_path / "dasvrda"
     cache.mkdir()
+    older, newer = "kernels-0123456789abcdef.so", "kernels-fedcba9876543210.so"
     others = ["tmpk2j4_x9q.so", "stage_loop-79a19158a36097d7.so", "notes.txt",
               "kernels-0123.so", "kernels-0123456789ABCDEF.so"]
-    for name in ["kernels-0123456789abcdef.so", *others]:
+    for name in [older, newer, *others]:
         (cache / name).write_text("")
+    os.utime(cache / older, (1_000_000, 1_000_000))   # older than every other file
     unbuilt(monkeypatch, tmp_path)
     assert not isinstance(stage_loop._library(), str)
-    built = sorted(set(os.listdir(cache)) - set(others))
-    assert len(built) == 1 and built[0] != "kernels-0123456789abcdef.so"
-    assert sorted(os.listdir(cache)) == sorted(built + others)
+    built = sorted(set(os.listdir(cache)) - {newer, *others})
+    assert len(built) == 1 and built[0] != older
+    assert sorted(os.listdir(cache)) == sorted([*built, newer, *others])
     # A library loaded from the cache removes nothing.
-    (cache / "kernels-0123456789abcdef.so").write_text("")
+    (cache / older).write_text("")
     monkeypatch.setattr(stage_loop, "_loaded", None)
     assert not isinstance(stage_loop._library(), str)
-    assert "kernels-0123456789abcdef.so" in os.listdir(cache)
+    assert {older, newer} <= set(os.listdir(cache))
 
 
 def test_every_c_source_ships_with_the_package():
