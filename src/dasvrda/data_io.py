@@ -3,8 +3,13 @@ problem generators.
 
 :func:`load_libsvm` parses a file in one call of the compiled library's
 svmlight parser (``svmlight.c``, built on first use by
-:mod:`~dasvrda.stage_loop`, so a run's first use may be this load).  Its
-per-token Python loop runs wherever the parser cannot: no library,
+:mod:`~dasvrda.stage_loop`, so a run's first use may be this load), after
+one compiled pass that counts the file's line ends and colons to size its
+arrays.  The parser converts a number of at most 19 significant digits
+and a small exponent by one exact x87 extended-precision operation, and
+every other number, and any result on a tie between two doubles, by
+``strtod``: both give the correctly rounded double that ``float()`` gives.
+Its per-token Python loop runs wherever the parser cannot: no library,
 :data:`~dasvrda.stage_loop.COMPILED` off, or a line outside the parser's
 grammar.  The loop gives the same arrays, raises every error the loader
 reports, and is the parser's test oracle.
@@ -82,13 +87,13 @@ def _parse_compiled(path: str):
         return None
     # A row takes a line and an entry a colon: capacities the kernel cannot
     # pass.
-    lines = raw.count(b"\n") + raw.count(b"\r") + 1
-    entries = raw.count(b":")
+    counts = np.zeros(3, dtype=np.int64)
+    ptr = stage_loop.pointer
+    kernels.dasvrda_svmlight_count(raw, len(raw), ptr(counts))
+    lines, entries = int(counts[0]) + 1, int(counts[1])
     labels, data = np.empty(lines), np.empty(entries)
     indptr = np.empty(lines + 1, dtype=np.int32)
     indices = np.empty(entries, dtype=np.int32)
-    counts = np.zeros(3, dtype=np.int64)
-    ptr = stage_loop.pointer
     stop = kernels.dasvrda_svmlight(raw, len(raw), lines, entries, ptr(labels),
                                     ptr(indptr), ptr(indices), ptr(data), ptr(counts))
     if stop:

@@ -50,7 +50,11 @@ stepped yet as one call of the library's lazy kernel (``lazy_stage.c``),
 which keeps these steps, their catch-ups, their csr-order products and
 the sweep expression by expression, and so the bits and ``touched`` of
 :meth:`LazyStage.step` and :meth:`LazyStage.snapshot`; those run where the
-kernel cannot and are its test oracle.  On the benchmark's highd-svmlight
+kernel cannot and are its test oracle.  On both paths the sweep writes the
+final point into the last-touch state, so after :meth:`LazyStage.finish`
+every coordinate's last touch is ``m`` and ``x_last``/``z_last`` are the
+stage's output; the start ``z0`` is a read-only view of the caller's
+array, never copied.  On the benchmark's highd-svmlight
 stage (d = 100000, 20 nonzeros per row, b = 16, m = 250) the kernel's
 steps cost about 15 us each; with the stage's setup and sweep, a step
 costs about 26 us compiled and 310-330 us on numpy, its anchor not counted
@@ -275,11 +279,13 @@ class LazyStage:
         anchor = make_anchor(problem, x_anchor)  # one full pass
         self.tilde_grad = anchor.grad
         self.anchor_derivs = anchor.derivs
-        start = np.asarray(y_start, dtype=np.float64)
+        start = np.ascontiguousarray(y_start, dtype=np.float64)
         d = problem.d
         if start.shape != (d,):
             raise ValueError(f"start has shape {start.shape}, expected ({d},)")
-        self.z0 = start.copy()
+        # The stage only reads its start: a read-only view, not a copy.
+        self.z0 = start.view()
+        self.z0.flags.writeable = False
         self.x_last = start.copy()
         self.z_last = start.copy()
         self.g_sum = np.zeros(d)
@@ -356,25 +362,35 @@ class LazyStage:
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:
         """Run any remaining iterations, then sweep every coordinate up to
-        the final iteration and return ``(x_m, z_m)``.  A stage that has
-        not stepped yet runs all of it in one call of the compiled kernel
-        where it can (:func:`~dasvrda.stage_loop.kernels`), with the bits
-        of :meth:`step` and :meth:`snapshot`."""
+        the final iteration and return ``(x_m, z_m)``, which are then
+        ``x_last`` and ``z_last``: after it, every coordinate was last
+        touched at ``m``.  A stage that has not stepped yet runs all of it
+        in one call of the compiled kernel where it can
+        (:func:`~dasvrda.stage_loop.kernels`), with the bits of
+        :meth:`step` and :meth:`snapshot`."""
         path = (stage_loop.kernels(self.problem) if self.k == 0
                 else "numpy: stage already stepped")
         stage_loop.note(path)
         if not isinstance(path, str):
-            return self._compiled(path.dasvrda_lazy_stage)
-        while self.k < self.m:
-            self.step()
-        x, z = self.snapshot()
+            self._compiled(path.dasvrda_lazy_stage)
+        else:
+            while self.k < self.m:
+                self.step()
+            self.x_last, self.z_last = self.snapshot()
+            # The kernel's sweep advances the gradient sum of the
+            # coordinates it catches up, and only theirs.
+            gap = np.flatnonzero(self.k_last < self.m)
+            self.g_sum[gap] += ((theta_pair(self.m) - _theta_pairs(self.k_last[gap]))
+                                * self.tilde_grad[gap])
+            self.k_last[gap] = self.m
         self.touched += self.problem.d
-        return x, z
+        return self.x_last, self.z_last
 
-    def _compiled(self, fn) -> tuple[np.ndarray, np.ndarray]:
+    def _compiled(self, fn) -> None:
         """All steps and the sweep in one call of the compiled kernel
         ``fn``, after :func:`~dasvrda.stage_loop.handle` checks the stage's
-        rows and arrays; leaves the last-touch state as :meth:`step` would."""
+        rows and arrays; leaves the last-touch state as :meth:`finish`
+        does."""
         problem, (m, b), d = self.problem, self.idx.shape, self.problem.d
         tables = (self.tables.s, self.tables.s_quad)
         state = (self.x_last, self.z_last, self.g_sum)
@@ -386,16 +402,14 @@ class LazyStage:
         cap = min(d, b * kept.row_max)
         slot = np.full(d, -1, dtype=np.int64)
         cols, scratch = np.empty(cap, dtype=np.int64), np.empty((4, cap))
-        x, z = np.empty(d), np.empty(d)
         ptr = stage_loop.pointer
         # Every array stays referenced by a name until the call returns.
         self.touched += fn(
             kept, m, b, ptr(self.idx), ptr(self.weights), ptr(self.anchor_derivs),
             ptr(self.tilde_grad), ptr(self.z0), self.eta, *map(ptr, tables),
-            *map(ptr, state), ptr(self.k_last), ptr(x), ptr(z), ptr(slot), cap,
-            ptr(cols), ptr(scratch)) + d
+            *map(ptr, state), ptr(self.k_last), ptr(slot), cap, ptr(cols),
+            ptr(scratch))
         self.k = m
-        return x, z
 
 
 def lazy_one_stage_accsvrda(

@@ -140,7 +140,8 @@ static inline void catch_up(double x_last, double z0, double g_sum, double tg,
  *   tg (the anchor gradient) and z0 (the start) have d;
  *   s and q are the prefix tables, m + 2 entries each;
  *   x_last, z_last, g_sum and k_last (d each) are the last-touch state, in
- *   and out; x and z (d each) receive the final point.
+ *   and out: the sweep leaves every coordinate last touched at m, and so
+ *   x_last and z_last the final point.
  *
  * Scratch: slot (d, every entry -1 on entry and on return) numbers the
  * step's columns; cols (cap) and u (4 cap) hold their columns and state,
@@ -150,8 +151,7 @@ int64_t dasvrda_lazy_stage(const struct problem *prob, int64_t m, int64_t b,
                            const double *derivs, const double *tg,
                            const double *z0, double eta, const double *s,
                            const double *q, double *x_last, double *z_last,
-                           double *g_sum, int64_t *k_last, double *x, double *z,
-                           int64_t *slot, int64_t cap, int64_t *cols, double *u)
+                           double *g_sum, int64_t *k_last, int64_t *slot, int64_t cap, int64_t *cols, double *u)
 {
     const void *indptr = prob->indptr, *indices = prob->indices;
     const double *data = prob->data, *labels = prob->labels;
@@ -225,13 +225,13 @@ int64_t dasvrda_lazy_stage(const struct problem *prob, int64_t m, int64_t b,
             slot[c] = -1;
         }
     }
+    double tp_m = theta_pair(m);
     for (int64_t c = 0; c < prob->d; c++) {
         if (k_last[c] < m) {
             catch_up(x_last[c], z0[c], g_sum[c], tg[c], k_last[c], m, s, q, eta, l1,
-                     l2, &x[c], &z[c]);
-        } else {
-            x[c] = x_last[c];
-            z[c] = z_last[c];
+                     l2, &x_last[c], &z_last[c]);
+            g_sum[c] = g_sum[c] + (tp_m - theta_pair(k_last[c])) * tg[c];
+            k_last[c] = m;
         }
     }
     return touched;

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -174,14 +174,20 @@ class OuterState:
 
 def outer_momentum(state: OuterState, gamma: float, s: int) -> np.ndarray:
     """Lookahead point for stage ``s`` from the two previous stage outputs
-    and the previous dual point."""
+    and the previous dual point::
+
+        x_prev + ((th_prev - 1) / th) (x_prev - x_prev2) + (th_prev / th) (z_prev - x_prev)
+
+    summed left to right, in two ``d``-vectors."""
     th_prev = theta_outer(gamma, s - 1)
     th = theta_outer(gamma, s)
-    return (
-        state.x_prev
-        + ((th_prev - 1.0) / th) * (state.x_prev - state.x_prev2)
-        + (th_prev / th) * (state.z_prev - state.x_prev)
-    )
+    y = np.subtract(state.x_prev, state.x_prev2)
+    y *= (th_prev - 1.0) / th
+    y += state.x_prev
+    pull = np.subtract(state.z_prev, state.x_prev)
+    pull *= th_prev / th
+    y += pull
+    return y
 
 
 def _stage_cost(problem: Problem, m: int, b: int) -> int:
@@ -202,15 +208,19 @@ def _momentum_loop(
     one_stage: Optional[OneStageFn],
     ledger: Ledger,
     restarted: bool = False,
-    restart: Optional[Callable[..., bool]] = None,
+    restart: Union[Callable[[np.ndarray], bool], str, None] = None,
     extra_cost: int = 0,
 ) -> np.ndarray:
     """Up to ``n_stages`` momentum stages charged to ``ledger``, each at
     ``extra_cost`` more than its anchor and steps; returns the last output.
 
-    ``restarted`` flags the first stage.  When ``restart(state, s, y, x_new,
-    z_new)`` fires on stage ``s``, counted from the last restart, the
-    history collapses onto ``x_new``, ``s`` rewinds and the stage is flagged.
+    ``restarted`` flags the first stage.  When the restart test fires after
+    stage ``s``, counted from the last restart, the history collapses onto
+    its output ``x_new``, ``s`` rewinds and the stage is flagged.  The test
+    is ``restart(x_new)``, or for ``restart="gradient"`` the gradient test
+    ``(y_s - x_new) @ (y_{s+1} - x_new) > 0``, whose lookahead ``y_{s+1}`` of
+    the unrestarted history is the next stage's start when it does not
+    fire.
     """
     if one_stage is None:
         one_stage = one_stage_accsvrda
@@ -220,19 +230,24 @@ def _momentum_loop(
                        x_prev2=np.array(z0, dtype=np.float64),
                        z_prev=np.array(z0, dtype=np.float64))
     cost = _stage_cost(problem, m, b) + extra_cost
-    s = 0
+    s, y_next = 0, None
     for t in range(n_stages):
         if not ledger.affords(cost):
             break
         s += 1
-        y = outer_momentum(state, gamma, s)
+        y = outer_momentum(state, gamma, s) if y_next is None else y_next
         x_new, z_new = one_stage(problem, y, state.x_prev, eta, m, b, scheme, rng)
-        fired = restart is not None and restart(state, s, y, x_new, z_new)
+        state_next = OuterState(x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new)
+        if restart == "gradient":
+            y_next = outer_momentum(state_next, gamma, s + 1)
+            fired = float((y - x_new) @ (y_next - x_new)) > 0.0
+        else:
+            fired = restart is not None and restart(x_new)
         if fired:
             state = OuterState(x_prev=x_new, x_prev2=x_new.copy(), z_prev=x_new.copy())
-            s = 0
+            s, y_next = 0, None
         else:
-            state = OuterState(x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new)
+            state = state_next
         ledger.charge(x_new, cost, fired or (restarted and t == 0))
     return state.x_prev
 
@@ -401,18 +416,9 @@ def run_dasvrda_adaptive(
         raise ValueError(f"unknown restart test {kind!r}")
     if eta is None:
         eta = eta_default(gamma, m, b, problem.mean_smoothness)
-    extra_cost = 0
+    extra_cost, restart = 0, kind
     if kind == "function":
-        fires = FunctionRestart(problem, x0)
-        extra_cost = problem.n
-
-        def restart(state, s, y, x_new, z_new):
-            return fires(x_new)
-    else:
-        def restart(state, s, y, x_new, z_new):
-            trial = OuterState(x_prev=x_new, x_prev2=state.x_prev, z_prev=z_new)
-            y_next = outer_momentum(trial, gamma, s + 1)
-            return float((y - x_new) @ (y_next - x_new)) > 0.0
+        restart, extra_cost = FunctionRestart(problem, x0), problem.n
     return _momentum_loop(problem, x0, x0, gamma, m, b, n_stages, scheme, rng,
                           eta, one_stage, Ledger(budget, on_stage),
                           restart=restart, extra_cost=extra_cost)

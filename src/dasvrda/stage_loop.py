@@ -140,11 +140,13 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     dense, lazy = lib.dasvrda_dense_stage, lib.dasvrda_lazy_stage
     dense.argtypes = [problem, int_, i64, i64] + [ptr] * 4 + [dbl] + [ptr] * 8
     dense.restype = None
-    lazy.argtypes = ([problem, i64, i64] + [ptr] * 5 + [dbl] + [ptr] * 9 + [i64]
+    lazy.argtypes = ([problem, i64, i64] + [ptr] * 5 + [dbl] + [ptr] * 7 + [i64]
                      + [ptr] * 2)
     lazy.restype = i64
     lib.dasvrda_svmlight.argtypes = [ptr] + [i64] * 3 + [ptr] * 5
     lib.dasvrda_svmlight.restype = i64
+    lib.dasvrda_svmlight_count.argtypes = [ptr, i64, ptr]
+    lib.dasvrda_svmlight_count.restype = None
     return lib
 
 

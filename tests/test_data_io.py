@@ -1,8 +1,10 @@
 import gzip
 import hashlib
+import math
 import os
 import tempfile
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -157,17 +159,26 @@ def check_parsers_agree(raw, stop=0, name="data.txt", **kwargs):
 
 
 def parse_exact(raw):
-    """The kernel's stop line on ``raw``, which it reads from a heap block
-    of exactly ``len(raw)`` bytes: a sanitized build sees a read past it."""
+    """The kernel's stop line on ``raw``."""
+    return parse_with(stage_loop.library(), raw)[0]
+
+
+def parse_with(kernels, raw):
+    """The stop line and the arrays' bytes of the parser of the library
+    ``kernels`` on ``raw``, which it reads from a heap block of exactly
+    ``len(raw)`` bytes: a sanitized build sees a read past it."""
     buf = np.frombuffer(raw, dtype=np.uint8).copy()
     lines, entries = raw.count(b"\n") + raw.count(b"\r") + 1, raw.count(b":")
     labels, data = np.empty(lines), np.empty(entries)
     indptr = np.empty(lines + 1, dtype=np.int32)
     indices = np.empty(entries, dtype=np.int32)
     counts = np.zeros(3, dtype=np.int64)
-    return stage_loop.library().dasvrda_svmlight(
+    stop = kernels.dasvrda_svmlight(
         buf.ctypes.data, len(raw), lines, entries, labels.ctypes.data,
         indptr.ctypes.data, indices.ctypes.data, data.ctypes.data, counts.ctypes.data)
+    rows, nnz, _ = counts.tolist()
+    return stop, [a.tobytes() for a in (labels[:rows], indptr[:rows + 1],
+                                        indices[:nnz], data[:nnz], counts)]
 
 
 #: Files of the compiled grammar, which the kernel parses whole: ``(bytes,
@@ -334,6 +345,96 @@ def test_the_parsers_agree_on_random_text(compiled_loop):
     check_random_files()
 
 
+#: Tokens at the edges of the parser's fast path (``svmlight.c``): 19 and 20
+#: significant digits, leading zeros, |e| of 27 and 28 once the fraction
+#: digits are folded in, a significand at and above 2^63, signed zeros and
+#: zeros with huge exponents.
+FAST_PATH_EDGES = [
+    "1234567890123456789", "12345678901234567890", "0001234567890123456789",
+    "0.0001234567890123456789", "1234567890.123456789", "1234567890.1234567891",
+    "1e27", "1e28", "1e-27", "1e-28", "1.5e28", "1.5e-26", "15e-28", "0.1e28",
+    "123456789e19", "123456789e-36", "9223372036854775807", "9223372036854775808",
+    "9223372036854775809e-27", "9999999999999999999", "9999999999999999999e27",
+    "9999999999999999999e-27", "18446744073709551615", "18446744073709551616",
+    "-0", "+0", "-0.0", "0e99999", "-0e99999", "0.000e-99999",
+    "1e0000000000000000000001", "0.000000000000000000000000000001e30",
+    "9007199254740993", "9007199254740992.5", "4.9406564584124654e-27",
+]
+
+
+def midpoint_token(rng) -> str:
+    """The exact midpoint of two adjacent doubles in [1e-30, 1e40], rounded
+    to 15-19 significant digits: a token on or next to a tie of the
+    double rounding that the fast path guards against."""
+    x = 10.0 ** rng.uniform(-30, 40)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        mid = (Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2
+        ctx.prec = int(rng.integers(15, 20))
+        near = +mid
+    return format(near, "e" if rng.random() < 0.7 else "f")
+
+
+def random_token(rng) -> str:
+    """A token of the grammar: a sign, 1-25 random significant digits with
+    leading zeros and a point anywhere, and an exponent in +-40."""
+    body = "0" * int(rng.choice((0, 0, 1, 4))) + "".join(
+        rng.choice(list("0123456789"), int(rng.integers(1, 26))))
+    point = int(rng.integers(0, len(body) + 1))
+    token = str(rng.choice(("", "-", "+"))) + body[:point] + "." + body[point:]
+    token = token.rstrip(".") if rng.random() < 0.5 else token
+    if rng.random() < 0.7:
+        token += str(rng.choice(("e", "E", "e+", "e-"))) + str(int(rng.integers(0, 41)))
+    return token
+
+
+def fast_path_corpus(count=50_000, seed=0) -> bytes:
+    """About ``count`` numbers in one svmlight buffer, labels and values:
+    half :func:`random_token`, half :func:`midpoint_token`, then
+    :data:`FAST_PATH_EDGES`; the last token ends the buffer with no line
+    end."""
+    rng = np.random.default_rng(seed)
+    tokens = [random_token(rng) for _ in range(count // 2)]
+    tokens += [midpoint_token(rng) for _ in range(count // 2)]
+    tokens += FAST_PATH_EDGES
+    lines = []
+    for lo in range(0, len(tokens), 20):
+        label, *values = tokens[lo:lo + 20]
+        lines.append(" ".join([label] + [f"{i}:{v}" for i, v in enumerate(values, 1)]))
+    return "\n".join(lines).encode()
+
+
+def test_the_fast_path_gives_the_loops_bits(compiled_loop):
+    check_parsers_agree(fast_path_corpus())
+
+
+def test_the_fast_path_keeps_the_bits_of_strtod(compiled_loop, monkeypatch, tmp_path):
+    # A build with the fast path compiled out converts every token by
+    # strtod.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(stage_loop, "CFLAGS",
+                        stage_loop.CFLAGS + ("-DDASVRDA_STRTOD_ONLY",))
+    strtod_only = stage_loop._build()
+    assert not isinstance(strtod_only, str), strtod_only
+    raw = fast_path_corpus()
+    fast = parse_with(compiled_loop, raw)
+    assert fast[0] == 0 and fast == parse_with(strtod_only, raw)
+
+
+def test_the_count_takes_crlf_as_one_line_end(compiled_loop):
+    # Line ends (\r\n one, a lone \r or \n one each) and colons, across
+    # the counting loop's blocks of 255 bytes.
+    rng = np.random.default_rng(3)
+    counts = np.zeros(2, dtype=np.int64)
+    raws = [b"", b"\r", b"\n", b":", b"\r\n", b"\n\r", b"\r\r\n", b"1 1:1\r\n-1 2:2\r\n"]
+    raws += [rng.choice(list(b"\r\n:x"), int(rng.integers(0, 1200))).astype(np.uint8)
+             .tobytes() for _ in range(200)]
+    for raw in raws:
+        compiled_loop.dasvrda_svmlight_count(raw, len(raw), counts.ctypes.data)
+        ends = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+        assert counts.tolist() == [ends, raw.count(b":")], raw
+
+
 def check_parser_cases():
     """Every parser case above: the sanitized build runs these."""
     for raw, kwargs in GRAMMAR:
@@ -343,6 +444,7 @@ def check_parser_cases():
     for raw in UNDERFLOW:
         check_parsers_agree(raw, None)
     check_random_files(100)
+    check_parsers_agree(fast_path_corpus())
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "loop"])

@@ -13,7 +13,10 @@ an unpacked ``git archive`` of the parent commit.  Pair ``k`` runs
 ``perfbench/run.py --workload W --seed S+k --seconds T`` once from each
 checkout, in a fresh process, with identical arguments; the base goes first
 in even pairs and the change (this checkout) first in odd ones, so drift of
-the machine's speed falls on both sides alike.
+the machine's speed falls on both sides alike.  Before the first pair, each
+checkout builds its compiled library (``stage_loop.library()``, in the
+same environment as its runs), so that no run's first ``setup_s`` or solve
+sample pays a compile.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints the median and
 quartiles of both sides, the ratio change/base of the medians, how many
@@ -48,6 +51,22 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"benchmark failed in {checkout} (exit {proc.returncode})")
     return json.loads(lines[-1])
+
+
+#: Builds the library of the checkout it runs in; exits nonzero, saying
+#: why, where there is none.
+BUILD = ("import sys; sys.path.insert(0, 'src'); from dasvrda import stage_loop; "
+         "lib = stage_loop.library(); sys.exit(lib if isinstance(lib, str) else 0)")
+
+
+def build_library(checkout: str) -> None:
+    """Build ``checkout``'s compiled library into the cache its runs use;
+    where it cannot, say so, and its runs take the Python paths."""
+    proc = subprocess.run([sys.executable, "-c", BUILD], cwd=checkout,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"no compiled library in {checkout}: "
+              f"{(proc.stderr.strip().splitlines() or ['?'])[-1]}", flush=True)
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -167,6 +186,8 @@ def main(argv=None) -> int:
     workloads = ([w["name"] for w in spec["workloads"]] if args.workload == "all"
                  else [args.workload])
     sides = {"base": base_root, "change": ROOT}
+    for checkout in sides.values():
+        build_library(checkout)
     reports = [compare(w, sides, spec["end_to_end"], args) for w in workloads]
     if args.json:
         with open(args.json, "w") as handle:
